@@ -19,6 +19,8 @@
 #                     toy fleets, then a profiled experiment run writing
 #                     a sample flamegraph to benchmarks/results/
 #   make bench-smoke  fast benchmark subset, incl. the serving engine
+#   make harness-smoke  self-test of the layered benchmark harness
+#                     (benchmarks/harness; `pytest tests` never collects it)
 #   make bench        full benchmark suite (regenerates benchmarks/results/)
 #   make bench-record record BENCH_<n>.json medians (substrate + serving),
 #                     plus a profiled pass storing phase shares (--profile)
@@ -34,14 +36,15 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test fleet-smoke offload-smoke sim-smoke tenants-smoke chaos-smoke netchaos-smoke obs-smoke prof-smoke bench-smoke bench bench-record bench-check bench-report docs-check docs-run lint
+.PHONY: test fleet-smoke offload-smoke sim-smoke tenants-smoke chaos-smoke netchaos-smoke obs-smoke prof-smoke bench-smoke harness-smoke bench bench-record bench-check bench-report docs-check docs-run lint
 
 test:
 	$(PYTHON) -m pytest tests -x -q
 
 fleet-smoke:
 	$(PYTHON) -m pytest tests/cluster tests/experiments/test_fleet.py \
-	    tests/serving/test_engine_edge_cases.py -q
+	    tests/serving/test_engine_edge_cases.py \
+	    tests/serving/test_server_cluster_parity.py -q
 
 offload-smoke:
 	$(PYTHON) -m pytest tests/offload tests/hw/test_network.py \
@@ -91,6 +94,9 @@ bench-smoke:
 	    benchmarks/test_serving_engine.py \
 	    benchmarks/test_fleet_cluster.py \
 	    benchmarks/test_offload_split.py -q
+
+harness-smoke:
+	$(PYTHON) -m pytest benchmarks/harness -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q

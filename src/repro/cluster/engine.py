@@ -344,6 +344,10 @@ class Cluster:
             raise ValueError(f"slo_s must be positive, got {slo_s}")
         if recover_warmup_s < 0:
             raise ValueError(f"recover_warmup_s must be >= 0, got {recover_warmup_s}")
+        if cache_capacity < 0:
+            raise ValueError(f"cache_capacity must be >= 0, got {cache_capacity}")
+        if cache_lookup_s < 0:
+            raise ValueError(f"cache_lookup_s must be >= 0, got {cache_lookup_s}")
         if len({bool(b.oracle) for b in backends}) > 1:
             raise ValueError(
                 "cannot mix oracle and live backends in one fleet: the request "

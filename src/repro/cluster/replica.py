@@ -1,13 +1,15 @@
 """One serving node of a fleet: a backend plus its local queue state.
 
-A :class:`Replica` is the cluster-level view of what
-:class:`repro.serving.Server` models as a whole process: a
-device-calibrated :class:`~repro.serving.backends.InferenceBackend`
-behind its own :class:`~repro.serving.batcher.MicroBatcher` and a single
-worker.  The fleet engine (:mod:`repro.cluster.engine`) owns the global
-virtual clock and dispatch; the replica owns everything local — pending
+A :class:`Replica` is one serving node: a device-calibrated
+:class:`~repro.serving.backends.InferenceBackend` behind its own
+:class:`~repro.serving.batcher.MicroBatcher` (or per-class
+:class:`~repro.serving.priority.PriorityBatcher`) and a single worker.
+The fleet engine (:mod:`repro.cluster.engine`) owns the global virtual
+clock and dispatch; the replica owns everything local — pending
 micro-batch, in-flight batches, lifecycle state, and the bookkeeping
 that turns into the report's replica-seconds and availability columns.
+:class:`repro.serving.Server` is the one-replica case of that engine,
+so a node with k workers is a k-replica fleet.
 
 Lifecycle::
 

@@ -84,9 +84,6 @@ def main(argv: list[str] | None = None) -> int:
         help="load shape for the serving engine (serve/fleet only)",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="serving worker replicas (serve only)"
-    )
-    parser.add_argument(
         "--link",
         choices=("wifi", "lte", "ethernet"),
         default="lte",
@@ -161,7 +158,6 @@ def main(argv: list[str] | None = None) -> int:
                 seed=args.seed,
                 dataset=args.dataset or "mnist",
                 scenarios=scenarios,
-                n_workers=args.workers,
                 live=args.live,
             ).render()
         )

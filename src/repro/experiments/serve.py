@@ -77,7 +77,6 @@ def run_serving_comparison(
     max_batch_size: int = 16,
     max_wait_s: float = 0.004,
     cache_capacity: int = 256,
-    n_workers: int = 1,
     live: bool = False,
 ) -> ServingComparison:
     """Serve identical request streams through every backend and compare.
@@ -160,7 +159,6 @@ def run_serving_comparison(
                 backend,
                 max_batch_size=max_batch_size,
                 max_wait_s=max_wait_s,
-                n_workers=n_workers,
                 cache_capacity=cache_capacity,
             )
             row.append(server.serve(images, arrival_s, labels=labels, scenario=scenario))

@@ -1,83 +1,47 @@
-"""The serving engine: queue → micro-batcher → worker pool → report.
+"""The single-node serving engine: a one-replica fleet behind a smaller API.
 
 :class:`Server` turns the passive M/D/1 analysis of
 :mod:`repro.hw.serving` into an executable engine.  It replays an
-arrival trace against a model backend on a *virtual clock*:
+arrival trace against one model backend on a *virtual clock* — LRU
+result cache, micro-batcher (or, in multi-tenant mode, a worker-gated
+priority batcher), one worker, and the backend's easy/hard routing.
 
-1. each arriving request is checked against the LRU result cache — hits
-   bypass the queue entirely (live backends hash the image; oracle
-   backends key on the sample id);
-2. misses enter the :class:`~repro.serving.batcher.MicroBatcher`, which
-   flushes on a size or deadline trigger;
-3. a flushed batch is dispatched to the earliest-free worker of a
-   ``n_workers``-server pool; dynamic backends first route the batch
-   into easy/hard sub-batches (hard → full-exit path);
-4. service time follows the backend's calibrated device timing model,
-   while predictions come from the backend — real model inference
-   (fanned out over :func:`repro.parallel.pool.parallel_map` once the
-   timeline is fixed), or precomputed-table lookups when the backend is
-   a :class:`repro.sim.OracleBackend`.
+There is one serving kernel in this package, and it lives in
+:class:`repro.cluster.Cluster`; a single node is the one-replica case.
+Each ``serve*`` call builds a fresh ``Cluster([backend],
+policy="round-robin")`` with this server's settings, replays the trace
+through it, and re-reports the fleet result as a :class:`ServingReport`
+— the single-node columns (batch-size histogram, easy/hard counts) are
+derived from the request log.  The request log is the fleet's, so
+served requests carry ``replica_id`` 0 (cache hits keep -1).  A node
+with k workers is a k-replica ``Cluster``.
 
-Bookkeeping rides the structure-of-arrays
-:class:`~repro.sim.records.RequestLog` (one NumPy column per outcome
-field — including the resilience columns ``retries``/``timed_out``/
-``hedged`` written by the fleet engine under :mod:`repro.faults`), so
-the hot loop is heap pops plus array writes and the report is
-vectorized reductions.  Everything observable lands in a
-:class:`ServingReport` (throughput, sojourn percentiles, cache hit rate,
-batch-size histogram, accuracy) that renders through
-:mod:`repro.eval.tables` and feeds the combined experiment report.
-
-A single ``Server`` never injects faults itself — degraded-mode
-behaviour (slowdowns, partitions, flaky batches, timeouts, hedging,
-circuit breakers) lives one layer up in :mod:`repro.cluster` +
+Everything observable lands in a :class:`ServingReport` (throughput,
+sojourn percentiles, cache hit rate, batch-size histogram, accuracy)
+that renders through :mod:`repro.eval.tables` and feeds the combined
+experiment report.  A single ``Server`` never injects faults —
+degraded-mode behaviour (slowdowns, partitions, timeouts, hedging,
+circuit breakers) needs the fleet API of :mod:`repro.cluster` +
 :mod:`repro.faults`, where there are replicas to fail over between.
 """
 
 from __future__ import annotations
 
-import functools
-import heapq
-import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.eval.metrics import latency_percentiles
 from repro.eval.tables import Table
-from repro.obs.prof import current_profiler
-from repro.parallel.pool import parallel_map
 from repro.serving.backends import InferenceBackend
-from repro.serving.batcher import MicroBatcher
-from repro.serving.cache import LRUResultCache
-from repro.serving.classes import (
-    DEFAULT_CLASSES,
-    ClassReport,
-    ClassSet,
-    per_class_reports,
-)
-from repro.serving.priority import PriorityBatcher
+from repro.serving.classes import ClassReport, ClassSet
 from repro.serving.request import Request
-from repro.sim.core import request_keys, validate_trace
-from repro.sim.records import (
-    ROUTE_CACHED,
-    ROUTE_EASY,
-    ROUTE_HARD,
-    RequestLog,
-)
+from repro.sim.records import ROUTE_CACHED, ROUTE_EASY, ROUTE_HARD, RequestLog
+
+if TYPE_CHECKING:
+    from repro.cluster.engine import Cluster, ClusterReport
 
 __all__ = ["Server", "ServingReport", "comparison_table"]
-
-
-def _predict_batch(backend, images, task):
-    """Module-level map target (picklable for the process pool).
-
-    ``backend`` and the full ``images`` array travel once per chunk via
-    the partial; per-task payloads are just (indices, decision).
-    """
-    indices, decision = task
-    return backend.predict(images[indices], decision)
 
 
 @dataclass(frozen=True)
@@ -87,7 +51,6 @@ class ServingReport:
     backend: str
     scenario: str
     n_requests: int
-    n_workers: int
     duration_s: float  # makespan: first arrival → last completion
     throughput_rps: float
     arrival_rate_hz: float
@@ -96,7 +59,7 @@ class ServingReport:
     p95_s: float
     p99_s: float
     max_s: float
-    utilization: float  # busy fraction of the worker pool
+    utilization: float  # busy fraction of the worker
     mean_batch_size: float
     batch_histogram: dict[int, int] = field(repr=False)
     n_easy: int = 0
@@ -155,7 +118,7 @@ def comparison_table(reports: list[ServingReport], title: str = "") -> Table:
 
 
 class Server:
-    """Batched inference server over a virtual clock.
+    """Batched inference server over a virtual clock (one-replica facade).
 
     Parameters
     ----------
@@ -166,11 +129,6 @@ class Server:
     max_batch_size, max_wait_s:
         Micro-batcher triggers (see :class:`~repro.serving.batcher.MicroBatcher`).
         ``max_wait_s=0`` disables batching (pure FIFO).
-    n_workers:
-        Parallel model replicas; a flushed batch goes to the
-        earliest-free worker.  Live predictions are likewise fanned out
-        over a process pool (oracle lookups stay serial — cheaper than
-        pickling).
     cache_capacity:
         LRU result-cache entries; ``0`` disables caching.
     cache_lookup_s:
@@ -187,18 +145,16 @@ class Server:
         board first, per-class wait caps) or ``"fifo"`` (class-blind
         control arm).  Ignored when ``classes`` is ``None``.
     obs:
-        Optional :class:`~repro.obs.observer.Observer`.  When set, each
-        dispatched batch is recorded as a span (worker index as the
-        replica lane) and the finished run is finalized into spans,
-        metrics, and SLO burn rates.  Observers are single-use — pass a
-        fresh one per ``serve*`` call.  ``None`` (default) records
-        nothing and costs one ``is None`` test per batch.
+        Optional :class:`~repro.obs.observer.Observer`, handed to the
+        cluster: each dispatched batch is recorded as a span on replica
+        lane 0 and the finished run is finalized into spans, metrics,
+        and SLO burn rates.  Observers are single-use — pass a fresh one
+        per ``serve*`` call.  ``None`` (default) records nothing.
     prof:
         Optional :class:`~repro.obs.prof.PhaseProfiler` attributing
-        **wall-clock** (host CPU) time to engine phases: warmup,
-        event_loop, ingest, dispatch, inference, report.  ``None``
-        falls back to the process-global profiler (``REPRO_PROF=1``),
-        else profiling is off.
+        **wall-clock** (host CPU) time to the cluster's engine phases.
+        ``None`` falls back to the process-global profiler
+        (``REPRO_PROF=1``), else profiling is off.
     """
 
     def __init__(
@@ -206,7 +162,6 @@ class Server:
         backend: InferenceBackend,
         max_batch_size: int = 32,
         max_wait_s: float = 0.005,
-        n_workers: int = 1,
         cache_capacity: int = 0,
         cache_lookup_s: float = 2e-5,
         classes: ClassSet | None = None,
@@ -214,31 +169,36 @@ class Server:
         obs=None,
         prof=None,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if cache_lookup_s < 0:
-            raise ValueError(f"cache_lookup_s must be >= 0, got {cache_lookup_s}")
-        if scheduler not in ("priority", "fifo"):
-            raise ValueError(f"unknown scheduler {scheduler!r}")
-        # Fail fast on bad batcher/cache parameters (their ctors validate).
-        MicroBatcher(max_batch_size, max_wait_s)
-        LRUResultCache(cache_capacity)
         self.backend = backend
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_s)
-        self.n_workers = int(n_workers)
         self.cache_capacity = int(cache_capacity)
         self.cache_lookup_s = float(cache_lookup_s)
         self.classes = classes
         self.scheduler = scheduler
         self.obs = obs
-        # Wall-clock phase attribution: an explicit profiler wins, else
-        # the process-global one (REPRO_PROF=1), else disabled.
-        self.prof = prof if prof is not None else current_profiler()
+        self.prof = prof
+        # Fail fast: the cluster's constructor validates every setting.
+        self._cluster()
 
-    # ------------------------------------------------------------------ #
-    # serving loop
-    # ------------------------------------------------------------------ #
+    def _cluster(self) -> Cluster:
+        """A fresh one-replica cluster (clusters replay one trace each)."""
+        # Deferred: repro.cluster itself imports repro.serving.
+        from repro.cluster.engine import Cluster
+
+        return Cluster(
+            [self.backend],
+            policy="round-robin",
+            max_batch_size=self.max_batch_size,
+            max_wait_s=self.max_wait_s,
+            cache_capacity=self.cache_capacity,
+            cache_lookup_s=self.cache_lookup_s,
+            classes=self.classes,
+            scheduler=self.scheduler,
+            obs=self.obs,
+            prof=self.prof,
+        )
+
     def serve(
         self,
         images: np.ndarray,
@@ -254,7 +214,8 @@ class Server:
         predictions are the backend's genuine outputs (real inference,
         or the oracle table built from it), so this is a served-traffic
         accuracy, not a placeholder.  ``request_classes`` (multi-tenant
-        mode) gives each request its class code.
+        mode) gives each request its class code; codes without
+        ``classes`` use :data:`~repro.serving.classes.DEFAULT_CLASSES`.
         """
         report, _ = self.serve_log(images, arrival_s, labels, scenario, request_classes)
         return report
@@ -278,26 +239,6 @@ class Server:
         report, log = self.serve_log(images, arrival_s, labels, scenario, request_classes)
         return report, log.to_requests()
 
-    def _resolve_classes(
-        self, request_classes, n: int
-    ) -> tuple[ClassSet | None, np.ndarray | None]:
-        """Pair up the ctor class set with the per-request codes.
-
-        ``classes`` without codes is an error (every request needs a
-        class); codes without ``classes`` default to
-        :data:`~repro.serving.classes.DEFAULT_CLASSES`.
-        """
-        classes = self.classes
-        if request_classes is None:
-            if classes is not None:
-                raise ValueError(
-                    "Server(classes=...) requires request_classes in serve*()"
-                )
-            return None, None
-        if classes is None:
-            classes = DEFAULT_CLASSES
-        return classes, classes.validate_codes(request_classes, n)
-
     def serve_log(
         self,
         images: np.ndarray,
@@ -307,288 +248,28 @@ class Server:
         request_classes: np.ndarray | None = None,
     ) -> tuple[ServingReport, RequestLog]:
         """:meth:`serve`, additionally returning the SoA request log."""
-        images, arrival_s = validate_trace(images, arrival_s)
-        classes, codes = self._resolve_classes(request_classes, arrival_s.shape[0])
-        oracle = self.backend.oracle
-        prof = self.prof
-        if prof is not None:
-            prof.start("serve")
-            prof.start("warmup")
-        if not oracle:
-            # Pay the fastpath plan compilation for the routing path
-            # (and, with n_workers == 1, the prediction path) before
-            # dispatch.  Pooled workers receive the backend without
-            # cached plans (Module.__getstate__) and retrace on their
-            # first batch.  Wall-clock only — the virtual clock never
-            # sees it — and a no-op when this shape is already warmed.
-            self.backend.warmup(
-                min(self.max_batch_size, images.shape[0]),
-                sample_shape=images.shape[1:],
-            )
-        if prof is not None:
-            prof.stop()  # warmup
-
-        log = RequestLog(arrival_s)
-        if codes is not None:
-            log.req_class[:] = codes
-        cache = LRUResultCache(self.cache_capacity)
-        workers = [0.0] * self.n_workers
-        batches: list[tuple[list[int], object]] = []  # (indices, RouteDecision|None)
-        busy_s = 0.0
-        inserts: list[tuple[float, int, object]] = []  # completion-time heap
-
-        keys = request_keys(images, oracle) if self.cache_capacity > 0 else None
-        completion = log.completion_s
-        dispatch_s = log.dispatch_s
-        route = log.route
-        requested_route = log.requested_route
-        batch_size = log.batch_size
-        source_id = log.source_id
-
-        obs = self.obs
-
-        def dispatch(indices: list[int], flush_s: float) -> None:
-            nonlocal busy_s
-            if prof is not None:
-                prof.start("dispatch")
-            # One list→array conversion reused by every fancy-index op.
-            idx = np.asarray(indices, dtype=np.intp)
-            decision = self.backend.route(images[idx])
-            n_hard = decision.n_hard if decision is not None else 0
-            service = self.backend.batch_service_s(len(indices), n_hard)
-            w = min(range(self.n_workers), key=workers.__getitem__)
-            start = max(flush_s, workers[w])
-            done = start + service
-            workers[w] = done
-            busy_s += service
-            if obs is not None:
-                obs.on_batch(start, done, w, len(indices))
-            completion[idx] = done
-            dispatch_s[idx] = start
-            batch_size[idx] = len(indices)
-            if decision is not None:
-                route[idx] = np.where(decision.easy, ROUTE_EASY, ROUTE_HARD)
-            # No admission control on the single server: the served
-            # route IS the requested route.
-            requested_route[idx] = route[idx]
-            if keys is not None:
-                # Results become visible at their batch's completion
-                # time; ties break on the request index so insertion
-                # order is identical whatever the key type (pixel hash
-                # or oracle sample id).
-                for i in indices:
-                    heapq.heappush(inserts, (done, i, keys[i]))
-            batches.append((idx, decision))
-            if prof is not None:
-                prof.stop()  # dispatch
-
-        def cache_hit(i: int, now: float) -> bool:
-            """Settle visible results, then try to answer ``i`` from cache."""
-            while inserts and inserts[0][0] <= now:
-                _, src, key = heapq.heappop(inserts)
-                cache.put(key, src)
-            hit = cache.get(keys[i])
-            if hit is None:
-                return False
-            route[i] = ROUTE_CACHED
-            requested_route[i] = ROUTE_CACHED
-            source_id[i] = int(hit)
-            dispatch_s[i] = now  # answered on arrival — never queued
-            completion[i] = now + self.cache_lookup_s
-            return True
-
-        if prof is not None:
-            prof.start("event_loop")
-        if classes is not None:
-            self._pump_classes(
-                arrival_s, codes, classes, keys, cache_hit, dispatch,
-                worker_free=lambda: min(workers),
-            )
-        else:
-            batcher = MicroBatcher(self.max_batch_size, self.max_wait_s)
-            for i, now in enumerate(arrival_s.tolist()):
-                # Deadline-triggered flushes that fire before this arrival.
-                while batcher and batcher.deadline_s <= now:
-                    flush_at = batcher.deadline_s
-                    dispatch(batcher.flush(), flush_at)
-                if prof is not None:
-                    prof.start("ingest")
-                    hit = keys is not None and cache_hit(i, now)
-                    if not hit:
-                        batcher.add(i, now)
-                    prof.stop()  # ingest
-                    if hit:
-                        continue
-                else:
-                    if keys is not None and cache_hit(i, now):
-                        continue
-                    batcher.add(i, now)
-                if batcher.should_flush(now):
-                    dispatch(batcher.flush(), now)
-            while batcher:
-                flush_at = batcher.deadline_s
-                dispatch(batcher.flush(), flush_at)
-        if prof is not None:
-            prof.stop()  # event_loop
-            prof.start("inference")
-
-        self._fill_predictions(log, batches, images)
-        if prof is not None:
-            prof.stop()  # inference
-            prof.start("report")
-        report = self._report(
-            log, batches, arrival_s, labels, cache, busy_s, scenario, classes
+        fleet, log = self._cluster().serve_log(
+            images, arrival_s, labels, scenario, request_classes
         )
-        if obs is not None:
-            obs.finalize(log, classes=classes)
-        if prof is not None:
-            prof.stop()  # report
-            prof.stop()  # serve
-        return report, log
+        return self._report(fleet, log), log
 
-    def _pump_classes(
-        self, arrival_s, codes, classes, keys, cache_hit, dispatch, worker_free
-    ) -> None:
-        """Multi-tenant event loop: worker-gated priority batching.
-
-        Unlike the single-class loop — where every flush hands its batch
-        straight to a worker queue — dispatch here is *gated on worker
-        availability*: the queue lives in the batcher, where scheduling
-        order matters.  A flush fires at the earliest time a worker is
-        free AND a trigger holds:
-
-        * ``pending >= max_batch_size`` → flush the moment a worker
-          frees (``worker_free_s``);
-        * otherwise → wait for the earliest per-class deadline, or the
-          worker if it frees later (``max(deadline_s, worker_free_s)``).
-
-        Under overload pending grows beyond one batch and the
-        scheduler's fill order (priority vs FIFO) decides who boards —
-        which is the entire point of multi-tenant mode.
-        """
-        batcher = PriorityBatcher(
-            classes, self.max_batch_size, self.max_wait_s, ordering=self.scheduler
-        )
-
-        def next_flush_s() -> float:
-            free = worker_free()
-            if len(batcher) >= batcher.max_batch_size:
-                return free
-            return max(batcher.deadline_s, free)
-
-        prof = self.prof
-        code_list = codes.tolist()
-        for i, now in enumerate(arrival_s.tolist()):
-            while batcher:
-                t = next_flush_s()
-                if t > now:
-                    break
-                dispatch(batcher.flush(), t)
-            if prof is not None:
-                prof.start("ingest")
-                hit = keys is not None and cache_hit(i, now)
-                if not hit:
-                    batcher.add(i, now, cls=code_list[i])
-                prof.stop()  # ingest
-                if hit:
-                    continue
-            else:
-                if keys is not None and cache_hit(i, now):
-                    continue
-                batcher.add(i, now, cls=code_list[i])
-            while batcher:
-                t = next_flush_s()
-                if t > now:
-                    break
-                # The trigger completed only with this arrival: the
-                # flush cannot predate the request it includes.
-                dispatch(batcher.flush(), max(t, now))
-        while batcher:
-            # Pin the flush time *before* flushing — next_flush_s reads
-            # the pending set, which flush() consumes.
-            t = next_flush_s()
-            dispatch(batcher.flush(), t)
-
-    # ------------------------------------------------------------------ #
-    # inference over the worker pool
-    # ------------------------------------------------------------------ #
-    def _fill_predictions(self, log: RequestLog, batches, images) -> None:
-        """Run the backend over every dispatched batch.
-
-        The virtual timeline is already fixed, so batches are
-        embarrassingly parallel — live backends fan out over the
-        fork-based process pool with ordered gather (one chunk per
-        worker keeps the model weights from being re-pickled per batch).
-        Oracle backends answer from their table; pickling a pool would
-        cost more than the lookups, so they stay serial.  Each batch
-        carries its RouteDecision from dispatch, so dynamic backends
-        reuse the routing pass instead of repeating it.
-        """
-        if self.backend.oracle or self.n_workers == 1:
-            preds_per_batch = [
-                self.backend.predict(images[indices], decision)
-                for indices, decision in batches
-            ]
-        else:
-            chunksize = max(1, math.ceil(len(batches) / self.n_workers))
-            preds_per_batch = parallel_map(
-                functools.partial(_predict_batch, self.backend, images),
-                batches,
-                self.n_workers,
-                chunksize=chunksize,
-            )
-        prediction = log.prediction
-        for (indices, _), preds in zip(batches, preds_per_batch):
-            prediction[indices] = preds
-        log.fill_cached_predictions()
-
-    # ------------------------------------------------------------------ #
-    # reporting
-    # ------------------------------------------------------------------ #
-    def _report(
-        self,
-        log: RequestLog,
-        batches,
-        arrival_s,
-        labels,
-        cache,
-        busy_s,
-        scenario,
-        classes: ClassSet | None = None,
-    ) -> ServingReport:
-        sojourn = log.sojourn_s
-        makespan = float(log.completion_s.max() - arrival_s[0])
-        span = float(arrival_s[-1] - arrival_s[0])
-        histogram = dict(sorted(Counter(len(indices) for indices, _ in batches).items()))
-        n_batched = sum(k * c for k, c in histogram.items())
-        mean_batch = n_batched / len(batches) if batches else 0.0
-        accuracy = float("nan")
-        if labels is not None:
-            accuracy = float((log.prediction == np.asarray(labels)).mean())
-        p50, p95, p99 = latency_percentiles(sojourn)
-        n = len(log)
+    def _report(self, fleet: ClusterReport, log: RequestLog) -> ServingReport:
+        """Re-report a one-replica fleet run in single-node columns."""
+        # Every non-cached request records its batch's size, so a size-k
+        # batch contributes k rows of value k.
+        sizes, rows = np.unique(log.batch_size[log.route != ROUTE_CACHED], return_counts=True)
+        histogram = {int(k): int(n) // int(k) for k, n in zip(sizes, rows)}
+        # The remaining columns (latency, throughput, cache, accuracy,
+        # per-class slices) mean the same thing on both reports.
+        shared = {
+            f.name: getattr(fleet, f.name)
+            for f in fields(ServingReport)
+            if hasattr(fleet, f.name)
+        }
         return ServingReport(
             backend=self.backend.name,
-            scenario=scenario,
-            n_requests=n,
-            n_workers=self.n_workers,
-            duration_s=makespan,
-            throughput_rps=n / makespan if makespan > 0 else float("inf"),
-            arrival_rate_hz=(n - 1) / span if span > 0 else float("inf"),
-            mean_s=float(sojourn.mean()),
-            p50_s=p50,
-            p95_s=p95,
-            p99_s=p99,
-            max_s=float(sojourn.max()),
-            utilization=busy_s / (self.n_workers * makespan) if makespan > 0 else 0.0,
-            mean_batch_size=mean_batch,
             batch_histogram=histogram,
             n_easy=log.route_count(ROUTE_EASY),
             n_hard=log.route_count(ROUTE_HARD),
-            n_cached=log.route_count(ROUTE_CACHED),
-            cache_hit_rate=cache.hit_rate,
-            accuracy=accuracy,
-            class_reports=(
-                per_class_reports(log, classes, labels) if classes is not None else ()
-            ),
+            **shared,
         )

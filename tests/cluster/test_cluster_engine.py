@@ -57,6 +57,11 @@ class TestBasics:
             Cluster([SumBackend()], slo_s=0.0)
         with pytest.raises(ValueError):
             Cluster([SumBackend()], failures=(FailureEvent(0.1, 5, "crash"),))
+        # Bad cache settings fail at construction, before any serving.
+        with pytest.raises(ValueError, match="cache_capacity"):
+            Cluster([SumBackend()], cache_capacity=-1)
+        with pytest.raises(ValueError, match="cache_lookup_s"):
+            Cluster([SumBackend()], cache_lookup_s=-1.0)
 
     def test_report_renders(self, images100):
         report = Cluster([SumBackend()]).serve(

@@ -94,18 +94,6 @@ class TestServeBasics:
         assert batched.throughput_rps > fifo.throughput_rps
         assert batched.mean_batch_size > 2.0
 
-    def test_extra_workers_cut_the_tail(self):
-        images = make_images(300)
-        arrivals = poisson_arrivals(800.0, 300, rng=2)
-        one = Server(SumBackend(), max_batch_size=4, max_wait_s=0.002).serve(
-            images, arrivals
-        )
-        four = Server(
-            SumBackend(), max_batch_size=4, max_wait_s=0.002, n_workers=4
-        ).serve(images, arrivals)
-        assert four.p99_s < one.p99_s
-        assert four.n_workers == 4
-
 
 class TestCacheIntegration:
     def test_repeated_images_hit_after_first_completion(self):
@@ -179,8 +167,6 @@ class TestValidationAndRendering:
             srv.serve(make_images(0), np.array([]))  # empty stream
         with pytest.raises(ValueError):
             srv.serve(make_images(2), np.array([1.0, 0.5]))  # unsorted
-        with pytest.raises(ValueError):
-            Server(SumBackend(), n_workers=0)
 
     def test_summary_and_table_render(self):
         images = make_images(16)

@@ -38,7 +38,7 @@ class TestZeroArrivalTrace:
             srv.serve(make_images(0), np.array([]))
 
     def test_empty_stream_rejected_even_with_cache_and_workers(self):
-        srv = Server(SumBackend(), n_workers=4, cache_capacity=64)
+        srv = Server(SumBackend(), cache_capacity=64)
         with pytest.raises(ValueError, match="empty request stream"):
             srv.serve(np.zeros((0, 1, 4, 4), dtype=np.float32), np.array([]))
 

@@ -14,7 +14,6 @@ compared too, and the single-node columns (batch histogram, easy/hard
 counts) are checked against what the cluster's log implies.
 """
 
-import dataclasses
 import math
 from collections import Counter
 
@@ -162,12 +161,3 @@ def test_oracle_backend_matches_one_replica_cluster():
     )
     assert_parity(report, log, creport, clog)
     assert report.n_cached > 0 and report.n_easy > 0 and report.n_hard > 0
-
-
-def test_shared_fields_exist_on_both_reports():
-    from repro.cluster import ClusterReport
-    from repro.serving import ServingReport
-
-    cluster_fields = {f.name for f in dataclasses.fields(ClusterReport)}
-    serving_fields = {f.name for f in dataclasses.fields(ServingReport)}
-    assert set(SHARED_FIELDS) <= cluster_fields & serving_fields
