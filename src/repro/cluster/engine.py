@@ -936,13 +936,18 @@ class Cluster:
         if settled:
             return
         # Reschedule only while progress is still possible: some other
-        # event is pending, arrivals are still streaming from the trace
-        # cursor, or a live replica can finish/receive work.  Otherwise
-        # (e.g. every replica crashed with no recovery scheduled) the
-        # loop must drain so stranded requests end the trace as unserved
-        # instead of ticking forever.
-        others_pending = any(kind != _EV_TICK for _, kind, _, _ in self._heap)
-        if others_pending or arrivals_left or self.live_replicas():
+        # event is pending (only one tick is ever queued and it was just
+        # popped, so any heap entry is another kind), arrivals are still
+        # streaming from the trace cursor, or a live replica holds queued
+        # or in-flight work.  Otherwise (every replica crashed with no
+        # recovery scheduled, or the unfinished requests were lost to
+        # failed batches) the loop must drain so those requests end the
+        # trace as unserved instead of ticking forever.
+        if (
+            self._heap
+            or arrivals_left
+            or any(r.in_flight or r.batcher for r in self.live_replicas())
+        ):
             self._push(now + self.autoscaler.config.interval_s, _EV_TICK, None)
 
     # ------------------------------------------------------------------ #

@@ -98,6 +98,23 @@ class TestLiveness:
         assert report.n_unserved > 0
         assert report.availability < 1.0
 
+    def test_lost_requests_terminate_with_autoscaler_attached(self):
+        # An unhealed partition fails every batch, so every request is
+        # lost while the replica stays UP and idle: nothing can change
+        # any more, and the tick loop must stop instead of waiting for
+        # those requests forever.
+        from repro.faults import PARTITION, Fault, FaultPlan
+
+        images = make_images(20)
+        auto = Autoscaler(config(), spawn_backend=lambda: SumBackend())
+        report = Cluster(
+            [SumBackend()],
+            autoscaler=auto,
+            faults=FaultPlan(faults=(Fault(0.0, 0, PARTITION),)),
+        ).serve(images, poisson_arrivals(400.0, 20, rng=3))
+        assert report.n_unserved == 20
+        assert report.n_batch_failures > 0
+
     def test_scale_down_never_drains_last_up_replica(self):
         # Aggressive drain settings on a quiet trace: one replica may
         # drain, but a second drain while the first is still finishing
