@@ -11,8 +11,10 @@ The sweep covers 20 seeds of each configuration: a 16-replica
 power-of-two fleet, a 3-class priority fleet behind weighted-fair
 admission, crash/recover failures, a fault storm against the full
 resilience stack (timeouts, retries, hedges, copies dropped at flush),
-an autoscaler that scales down until a replica drains to DOWN (with and
-without a fault storm), and a 16-entry result cache.
+an autoscaler that scales down until a replica drains to DOWN — alone,
+and on a 3-class fleet under a fault storm, where a draining replica's
+worker-gated queue can hold only cancelled copies and flush to nothing —
+and a 16-entry result cache.
 """
 
 import dataclasses
@@ -224,6 +226,7 @@ def _autoscale(seed):
 def _autoscale_storm(seed):
     rng = np.random.default_rng(seed)
     arrival_s = _waves(rng)
+    codes = rng.integers(0, len(DEFAULT_CLASSES), N_REQUESTS)
     knobs = _knobs(rng)
     plan, resilience = _storm_kwargs(rng, arrival_s, 4, knobs)
 
@@ -234,10 +237,11 @@ def _autoscale_storm(seed):
             autoscaler=_autoscaler(),
             faults=plan,
             resilience=resilience,
+            classes=DEFAULT_CLASSES,
             **knobs,
         )
 
-    return build, arrival_s, None
+    return build, arrival_s, codes
 
 
 def _cache16(seed):
