@@ -12,11 +12,15 @@ replica:
 3. the :class:`~repro.cluster.policies.LoadBalancer` picks an UP replica
    and the request joins that replica's micro-batcher; batches dispatch
    to the replica's worker with the backend's calibrated service time;
-4. between arrivals, the virtual clock services deadline flushes,
-   :class:`~repro.cluster.autoscaler.Autoscaler` control ticks, and
-   injected :class:`~repro.cluster.failures.FailureEvent` crashes —
-   a crash cancels the replica's queued and in-flight work and
-   re-dispatches it through the balancer (counted as retries).
+4. between arrivals, the virtual clock services batch completions,
+   deadline flushes, :class:`~repro.cluster.autoscaler.Autoscaler`
+   control ticks, and injected
+   :class:`~repro.cluster.failures.FailureEvent` crashes — a crash
+   cancels the replica's queued and in-flight work and re-dispatches
+   it through the balancer (counted as retries).
+   Completions come off a heap of ``(completion_s, replica_id)``
+   entries, so advancing the clock touches only the replicas with a
+   batch due, not the whole fleet.
 
 Once the timeline is fixed, every surviving batch runs through its
 replica's backend — real model inference, or precomputed-table lookups
@@ -421,6 +425,9 @@ class Cluster:
         self._books: _Books | None = None
         self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
+        # (completion_s, replica_id) per committed batch; see _advance.
+        self._completions: list[tuple[float, int]] = []
+        self._refresh_up()
         self._served = False
 
     # ------------------------------------------------------------------ #
@@ -431,8 +438,22 @@ class Cluster:
         return [r for r in self.replicas if r.state != ReplicaState.DOWN]
 
     def up_replicas(self) -> list[Replica]:
-        """Replicas the balancer may currently dispatch to."""
-        return [r for r in self.replicas if r.available]
+        """Replicas the balancer may currently dispatch to.
+
+        The list is cached and shared between calls — it is rebuilt
+        only when a replica enters or leaves UP — so callers must treat
+        it as read-only.
+        """
+        return self._up
+
+    def _refresh_up(self) -> None:
+        """Rebuild the cached UP list after a replica entered or left UP.
+
+        Only warm-up completion, drain start and crash change UP
+        membership (provisioning moves DOWN to WARMING), so only those
+        handlers, construction and the start of a replay rebuild it.
+        """
+        self._up = [r for r in self.replicas if r.available]
 
     def outstanding_total(self, now: float) -> int:
         """Cluster-wide admitted-but-incomplete requests (incl. stranded)."""
@@ -504,6 +525,7 @@ class Cluster:
     def drain_replica(self, replica: Replica, now: float) -> None:
         """Stop routing to ``replica``; it finishes its queue, then goes DOWN."""
         replica.start_drain(now)
+        self._refresh_up()
 
     # ------------------------------------------------------------------ #
     # serving loop
@@ -624,6 +646,8 @@ class Cluster:
         self._books = books
         self._heap = []
         self._seq = 0
+        self._completions = []
+        self._refresh_up()
         for event in self.failures:
             kind = _EV_CRASH if event.kind == CRASH else _EV_RECOVER
             self._push(event.time_s, kind, event.replica_id)
@@ -720,7 +744,19 @@ class Cluster:
         self._seq += 1
 
     def _advance(self, now: float) -> None:
-        """Purge completed batches on every replica up to ``now``.
+        """Purge the replicas whose batches complete by ``now``.
+
+        Every committed batch left a ``(completion_s, replica_id)`` entry
+        on the completion heap; the due entries name the replicas to
+        purge.  They are purged in ascending id order (batches within a
+        replica in in-flight order), so completions are judged, logged
+        and fed to the breakers in one fixed order whatever order they
+        fell due in.  Entries orphaned by a crash purge nothing.
+
+        A DRAINING replica goes DOWN inside the purge that empties it
+        (``start_drain`` finalizes an already-empty one itself); the one
+        drain that ends without a purge — a flush whose copies were all
+        cancelled — re-arms the replica with a ``-inf`` entry.
 
         With faults/resilience in play, purge is also where responses
         are *judged*: a failed batch loses its requests (naive) or
@@ -729,10 +765,16 @@ class Cluster:
         responses of cancelled attempts are dropped here, which is the
         "no response after cancellation" invariant.
         """
-        books = self._books
-        finished = books.finished
+        heap = self._completions
+        if not heap or heap[0][0] > now:
+            return
+        due = {heapq.heappop(heap)[1]}
+        while heap and heap[0][0] <= now:
+            due.add(heapq.heappop(heap)[1])
+        finished = self._books.finished
         plain = self.resilience is None and self.faults is None
-        for replica in self.replicas:
+        for replica_id in sorted(due):
+            replica = self.replicas[replica_id]
             done = replica.purge(now)
             if not done:
                 continue
@@ -857,6 +899,7 @@ class Cluster:
             return  # stale: the replica crashed and was re-provisioned since
         replica.mark_up(now)
         if replica.available:
+            self._refresh_up()
             self.peak_replicas = max(self.peak_replicas, len(self.live_replicas()))
             stranded, self._books.stranded = self._books.stranded, []
             for idx in stranded:
@@ -871,7 +914,9 @@ class Cluster:
         books = self._books
         log = books.log
         if self.resilience is None:
-            for idx in replica.crash(now):
+            lost = replica.crash(now)
+            self._refresh_up()
+            for idx in lost:
                 self._scrub(idx)
                 log.retries[idx] += 1
                 self._route(idx, now)
@@ -893,6 +938,7 @@ class Cluster:
                 if books.attempt[i] == batch.tokens[pos]:
                     lost.append(i)
         replica.crash(now)
+        self._refresh_up()
         seen: set[int] = set()
         for i in lost:
             if i in seen:
@@ -1180,6 +1226,10 @@ class Cluster:
                     kept.append(i)
             indices = kept
             if not indices:
+                if replica.state == ReplicaState.DRAINING:
+                    # No batch, so no completion entry: re-arm the replica
+                    # so the next advance can finish its drain.
+                    heapq.heappush(self._completions, (-math.inf, replica.replica_id))
                 return
         # One list→array conversion reused by every fancy-index op.
         idx = np.asarray(indices, dtype=np.intp)
@@ -1235,6 +1285,7 @@ class Cluster:
             ),
         )
         replica.commit(batch)
+        heapq.heappush(self._completions, (completion, replica.replica_id))
         if self.obs is not None:
             self.obs.on_batch(
                 start, completion, replica.replica_id, len(indices),

@@ -184,7 +184,8 @@ class Replica:
         its last batch completed (not up to ``now``).
         """
         in_flight = self.in_flight
-        # Fast path for the per-event sweep: one worker per replica means
+        # The head check makes a stale completion-heap entry (its batch
+        # was cancelled by a crash) a no-op: one worker per replica means
         # completions are non-decreasing, so the head batch bounds them
         # all.  (A drain with an empty queue still needs finalizing.)
         if not in_flight or in_flight[0].completion_s > now:

@@ -7,11 +7,15 @@ write the same value to every ``RequestLog`` column, every
 ``ClusterReport`` field and every replica's lifecycle/billing counters,
 whatever bookkeeping it uses to find the replicas with work due.
 
+A second test pins the cost the sweep paid: purges per request must
+not grow with the fleet.
+
 The sweep covers 20 seeds of each configuration: a 16-replica
 power-of-two fleet, a 3-class priority fleet behind weighted-fair
 admission, crash/recover failures, a fault storm against the full
 resilience stack (timeouts, retries, hedges, copies dropped at flush),
-an autoscaler that scales down until a replica drains to DOWN — alone,
+a 16-replica fleet flaky throughout (failed batches from several
+replicas judged in one advance), an autoscaler that scales down until a replica drains to DOWN — alone,
 and on a 3-class fleet under a fault storm, where a draining replica's
 worker-gated queue can hold only cancelled copies and flush to nothing —
 and a 16-entry result cache.
@@ -27,9 +31,9 @@ from repro.cluster import Cluster, FailureEvent
 from repro.cluster.admission import WeightedFairAdmission
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.failures import poisson_failures
-from repro.cluster.replica import ReplicaState
+from repro.cluster.replica import Replica, ReplicaState
 from repro.experiments.chaos import resilience_for_fleet
-from repro.faults.plan import fault_storm
+from repro.faults.plan import FaultPlan, fault_storm, flaky_window
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.classes import DEFAULT_CLASSES
 from repro.sim.records import RequestLog
@@ -180,6 +184,40 @@ def _storm(seed):
     return build, arrival_s, None
 
 
+
+def _flaky16(seed):
+    """Every replica flaky all trace long, batches of at most 4: several
+    failed batches often fall due in one advance, so the order they are
+    judged in decides which request gets which retry-jitter draw."""
+    rng = np.random.default_rng(seed)
+    arrival_s = poisson_arrivals(_rate(16, rng.uniform(0.5, 0.9)), N_REQUESTS, rng=rng)
+    knobs = dict(max_batch_size=int(rng.integers(1, 5)), max_wait_s=0.0)
+    horizon = float(arrival_s[-1]) + 1.0
+    plan = FaultPlan(
+        faults=tuple(
+            f
+            for r in range(16)
+            for f in flaky_window(r, 0.0, horizon, float(rng.uniform(0.3, 0.7)))
+        ),
+        seed=seed,
+    )
+    resilience = resilience_for_fleet(
+        _static(16), knobs["max_batch_size"], knobs["max_wait_s"]
+    )
+
+    def build():
+        return dict(
+            backends=_static(16),
+            policy="power-of-two",
+            faults=plan,
+            resilience=resilience,
+            rng=seed,
+            **knobs,
+        )
+
+    return build, arrival_s, None
+
+
 def _waves(rng):
     """Busy, quiet, busy: the quiet gap lets the autoscaler drain."""
     n = N_REQUESTS // 3
@@ -264,6 +302,7 @@ CASES = {
     "p2c16": _p2c16,
     "tenants": _tenants,
     "crashes": _crashes,
+    "flaky16": _flaky16,
     "storm": _storm,
     "autoscale": _autoscale,
     "autoscale_storm": _autoscale_storm,
@@ -320,3 +359,36 @@ def test_event_loop_matches_per_event_sweep(case):
         )
     if case.startswith("autoscale"):
         assert drained > 0, "no replica drained to DOWN: the drain path went untested"
+
+
+def test_purge_calls_per_request_do_not_grow_with_fleet(monkeypatch):
+    """One trace over 4, 16 and 64 replicas: purges track batches, not replicas.
+
+    Batches of one keep batches per request fixed as the fleet grows, so
+    a loop that visits only the replicas with a batch due purges about
+    once per request at every size; a per-event sweep purges every
+    replica on every event, 16x more often at 64 replicas than at 4.
+    """
+    calls = 0
+    purge = Replica.purge
+
+    def counting_purge(self, now):
+        nonlocal calls
+        calls += 1
+        return purge(self, now)
+
+    monkeypatch.setattr(Replica, "purge", counting_purge)
+    n = 2000
+    images = make_images(n)
+    arrival_s = poisson_arrivals(_rate(4, 0.4), n, rng=0)
+    per_request = {}
+    for n_replicas in (4, 16, 64):
+        calls = 0
+        report = Cluster(
+            [SumBackend() for _ in range(n_replicas)],
+            policy="power-of-two",
+            max_batch_size=1,
+        ).serve(images, arrival_s)
+        assert report.n_served == n
+        per_request[n_replicas] = calls / n
+    assert per_request[64] <= 1.5 * per_request[4], per_request
