@@ -46,9 +46,13 @@ class AdmissionController:
     Parameters
     ----------
     max_outstanding:
-        Admit a request only while the fleet's total outstanding request
-        count (queued + in service + stranded by crashes) is below this
-        cap.  ``0`` disables admission control entirely.
+        Admit a request only while the fleet's outstanding total
+        (:meth:`~repro.cluster.engine.Cluster.outstanding_total`: queued
+        + in service + stranded by crashes) is below this cap.  The
+        total counts request *copies*: a hedged request counts twice
+        while both copies live, and a copy cancelled by a timeout keeps
+        counting in its queue until the flush that drops it.  ``0``
+        disables admission control entirely.
     policy:
         ``"reject"`` or ``"degrade"`` — what happens to arrivals beyond
         the cap.

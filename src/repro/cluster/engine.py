@@ -456,10 +456,23 @@ class Cluster:
         self._up = [r for r in self.replicas if r.available]
 
     def outstanding_total(self, now: float) -> int:
-        """Cluster-wide admitted-but-incomplete requests (incl. stranded)."""
+        """Cluster-wide admitted-but-incomplete request copies (incl. stranded).
+
+        Counts copies, like :meth:`Replica.outstanding`: a hedged request
+        counts twice while both copies live.  Each replica contributes
+        its queue length plus its cached in-flight count; every batch
+        due by ``now`` but not yet purged still has its completion-heap
+        entry, so an empty-or-later heap head proves those counts exact,
+        and only a read ahead of the clock re-sums the batches.
+        """
         books = self._books
-        stranded = len(books.stranded) if books else 0
-        return stranded + sum(r.outstanding(now) for r in self.replicas)
+        total = len(books.stranded) if books else 0
+        due = self._completions
+        if due and due[0][0] <= now:
+            return total + sum(r.outstanding(now) for r in self.replicas)
+        for r in self.replicas:
+            total += len(r.batcher) + r.n_in_flight
+        return total
 
     def recent_p95(
         self, now: float, window_s: float, cls: int | None = None

@@ -8,14 +8,14 @@ is exactly the trade the fleet experiment measures:
   baseline, and visibly wrong for heterogeneous fleets (a Raspberry Pi
   gets the same share as a K80).
 * **least-outstanding-requests** — global minimum of admitted-but-not-
-  completed requests.  Strong, but needs fresh state from *every*
-  replica on every decision.
+  completed request copies.  Strong, but reads state from *every*
+  replica on every decision (one cached count each, not a rescan).
 * **join-shortest-queue** — global minimum of requests not yet in
   service (pending micro-batch + dispatched-but-waiting).  Ignores work
   already being served, so it reacts faster to queue build-up but can
   pile onto a replica grinding through a slow batch.
 * **power-of-two-choices** — sample two random replicas, take the less
-  loaded (by outstanding requests).  Two probes per decision buy most
+  loaded (by outstanding request copies).  Two probes per decision buy most
   of least-outstanding's tail benefit (Mitzenmacher's classic result),
   which is why it is the production default of real balancers.
 
@@ -31,6 +31,8 @@ installs it automatically when built with ``resilience=...``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -65,9 +67,22 @@ class LoadBalancer:
         """
         raise NotImplementedError
 
-    @staticmethod
-    def _least(replicas: list[Replica], signal) -> Replica:
-        return min(replicas, key=lambda r: (signal(r), r.replica_id))
+
+def _least_outstanding(replicas: Sequence[Replica], now: float) -> Replica:
+    """The replica minimizing ``(outstanding(now), replica_id)``.
+
+    A plain loop rather than ``min(key=...)``: the balancers run this
+    on every routed request, and building a key tuple per replica would
+    cost more than the cached count it wraps.
+    """
+    best = None
+    for r in replicas:
+        load = r.outstanding(now)
+        if best is None or load < best_load or (
+            load == best_load and r.replica_id < best.replica_id
+        ):
+            best, best_load = r, load
+    return best
 
 
 class RoundRobin(LoadBalancer):
@@ -88,7 +103,7 @@ class RoundRobin(LoadBalancer):
 
 
 class LeastOutstanding(LoadBalancer):
-    """Send to the replica with the fewest admitted-but-incomplete requests."""
+    """Send to the replica with the fewest admitted-but-incomplete copies."""
 
     name = "least-outstanding"
 
@@ -96,7 +111,7 @@ class LeastOutstanding(LoadBalancer):
         self, replicas: list[Replica], now: float, rng: np.random.Generator
     ) -> Replica:
         """Global minimum of :meth:`Replica.outstanding` at ``now``."""
-        return self._least(replicas, lambda r: r.outstanding(now))
+        return _least_outstanding(replicas, now)
 
 
 class JoinShortestQueue(LoadBalancer):
@@ -108,7 +123,7 @@ class JoinShortestQueue(LoadBalancer):
         self, replicas: list[Replica], now: float, rng: np.random.Generator
     ) -> Replica:
         """Global minimum of :meth:`Replica.queue_depth` at ``now``."""
-        return self._least(replicas, lambda r: r.queue_depth(now))
+        return min(replicas, key=lambda r: (r.queue_depth(now), r.replica_id))
 
 
 class PowerOfTwoChoices(LoadBalancer):
@@ -123,7 +138,7 @@ class PowerOfTwoChoices(LoadBalancer):
         if len(replicas) == 1:
             return replicas[0]
         i, j = rng.choice(len(replicas), size=2, replace=False)
-        return self._least([replicas[int(i)], replicas[int(j)]], lambda r: r.outstanding(now))
+        return _least_outstanding((replicas[int(i)], replicas[int(j)]), now)
 
 
 class ResilientBalancer(LoadBalancer):

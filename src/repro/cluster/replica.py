@@ -113,6 +113,9 @@ class Replica:
     scheduler: str = "priority"
     batcher: MicroBatcher | PriorityBatcher = field(init=False, repr=False)
     in_flight: list[InFlightBatch] = field(init=False, repr=False)
+    #: Request copies across ``in_flight`` (kept in step by commit,
+    #: purge and crash, so load signals need not re-sum the batches).
+    n_in_flight: int = field(init=False, repr=False)
     worker_free_s: float = 0.0
     busy_s: float = 0.0
     up_since_s: float | None = 0.0
@@ -141,6 +144,7 @@ class Replica:
         else:
             self.batcher = MicroBatcher(self.max_batch_size, self.max_wait_s)
         self.in_flight = []
+        self.n_in_flight = 0
         if self.state == ReplicaState.DOWN:
             self.up_since_s = None
 
@@ -148,13 +152,26 @@ class Replica:
     # balancer / autoscaler signals
     # ------------------------------------------------------------------ #
     def outstanding(self, now: float) -> int:
-        """Requests admitted to this replica but not yet completed."""
-        return len(self.batcher) + sum(
-            len(b.indices) for b in self.in_flight if b.completion_s > now
-        )
+        """Request copies routed here whose batch has not completed by ``now``.
+
+        Counts copies, not requests: a hedged request counts on both
+        replicas while both copies live, and a copy cancelled by a
+        timeout keeps counting in the queue until its flush drops it.
+
+        Reads the running :attr:`n_in_flight` count.  Only a read at a
+        ``now`` past a completion not yet purged (the engine purges
+        before every read it makes) re-sums the batches, using the same
+        head check as :meth:`purge`.
+        """
+        in_flight = self.in_flight
+        if in_flight and in_flight[0].completion_s <= now:
+            return len(self.batcher) + sum(
+                len(b.indices) for b in in_flight if b.completion_s > now
+            )
+        return len(self.batcher) + self.n_in_flight
 
     def queue_depth(self, now: float) -> int:
-        """Requests waiting (pending batch + dispatched but not started)."""
+        """Request copies waiting (pending batch + dispatched but not started)."""
         return len(self.batcher) + sum(
             len(b.indices) for b in self.in_flight if b.start_s > now
         )
@@ -170,6 +187,7 @@ class Replica:
     def commit(self, batch: InFlightBatch) -> None:
         """Record one dispatched batch and occupy the worker."""
         self.in_flight.append(batch)
+        self.n_in_flight += len(batch.indices)
         self.worker_free_s = batch.worker_end_s
         self.busy_s += batch.worker_end_s - batch.start_s
         self.last_completion_s = max(self.last_completion_s, batch.completion_s)
@@ -193,6 +211,7 @@ class Replica:
         else:
             done = [b for b in in_flight if b.completion_s <= now]
             self.in_flight = [b for b in in_flight if b.completion_s > now]
+            self.n_in_flight -= sum(len(b.indices) for b in done)
         if (
             self.state == ReplicaState.DRAINING
             and not self.in_flight
@@ -248,6 +267,7 @@ class Replica:
             # whose work already finished rolls back nothing.)
             self.busy_s -= max(0.0, batch.worker_end_s - max(now, batch.start_s))
         self.in_flight = []
+        self.n_in_flight = 0
         self.last_completion_s = min(self.last_completion_s, now)
         self._close_books(now)
         self.state = ReplicaState.DOWN

@@ -10,7 +10,11 @@ from repro.cluster import (
     crash_window,
     fleet_comparison_table,
 )
+from repro.faults import FaultPlan, ResilienceConfig, partition_window
 from repro.serving.arrivals import constant_arrivals, poisson_arrivals
+from repro.serving.classes import DEFAULT_CLASSES
+from repro.serving.priority import PriorityBatcher
+from repro.sim.records import RequestLog
 
 from conftest import RoutedSumBackend, SumBackend, labels_for, make_images
 
@@ -375,3 +379,67 @@ class TestDrainSemantics:
         assert report.n_cached == 4  # hot repeats hit despite the drain
         assert report.n_served == len(images)
         assert report.accuracy == 1.0  # cached answers copied real predictions
+
+
+class TestLoadSignals:
+    def test_hedged_request_counts_both_live_copies(self):
+        """Load signals count request copies, not requests: while a hedge
+        twin races its partitioned primary, one request reads as two.
+        Reads ahead of the clock drop the copies whose batches will have
+        completed by then (the twin's at 0.022 s, the primary's at the
+        1.0 s heal)."""
+        seen = []
+
+        class Probe(Cluster):
+            def _handle_hedge(self, payload, now):
+                super()._handle_hedge(payload, now)
+                seen.append(
+                    (now, self.outstanding_total(now), [r.outstanding(now) for r in self.replicas])
+                )
+                seen.append([self.outstanding_total(t) for t in (0.5, 1.0)])
+
+        cluster = Probe(
+            [SumBackend(), SumBackend()],
+            policy="least-outstanding",
+            faults=FaultPlan(faults=partition_window(0, 0.0, 1.0)),
+            resilience=ResilienceConfig(timeout_s=0.1, hedge_delay_s=0.02),
+            max_batch_size=1,
+            max_wait_s=0.0,
+        )
+        report = cluster.serve(make_images(1), np.zeros(1))
+        assert seen == [(0.02, 2, [1, 1]), [1, 0]]
+        assert report.n_hedged == 1 and report.n_served == 1
+
+    def test_request_classes_without_a_class_set_match_default_classes(self):
+        """``serve_log(request_classes=...)`` on a class-less cluster
+        rebuilds every replica; the run must equal one built with
+        ``classes=DEFAULT_CLASSES``.  (Weighted-fair admission needs the
+        class set at construction, so both arms use the class-blind
+        controller.)"""
+        images = make_images(400, seed=5)
+        arrivals = poisson_arrivals(6000.0, 400, rng=6)
+        codes = np.random.default_rng(7).integers(0, len(DEFAULT_CLASSES), 400)
+
+        def serve(**kwargs):
+            cluster = Cluster(
+                [SumBackend(), RoutedSumBackend(), SumBackend()],
+                policy="least-outstanding",
+                admission=AdmissionController(max_outstanding=24),
+                max_batch_size=8,
+                max_wait_s=0.002,
+                **kwargs,
+            )
+            return cluster, cluster.serve_log(
+                images, arrivals, labels=labels_for(images), request_classes=codes
+            )
+
+        implicit, (report, log) = serve()
+        _, (want_report, want_log) = serve(classes=DEFAULT_CLASSES)
+        assert implicit.classes is DEFAULT_CLASSES
+        assert all(isinstance(r.batcher, PriorityBatcher) for r in implicit.replicas)
+        assert 0 < report.n_shed < 400
+        for column in RequestLog.__slots__:
+            np.testing.assert_array_equal(
+                getattr(log, column), getattr(want_log, column), err_msg=column
+            )
+        assert report == want_report

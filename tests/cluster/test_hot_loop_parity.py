@@ -1,4 +1,4 @@
-"""Differential test: the cluster event loop against a per-event sweep.
+"""Differential tests: the cluster event loop against reference loops.
 
 ``_SweepCluster`` keeps the reference hot loop: on every clock advance
 it purges *every* replica in id order, and ``up_replicas`` rebuilds the
@@ -7,7 +7,15 @@ write the same value to every ``RequestLog`` column, every
 ``ClusterReport`` field and every replica's lifecycle/billing counters,
 whatever bookkeeping it uses to find the replicas with work due.
 
-A second test pins the cost the sweep paid: purges per request must
+The recount reference swaps ``Replica.outstanding`` and
+``Cluster.outstanding_total`` for versions that re-sum every in-flight
+batch on each read, which is what load signals did before replicas
+cached their in-flight counts.  The production run must match it
+column for column, and ``_CheckedCluster`` asserts that every cached
+read — at each balancer choose, admission decision and autoscaler
+tick — equals that recount.
+
+A last test pins the cost the sweep paid: purges per request must
 not grow with the fleet.
 
 The sweep covers 20 seeds of each configuration: a 16-replica
@@ -43,6 +51,52 @@ from conftest import RoutedSumBackend, SumBackend, labels_for, make_images
 SEEDS = range(20)
 N_REQUESTS = 300
 REPLICA_FIELDS = ("state", "up_seconds", "busy_s", "n_batches", "n_requests", "n_crashes")
+
+
+def _recount(replica, now):
+    """``Replica.outstanding`` re-summing the in-flight batches."""
+    return len(replica.batcher) + sum(
+        len(b.indices) for b in replica.in_flight if b.completion_s > now
+    )
+
+
+def _recount_total(cluster, now):
+    """``Cluster.outstanding_total`` built from :func:`_recount`."""
+    books = cluster._books
+    stranded = len(books.stranded) if books else 0
+    return stranded + sum(_recount(r, now) for r in cluster.replicas)
+
+
+class _CheckedCluster(Cluster):
+    """Production engine asserting every load-signal read against a recount.
+
+    Every replica, not just the candidates, is checked at each choose, so
+    a stale count on a DOWN or DRAINING replica fails too.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.n_checks = {"choose": 0, "total": 0}
+        choose = self.policy.choose
+
+        def checked_choose(replicas, now, rng):
+            self.n_checks["choose"] += 1
+            self._check_replicas(now)
+            return choose(replicas, now, rng)
+
+        self.policy.choose = checked_choose
+
+    def _check_replicas(self, now):
+        for r in self.replicas:
+            got, want = r.outstanding(now), _recount(r, now)
+            assert got == want, f"t={now}: replica {r.replica_id} outstanding {got} != {want}"
+
+    def outstanding_total(self, now):
+        self.n_checks["total"] += 1
+        self._check_replicas(now)
+        got, want = super().outstanding_total(now), _recount_total(self, now)
+        assert got == want, f"t={now}: outstanding_total {got} != {want}"
+        return got
 
 
 class _SweepCluster(Cluster):
@@ -329,36 +383,64 @@ def _replay(engine, build, arrival_s, codes, images, labels):
     return cluster, report, log
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_event_loop_matches_per_event_sweep(case):
+def _images():
     # 48 distinct images: repeats are what give the result cache hits.
     images = make_images(48, seed=1)[np.random.default_rng(1).integers(0, 48, N_REQUESTS)]
-    labels = labels_for(images)
+    return images, labels_for(images)
+
+
+def _assert_same_run(where, run, ref_run):
+    """Every log column, report field and replica counter agrees."""
+    cluster, report, log = run
+    ref_cluster, ref, ref_log = ref_run
+    for column in RequestLog.__slots__:
+        np.testing.assert_array_equal(
+            getattr(log, column), getattr(ref_log, column), err_msg=f"{where}: {column}"
+        )
+    for f in dataclasses.fields(ref):
+        a, b = getattr(report, f.name), getattr(ref, f.name)
+        assert _same(a, b), f"{where}: report.{f.name} {a!r} != {b!r}"
+    assert len(cluster.replicas) == len(ref_cluster.replicas), where
+    for got, want in zip(cluster.replicas, ref_cluster.replicas):
+        for name in REPLICA_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a == b, f"{where}: replica {want.replica_id} {name} {a!r} != {b!r}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_event_loop_matches_per_event_sweep(case):
+    images, labels = _images()
     drained = 0
     for seed in SEEDS:
         build, arrival_s, codes = CASES[case](seed)
-        ref_cluster, ref, ref_log = _replay(
-            _SweepCluster, build, arrival_s, codes, images, labels
-        )
-        cluster, report, log = _replay(Cluster, build, arrival_s, codes, images, labels)
-        where = f"{case} seed {seed}"
-        for column in RequestLog.__slots__:
-            np.testing.assert_array_equal(
-                getattr(log, column), getattr(ref_log, column), err_msg=f"{where}: {column}"
-            )
-        for f in dataclasses.fields(ref):
-            a, b = getattr(report, f.name), getattr(ref, f.name)
-            assert _same(a, b), f"{where}: report.{f.name} {a!r} != {b!r}"
-        assert len(cluster.replicas) == len(ref_cluster.replicas), where
-        for got, want in zip(cluster.replicas, ref_cluster.replicas):
-            for name in REPLICA_FIELDS:
-                a, b = getattr(got, name), getattr(want, name)
-                assert a == b, f"{where}: replica {want.replica_id} {name} {a!r} != {b!r}"
+        ref_run = _replay(_SweepCluster, build, arrival_s, codes, images, labels)
+        run = _replay(Cluster, build, arrival_s, codes, images, labels)
+        _assert_same_run(f"{case} seed {seed}", run, ref_run)
         drained += sum(
-            r.state == ReplicaState.DOWN and r.n_crashes == 0 for r in ref_cluster.replicas
+            r.state == ReplicaState.DOWN and r.n_crashes == 0 for r in ref_run[0].replicas
         )
     if case.startswith("autoscale"):
         assert drained > 0, "no replica drained to DOWN: the drain path went untested"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cached_load_signals_match_recount(case):
+    images, labels = _images()
+    checks = {"choose": 0, "total": 0}
+    for seed in SEEDS:
+        build, arrival_s, codes = CASES[case](seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Replica, "outstanding", _recount)
+            mp.setattr(Cluster, "outstanding_total", _recount_total)
+            ref_run = _replay(Cluster, build, arrival_s, codes, images, labels)
+        run = _replay(_CheckedCluster, build, arrival_s, codes, images, labels)
+        _assert_same_run(f"{case} seed {seed}", run, ref_run)
+        for name, n in run[0].n_checks.items():
+            checks[name] += n
+    assert checks["choose"] > 0, checks
+    # Admission (tenants) and autoscaler ticks read the fleet total.
+    if case in ("tenants", "autoscale", "autoscale_storm"):
+        assert checks["total"] > 0, checks
 
 
 def test_purge_calls_per_request_do_not_grow_with_fleet(monkeypatch):
