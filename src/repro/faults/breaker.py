@@ -78,13 +78,17 @@ class CircuitBreaker:
     opened_at_s: float = float("-inf")
     n_trips: int = 0
     _window: deque = field(default_factory=deque, repr=False)
+    #: Failures in ``_window``, kept in step on append/evict/clear.
+    _n_err: int = field(default=0, init=False, repr=False)
     _probes_out: int = 0
     _probes_ok: int = 0
 
     def _evict(self, now: float) -> None:
         horizon = now - self.config.window_s
-        while self._window and self._window[0][0] < horizon:
-            self._window.popleft()
+        window = self._window
+        while window and window[0][0] < horizon:
+            if not window.popleft()[1]:
+                self._n_err -= 1
 
     def record(self, now: float, ok: bool, latency_s: float = 0.0) -> None:
         """Feed one outcome (a batch completion or a timeout fire).
@@ -102,10 +106,13 @@ class CircuitBreaker:
                 if self._probes_ok >= self.config.half_open_probes:
                     self.state = CLOSED
                     self._window.clear()
+                    self._n_err = 0
                     self._probes_out = 0
                     self._probes_ok = 0
             return
         self._window.append((now, ok, latency_s))
+        if not ok:
+            self._n_err += 1
         self._evict(now)
         if self.state == CLOSED and self._should_trip():
             self._trip(now)
@@ -113,10 +120,11 @@ class CircuitBreaker:
     def _should_trip(self) -> bool:
         if len(self._window) < self.config.min_samples:
             return False
-        n_err = sum(1 for _, ok, _ in self._window if not ok)
-        if n_err / len(self._window) > self.config.error_threshold:
+        if self._n_err / len(self._window) > self.config.error_threshold:
             return True
         if self.config.latency_threshold_s is not None:
+            # Re-summed on purpose: a running float total would change
+            # the summation order, and with it the trip instants.
             lats = [lat for _, ok, lat in self._window if ok]
             if lats and sum(lats) / len(lats) > self.config.latency_threshold_s:
                 return True

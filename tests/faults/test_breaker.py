@@ -1,5 +1,6 @@
 """Unit tests for the per-replica circuit breaker state machine."""
 
+import numpy as np
 import pytest
 
 from repro.faults import BreakerConfig, CircuitBreaker
@@ -130,3 +131,57 @@ class TestHalfOpenCycle:
         b.void_probe()
         b.void_probe()  # over-release: harmless
         assert b._probes_out == 0
+
+
+class _RecountBreaker(CircuitBreaker):
+    """Reference: re-counts the window's failures on every trip check."""
+
+    def _should_trip(self) -> bool:
+        if len(self._window) < self.config.min_samples:
+            return False
+        n_err = sum(1 for _, ok, _ in self._window if not ok)
+        if n_err / len(self._window) > self.config.error_threshold:
+            return True
+        if self.config.latency_threshold_s is not None:
+            lats = [lat for _, ok, lat in self._window if ok]
+            if lats and sum(lats) / len(lats) > self.config.latency_threshold_s:
+                return True
+        return False
+
+
+class TestErrorCount:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_running_count_matches_recount(self, seed):
+        """Seeded record/evict/probe sequences: the running error count
+        equals a recount after every step, and the breaker trips, opens
+        and closes at the same instants as one that recounts."""
+        rng = np.random.default_rng(seed)
+        window_s = float(rng.uniform(0.05, 0.5))
+        config = BreakerConfig(
+            window_s=window_s,
+            min_samples=int(rng.integers(1, 9)),
+            error_threshold=float(rng.uniform(0.2, 0.9)),
+            latency_threshold_s=None if rng.random() < 0.5 else 0.03,
+            cooldown_s=float(rng.uniform(0.05, 0.3)),
+            half_open_probes=int(rng.integers(1, 4)),
+        )
+        b, ref = CircuitBreaker(config), _RecountBreaker(config)
+        now, closes = 0.0, 0
+        for step in range(600):
+            # Gaps far past the window evict everything; most stay inside.
+            now += window_s * (3.0 if rng.random() < 0.03 else rng.exponential(0.1))
+            p_err = 0.7 if (step // 100) % 2 else 0.15
+            if rng.random() < 0.2:
+                assert b.allow(now) == ref.allow(now)
+            else:
+                ok = bool(rng.random() > p_err)
+                latency = float(rng.exponential(0.02))
+                was_half_open = b.state == HALF_OPEN
+                b.record(now, ok, latency)
+                ref.record(now, ok, latency)
+                closes += was_half_open and b.state == CLOSED
+            assert b._n_err == sum(1 for _, ok, _ in b._window if not ok), step
+            assert (b.state, b.n_trips, b.opened_at_s) == (
+                ref.state, ref.n_trips, ref.opened_at_s
+            ), step
+        assert b.n_trips > 0 and closes > 0, "trip and half-open close both exercised"
