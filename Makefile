@@ -2,8 +2,10 @@
 #
 #   make test         tier-1 unit/integration suite (the CI gate)
 #   make fleet-smoke  cluster-layer smoke: policies/autoscaler/failures on
-#                     toy fleets, incl. the hot-loop sweep-parity test
-#                     (tests/cluster, no training, seconds)
+#                     toy fleets, incl. the hot-loop sweep-parity test and
+#                     the load-signal recount-parity test (cached in-flight
+#                     counts vs re-summed batches; tests/cluster, no
+#                     training, seconds)
 #   make offload-smoke  offload-layer smoke: network links, partition
 #                     planner, policies, EdgeTier on toy models
 #   make sim-smoke    simulation-core smoke: oracle live-vs-table parity,
