@@ -1,7 +1,7 @@
 # Developer entry points for the CBNet reproduction.
 #
 #   make test         tier-1 unit/integration suite (the CI gate)
-#   make fleet-smoke  cluster-layer smoke: policies/autoscaler/failures on
+#   make fleet-smoke  cluster-layer smoke: policies/autoscaler/crashes on
 #                     toy fleets, incl. the hot-loop sweep-parity test and
 #                     the load-signal recount-parity test (cached in-flight
 #                     counts vs re-summed batches; tests/cluster, no

@@ -11,7 +11,8 @@ Run:  python examples/fleet_demo.py
 """
 
 from repro import PipelineConfig, TrainConfig, build_cbnet_pipeline
-from repro.cluster import Cluster, crash_window, fleet_comparison_table
+from repro.cluster import Cluster, fleet_comparison_table
+from repro.faults import FaultPlan, crash_window
 from repro.hw import device_profiles
 from repro.serving import CBNetBackend, flash_crowd_arrivals, zipf_popularity
 
@@ -60,7 +61,7 @@ def main() -> None:
     crashy = Cluster(
         fleet(),
         policy="power-of-two",
-        failures=crash_window(replica_id=2, at_s=0.16, duration_s=0.1),
+        faults=FaultPlan(crash_window(replica_id=2, at_s=0.16, duration_s=0.1)),
         slo_s=0.05,
         cache_capacity=256,
         rng=3,

@@ -4,13 +4,14 @@ The layer above :mod:`repro.serving`: a shared arrival stream is
 dispatched by a pluggable :class:`LoadBalancer` across a fleet of
 replicas (each one a device-calibrated serving node with its own
 micro-batcher and worker), while an SLO-driven :class:`Autoscaler`
-grows and drains the fleet, an :class:`AdmissionController` sheds load
-under overload, and injected :class:`FailureEvent` crashes exercise
-availability — all on one deterministic virtual clock, with real model
-predictions filled in afterwards.
+grows and drains the fleet and an :class:`AdmissionController` sheds
+load under overload — all on one deterministic virtual clock, with real
+model predictions filled in afterwards.
 
-Richer degraded-mode scenarios live in :mod:`repro.faults`: pass
-``Cluster(faults=FaultPlan(...))`` to inject slowdowns, partitions, and
+Faults live in :mod:`repro.faults`: pass
+``Cluster(faults=FaultPlan(...))`` to inject crash/recover cycles
+(:func:`~repro.faults.crash_window`,
+:func:`~repro.faults.poisson_failures`), slowdowns, partitions, and
 flaky windows, and ``Cluster(resilience=ResilienceConfig(...))`` to
 fight back with timeouts, retries, hedging, per-replica circuit
 breakers (:class:`ResilientBalancer`), and a degradation ladder.
@@ -38,13 +39,6 @@ from repro.cluster.admission import (
 )
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig, measured_warmup_s
 from repro.cluster.engine import Cluster, ClusterReport, fleet_comparison_table
-from repro.cluster.failures import (
-    CRASH,
-    RECOVER,
-    FailureEvent,
-    crash_window,
-    poisson_failures,
-)
 from repro.cluster.policies import (
     POLICY_NAMES,
     JoinShortestQueue,
@@ -80,9 +74,4 @@ __all__ = [
     "Autoscaler",
     "AutoscalerConfig",
     "measured_warmup_s",
-    "FailureEvent",
-    "CRASH",
-    "RECOVER",
-    "crash_window",
-    "poisson_failures",
 ]

@@ -1,4 +1,4 @@
-"""The fleet engine: balancer → replicas → autoscaler/failures → report.
+"""The fleet engine: balancer → replicas → autoscaler/faults → report.
 
 :class:`Cluster` lifts :mod:`repro.serving` from one node to a fleet.
 It replays an arrival trace on a single virtual clock shared by every
@@ -14,10 +14,9 @@ replica:
    to the replica's worker with the backend's calibrated service time;
 4. between arrivals, the virtual clock services batch completions,
    deadline flushes, :class:`~repro.cluster.autoscaler.Autoscaler`
-   control ticks, and injected
-   :class:`~repro.cluster.failures.FailureEvent` crashes — a crash
-   cancels the replica's queued and in-flight work and re-dispatches
-   it through the balancer (counted as retries).
+   control ticks, and the injected :class:`~repro.faults.FaultPlan` —
+   a crash cancels the replica's queued and in-flight work and
+   re-dispatches it through the balancer (counted as retries).
    Completions come off a heap of ``(completion_s, replica_id)``
    entries, so advancing the clock touches only the replicas with a
    batch due, not the whole fleet.
@@ -44,12 +43,11 @@ import numpy as np
 
 from repro.cluster.admission import ACCEPT, DEGRADE, REJECT, AdmissionController
 from repro.cluster.autoscaler import Autoscaler
-from repro.cluster.failures import CRASH, FailureEvent
 from repro.cluster.policies import LoadBalancer, ResilientBalancer, make_policy
 from repro.cluster.replica import InFlightBatch, Replica, ReplicaState
 from repro.eval.metrics import latency_percentiles
 from repro.faults.degrade import MODE_DEGRADE, MODE_SHED, DegradationController
-from repro.faults.plan import FLAKY, SLOWDOWN, FaultPlan
+from repro.faults.plan import CRASH, FLAKY, RECOVER, SLOWDOWN, FaultPlan
 from repro.faults.resilience import ResilienceConfig
 from repro.obs.prof import current_profiler
 from repro.obs.spans import (
@@ -264,13 +262,11 @@ class Cluster:
     autoscaler:
         Optional :class:`~repro.cluster.autoscaler.Autoscaler`; its
         control loop runs every ``config.interval_s`` virtual seconds.
-    failures:
-        :class:`~repro.cluster.failures.FailureEvent` sequence to inject.
     faults:
         Optional :class:`~repro.faults.FaultPlan` of typed injections
-        (slowdowns, partitions, flaky windows, plus bundled
-        crash/recover events) replayed on the virtual clock — seeded,
-        so identical in oracle and live modes.
+        (crash/recover, slowdowns, partitions, flaky windows) replayed
+        on the virtual clock — seeded, so identical in oracle and live
+        modes.
     resilience:
         Optional :class:`~repro.faults.ResilienceConfig`.  When set, the
         engine arms a per-attempt timeout (+ optional hedge) on every
@@ -327,7 +323,6 @@ class Cluster:
         policy: str | LoadBalancer = "power-of-two",
         admission: AdmissionController | None = None,
         autoscaler: Autoscaler | None = None,
-        failures: tuple[FailureEvent, ...] = (),
         faults: FaultPlan | None = None,
         resilience: ResilienceConfig | None = None,
         slo_s: float = 0.05,
@@ -357,19 +352,11 @@ class Cluster:
                 "cannot mix oracle and live backends in one fleet: the request "
                 "stream is either sample ids or raw images"
             )
-        if faults is not None:
-            failures = tuple(failures) + tuple(faults.failures)
-            if faults.max_replica_id() >= len(backends):
-                raise ValueError(
-                    f"fault plan targets replica {faults.max_replica_id()}, "
-                    f"but the initial fleet has only {len(backends)} replicas"
-                )
-        for event in failures:
-            if event.replica_id >= len(backends):
-                raise ValueError(
-                    f"failure event targets replica {event.replica_id}, "
-                    f"but the initial fleet has only {len(backends)} replicas"
-                )
+        if faults is not None and faults.max_replica_id() >= len(backends):
+            raise ValueError(
+                f"fault plan targets replica {faults.max_replica_id()}, "
+                f"but the initial fleet has only {len(backends)} replicas"
+            )
         if scheduler not in ("priority", "fifo"):
             raise ValueError(f"unknown scheduler {scheduler!r}")
         if (
@@ -401,7 +388,6 @@ class Cluster:
         self._n_batch_failures = 0
         self.admission = admission
         self.autoscaler = autoscaler
-        self.failures = tuple(sorted(failures))
         self.slo_s = float(slo_s)
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_s)
@@ -661,15 +647,17 @@ class Cluster:
         self._seq = 0
         self._completions = []
         self._refresh_up()
-        for event in self.failures:
-            kind = _EV_CRASH if event.kind == CRASH else _EV_RECOVER
-            self._push(event.time_s, kind, event.replica_id)
         if self.faults is not None:
             # Plan order (already sorted with explicit tie ranks) becomes
             # heap insertion order, so same-timestamp faults replay
             # deterministically via the sequence number.
             for fault in self.faults.faults:
-                self._push(fault.time_s, _EV_FAULT, fault)
+                if fault.kind == CRASH:
+                    self._push(fault.time_s, _EV_CRASH, fault.replica_id)
+                elif fault.kind == RECOVER:
+                    self._push(fault.time_s, _EV_RECOVER, fault.replica_id)
+                else:
+                    self._push(fault.time_s, _EV_FAULT, fault)
         if self.autoscaler is not None:
             self._push(
                 float(arrival_s[0]) + self.autoscaler.config.interval_s, _EV_TICK, None

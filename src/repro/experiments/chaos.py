@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.cluster.engine import Cluster, ClusterReport, fleet_comparison_table
 from repro.experiments.common import pipeline_for, scale_for
-from repro.cluster.failures import crash_window
 from repro.faults import (
+    CRASH,
     FLAKY,
     PARTITION,
     SLOWDOWN,
@@ -31,6 +31,7 @@ from repro.faults import (
     FaultPlan,
     ResilienceConfig,
     RetryPolicy,
+    crash_window,
     flaky_window,
     hedge_delay_for,
     partition_window,
@@ -115,12 +116,8 @@ def _storm_for(n_replicas: int, horizon_s: float, rng) -> FaultPlan:
     at, dur = window(0.84, 0.87)
     faults += flaky_window(2 % n_replicas, at, dur, float(rng.uniform(0.4, 0.6)))
     at, dur = window(0.68, 0.72)
-    failures = crash_window(0, at, dur)
-    return FaultPlan(
-        faults=tuple(faults),
-        failures=failures,
-        seed=int(rng.integers(2**31 - 1)),
-    )
+    faults += crash_window(0, at, dur)
+    return FaultPlan(faults=tuple(faults), seed=int(rng.integers(2**31 - 1)))
 
 
 @dataclass
@@ -149,7 +146,7 @@ class ChaosComparison:
         return (
             f"{kinds[SLOWDOWN]} slowdowns, {kinds[PARTITION]} partitions, "
             f"{kinds[FLAKY]} flaky windows, "
-            f"{sum(e.kind == 'crash' for e in self.plan.failures)} crashes "
+            f"{sum(f.kind == CRASH for f in self.plan.failures)} crashes "
             f"(storm seed {self.plan.seed})"
         )
 

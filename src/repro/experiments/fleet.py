@@ -31,9 +31,9 @@ import numpy as np
 from repro.cluster.admission import AdmissionController
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.engine import Cluster, ClusterReport, fleet_comparison_table
-from repro.cluster.failures import crash_window
 from repro.cluster.policies import POLICY_NAMES
 from repro.experiments.common import pipeline_for, scale_for
+from repro.faults import FaultPlan, crash_window
 from repro.hw.devices import device_profiles
 from repro.parallel.sweep import run_sweep
 from repro.serving.arrivals import (
@@ -431,7 +431,9 @@ def _failure_study(
         admission=AdmissionController(
             max_outstanding=4 * fleet.max_batch_size * len(backends), policy="degrade"
         ),
-        failures=crash_window(fastest, at_s=0.35 * span, duration_s=0.25 * span),
+        faults=FaultPlan(
+            crash_window(fastest, at_s=0.35 * span, duration_s=0.25 * span)
+        ),
         slo_s=slo_s,
         max_batch_size=fleet.max_batch_size,
         max_wait_s=fleet.max_wait_s,

@@ -84,9 +84,7 @@ def _net_storm_for(horizon_s: float, rng) -> LinkFaultPlan:
     )
     faults.append(flap_at(float(rng.uniform(0.50, 0.56)) * horizon_s))
     faults.append(flap_at(float(rng.uniform(0.84, 0.90)) * horizon_s))
-    return LinkFaultPlan(
-        faults=tuple(faults), seed=int(rng.integers(2**31 - 1))
-    )
+    return LinkFaultPlan(faults=tuple(faults))
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,13 @@ The layer that makes *degraded-mode operation* a first-class, tested
 scenario class.  Two halves:
 
 * **Fault taxonomy** (:mod:`repro.faults.plan`) — typed injections on
-  the virtual clock beyond crash/recover: ``slowdown`` (a replica turns
-  into a straggler), ``partition``/``heal`` (a link blackholes
-  responses), and ``flaky`` (elevated per-batch failure probability).
-  A :class:`FaultPlan` bundles them with classic
-  :class:`~repro.cluster.failures.FailureEvent` crashes into one
-  seeded, deterministically-ordered storm that replays identically in
-  oracle and ``--live`` modes.
+  the virtual clock: ``crash``/``recover`` (a replica drops and comes
+  back, see :func:`crash_window` and :func:`poisson_failures`),
+  ``slowdown`` (a replica turns into a straggler), ``partition``/
+  ``heal`` (a link blackholes responses), and ``flaky`` (elevated
+  per-batch failure probability).  A :class:`FaultPlan` bundles them
+  into one seeded, deterministically-ordered storm that replays
+  identically in oracle and ``--live`` modes.
 * **Resilience mechanisms** — what a production stack does about it:
   per-request timeouts with jittered exponential-backoff retries under
   an explicit budget (:mod:`repro.faults.retry`), hedged dispatch
@@ -43,15 +43,19 @@ from repro.faults.degrade import (
     DegradationController,
 )
 from repro.faults.plan import (
+    CRASH,
     FLAKY,
     HEAL,
     PARTITION,
+    RECOVER,
     SLOWDOWN,
     Fault,
     FaultPlan,
+    crash_window,
     fault_storm,
     flaky_window,
     partition_window,
+    poisson_failures,
     slowdown_window,
 )
 from repro.faults.resilience import ResilienceConfig, hedge_delay_for
@@ -60,6 +64,8 @@ from repro.faults.retry import RetryPolicy
 __all__ = [
     "Fault",
     "FaultPlan",
+    "CRASH",
+    "RECOVER",
     "SLOWDOWN",
     "PARTITION",
     "HEAL",
@@ -67,6 +73,8 @@ __all__ = [
     "slowdown_window",
     "partition_window",
     "flaky_window",
+    "crash_window",
+    "poisson_failures",
     "fault_storm",
     "RetryPolicy",
     "CircuitBreaker",

@@ -1,10 +1,13 @@
 """Fault taxonomy: typed injections on the virtual clock.
 
-:class:`~repro.cluster.failures.FailureEvent` covers the clean
-crash/recover pair; real serving stacks mostly degrade through messier
-modes.  A :class:`Fault` sets one replica's *fault state* at a point in
+A :class:`Fault` sets one replica's *fault state* at a point in
 virtual time:
 
+* ``crash`` / ``recover`` — the replica drops instantly: its pending
+  micro-batch and every in-flight batch are lost, and the affected
+  requests are re-dispatched through the balancer (visible as retries
+  and a fattened tail); a recover re-provisions it, and it pays its
+  warm-up before taking traffic again;
 * ``slowdown`` — the replica's service times are multiplied by
   ``magnitude`` (a straggler / gray failure; ``magnitude=1.0``
   restores nominal speed);
@@ -18,26 +21,23 @@ virtual time:
   stream; ``magnitude=0.0`` restores health).  Clients observe the
   failure at the batch's completion time, as they would a 500.
 
-A :class:`FaultPlan` bundles faults with classic crash/recover
-:class:`FailureEvent` s into one deterministically-ordered storm
-(explicit kind ranks break same-timestamp ties — nothing depends on
-string ordering), plus the window helpers and the seeded
+A :class:`FaultPlan` bundles faults into one deterministically-ordered
+storm (explicit kind ranks break same-timestamp ties — nothing depends
+on string ordering), plus the window helpers, the :func:`crash_window`
+and :func:`poisson_failures` crash samplers, and the seeded
 :func:`fault_storm` generator the chaos harness replays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-import numpy as np
+import math
+from dataclasses import dataclass
 
 from repro.utils.rng import as_generator
 
-if TYPE_CHECKING:  # imported lazily at runtime: cluster.engine imports us
-    from repro.cluster.failures import FailureEvent
-
 __all__ = [
+    "CRASH",
+    "RECOVER",
     "SLOWDOWN",
     "PARTITION",
     "HEAL",
@@ -47,6 +47,8 @@ __all__ = [
     "slowdown_window",
     "partition_window",
     "flaky_window",
+    "crash_window",
+    "poisson_failures",
     "fault_storm",
     "validate_windows",
 ]
@@ -81,6 +83,8 @@ def validate_windows(
         normalized.append((start, end))
     return tuple(normalized)
 
+CRASH = "crash"
+RECOVER = "recover"
 SLOWDOWN = "slowdown"
 PARTITION = "partition"
 HEAL = "heal"
@@ -88,9 +92,10 @@ FLAKY = "flaky"
 
 #: Same-timestamp processing order, made explicit so event ordering never
 #: depends on how the kind strings happen to sort: at one instant a
-#: partition heals before a new partition starts, slowdown/flaky state
-#: changes apply next, and a fresh partition cuts the link last.
-KIND_RANK = {HEAL: 0, SLOWDOWN: 1, FLAKY: 2, PARTITION: 3}
+#: crash lands first and a recover next, then a partition heals before
+#: a new partition starts, slowdown/flaky state changes apply next, and
+#: a fresh partition cuts the link last.
+KIND_RANK = {CRASH: 0, RECOVER: 1, HEAL: 2, SLOWDOWN: 3, FLAKY: 4, PARTITION: 5}
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,8 @@ class Fault:
 
     ``magnitude`` is the service-time multiplier for ``slowdown``
     (>= 1 degrades, 1.0 restores) and the per-batch failure probability
-    for ``flaky`` (0.0 restores); ``partition``/``heal`` ignore it.
+    for ``flaky`` (0.0 restores); the other kinds ignore it.  A NaN
+    time or magnitude is rejected here, not halfway through a replay.
     """
 
     time_s: float
@@ -108,7 +114,7 @@ class Fault:
     magnitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
+        if not self.time_s >= 0:  # false for NaN too
             raise ValueError(f"fault time must be >= 0, got {self.time_s}")
         if self.replica_id < 0:
             raise ValueError(f"replica_id must be >= 0, got {self.replica_id}")
@@ -116,6 +122,8 @@ class Fault:
             raise ValueError(
                 f"kind must be one of {tuple(KIND_RANK)}, got {self.kind!r}"
             )
+        if math.isnan(self.magnitude):
+            raise ValueError(f"fault magnitude must be a number, got {self.magnitude}")
         if self.kind == SLOWDOWN and self.magnitude < 1.0:
             raise ValueError(
                 f"slowdown magnitude is a service multiplier >= 1, got {self.magnitude}"
@@ -169,35 +177,78 @@ def flaky_window(
     )
 
 
+def crash_window(
+    replica_id: int, at_s: float, duration_s: float
+) -> tuple[Fault, Fault]:
+    """A crash at ``at_s`` followed by recovery ``duration_s`` later."""
+    if duration_s <= 0:
+        raise ValueError(f"outage duration must be positive, got {duration_s}")
+    return (
+        Fault(at_s, replica_id, CRASH),
+        Fault(at_s + duration_s, replica_id, RECOVER),
+    )
+
+
+def poisson_failures(
+    n_replicas: int,
+    horizon_s: float,
+    mtbf_s: float,
+    mttr_s: float,
+    rng=None,
+) -> tuple[Fault, ...]:
+    """Sample independent crash/repair cycles for every replica.
+
+    Each replica alternates exponential up-times (mean ``mtbf_s``) and
+    exponential outages (mean ``mttr_s``) over ``[0, horizon_s)`` — the
+    standard renewal model behind "nines" arithmetic, here made
+    replayable on the virtual clock.
+    """
+    if n_replicas <= 0:
+        raise ValueError(f"n_replicas must be positive, got {n_replicas}")
+    if horizon_s <= 0 or mtbf_s <= 0 or mttr_s <= 0:
+        raise ValueError("horizon_s, mtbf_s, and mttr_s must all be positive")
+    rng = as_generator(rng)
+    events: list[Fault] = []
+    for replica_id in range(n_replicas):
+        t = float(rng.exponential(mtbf_s))
+        while t < horizon_s:
+            outage = float(rng.exponential(mttr_s))
+            events.append(Fault(t, replica_id, CRASH))
+            if t + outage < horizon_s:
+                events.append(Fault(t + outage, replica_id, RECOVER))
+            t += outage + float(rng.exponential(mtbf_s))
+    return tuple(sorted(events))
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """One seeded, replayable fault storm.
 
-    ``faults`` are the typed state changes above; ``failures`` are
-    classic crash/recover events (both optional, both sorted with
-    explicit tie ranks at construction).  ``seed`` feeds the *dedicated*
-    RNG the cluster engine samples flaky batch failures and retry
-    jitter from — independent of the balancer's stream, so adding a
-    fault plan never perturbs policy decisions, and identical in oracle
-    and ``--live`` modes.
+    ``faults`` are the typed state changes above, crashes included,
+    sorted with explicit tie ranks at construction.  ``seed`` feeds the
+    *dedicated* RNG the cluster engine samples flaky batch failures and
+    retry jitter from — independent of the balancer's stream, so adding
+    a fault plan never perturbs policy decisions, and identical in
+    oracle and ``--live`` modes.
     """
 
     faults: tuple[Fault, ...] = ()
-    failures: tuple["FailureEvent", ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(sorted(self.faults)))
-        object.__setattr__(self, "failures", tuple(sorted(self.failures)))
 
     def __bool__(self) -> bool:
-        return bool(self.faults or self.failures)
+        return bool(self.faults)
+
+    @property
+    def failures(self) -> tuple[Fault, ...]:
+        """The plan's crash and recover entries, in plan order."""
+        return tuple(f for f in self.faults if f.kind in (CRASH, RECOVER))
 
     def max_replica_id(self) -> int:
-        """Largest replica id any event targets (-1 for an empty plan)."""
-        ids = [f.replica_id for f in self.faults]
-        ids += [e.replica_id for e in self.failures]
-        return max(ids) if ids else -1
+        """Largest replica id any fault targets (-1 for an empty plan)."""
+        return max((f.replica_id for f in self.faults), default=-1)
 
     def partition_intervals(self) -> dict[int, list[tuple[float, float]]]:
         """Per-replica blackhole windows ``[(start, end), ...]``.
@@ -230,17 +281,6 @@ class FaultPlan:
         return intervals
 
 
-@dataclass(frozen=True)
-class _StormShape:
-    """Intensity knobs for :func:`fault_storm` (internal)."""
-
-    slowdown_rate_hz: float
-    partition_rate_hz: float
-    flaky_rate_hz: float
-    crash_mtbf_s: float = field(default=0.0)
-    crash_mttr_s: float = field(default=0.0)
-
-
 def fault_storm(
     n_replicas: int,
     horizon_s: float,
@@ -259,15 +299,17 @@ def fault_storm(
     slowdown, partition, or flaky episode with equal probability, with
     magnitudes drawn from the given ranges and durations exponential
     around ``mean_window_s`` (default: an eighth of the horizon).
-    Optional ``crash_mtbf_s``/``crash_mttr_s`` additionally overlay the
-    classic :func:`~repro.cluster.failures.poisson_failures` renewal
-    crashes.  The plan's ``seed`` is derived from the same stream, so
-    one integer seed reproduces the storm *and* its in-run sampling.
+    ``crash_mtbf_s`` and ``crash_mttr_s``, given together, additionally
+    overlay :func:`poisson_failures` renewal crashes.  The plan's
+    ``seed`` is derived from the same stream, so one integer seed
+    reproduces the storm *and* its in-run sampling.
     """
     if n_replicas <= 0:
         raise ValueError(f"n_replicas must be positive, got {n_replicas}")
     if horizon_s <= 0:
         raise ValueError(f"horizon_s must be positive, got {horizon_s}")
+    if (crash_mtbf_s is None) != (crash_mttr_s is None):
+        raise ValueError("crash_mtbf_s and crash_mttr_s must be given together")
     rng = as_generator(rng)
     mean_window_s = horizon_s / 8.0 if mean_window_s is None else float(mean_window_s)
     faults: list[Fault] = []
@@ -287,12 +329,9 @@ def fault_storm(
             else:
                 p = float(rng.uniform(*flaky_p))
                 faults.extend(flaky_window(replica_id, at, duration, p))
-    failures: tuple["FailureEvent", ...] = ()
-    if crash_mtbf_s is not None and crash_mttr_s is not None:
-        from repro.cluster.failures import poisson_failures
-
-        failures = poisson_failures(
-            n_replicas, horizon_s, crash_mtbf_s, crash_mttr_s, rng=rng
+    if crash_mtbf_s is not None:
+        faults.extend(
+            poisson_failures(n_replicas, horizon_s, crash_mtbf_s, crash_mttr_s, rng=rng)
         )
     seed = int(rng.integers(2**31 - 1))
-    return FaultPlan(faults=tuple(faults), failures=failures, seed=seed)
+    return FaultPlan(faults=tuple(faults), seed=seed)

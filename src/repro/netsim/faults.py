@@ -18,10 +18,10 @@ three fault kinds:
 
 Window validation is shared with :class:`~repro.hw.network.NetworkLink`
 via :func:`repro.faults.plan.validate_windows` — one validator, one
-error type, for every layer that declares time windows.  Plans carry a
-``seed`` for the in-run sampling stream, mirroring ``FaultPlan``:
-replays are identical in oracle and ``--live`` modes because nothing
-here touches model inference.
+error type, for every layer that declares time windows.  A plan is
+pure state over time: the transports' loss and jitter draws come from
+their own seeded streams, so replays are identical in oracle and
+``--live`` modes because nothing here touches model inference.
 
 :func:`link_storm` samples one randomized mixed storm per seed — the
 generator the netchaos harness replays across ≥10 seeds.
@@ -129,13 +129,9 @@ class LinkFaultPlan:
     (validated by the shared :func:`~repro.faults.plan.validate_windows`
     — the same discipline :class:`~repro.hw.network.NetworkLink`
     enforces on its static ``outages``); flaps are sorted instants.
-    ``seed`` names the dedicated stream the transports sample loss and
-    jitter from, so one integer reproduces the storm *and* its in-run
-    sampling — identical in oracle and ``--live`` modes.
     """
 
     faults: tuple[LinkFault, ...] = ()
-    seed: int = 0
 
     def __post_init__(self) -> None:
         by_kind: dict[str, list[LinkFault]] = {k: [] for k in _KINDS}
@@ -226,9 +222,7 @@ def link_storm(
     ``outages``/``degrades``/``flaps`` are Poisson means over the
     horizon; window durations are exponential around ``mean_window_s``
     (default: a tenth of the horizon), with same-kind windows spaced so
-    the sorted-and-disjoint invariant holds by construction.  The plan's
-    ``seed`` is drawn from the same stream, so one integer reproduces
-    the storm and its in-run sampling.
+    the sorted-and-disjoint invariant holds by construction.
     """
     if horizon_s <= 0:
         raise ValueError(f"horizon_s must be positive, got {horizon_s}")
@@ -262,6 +256,4 @@ def link_storm(
         )
     for _ in range(int(rng.poisson(flaps))):
         faults.append(flap_at(float(rng.uniform(0.0, horizon_s))))
-    return LinkFaultPlan(
-        faults=tuple(faults), seed=int(rng.integers(2**31 - 1))
-    )
+    return LinkFaultPlan(faults=tuple(faults))

@@ -86,14 +86,14 @@ class TestLiveness:
         # All replicas crash with no recovery scheduled: the tick loop
         # must drain (not reschedule forever) and report the stranded
         # requests as unserved.
-        from repro.cluster import FailureEvent
+        from repro.faults import CRASH, Fault, FaultPlan
 
         images = make_images(20)
         auto = Autoscaler(config(), spawn_backend=lambda: SumBackend())
         report = Cluster(
             [SumBackend()],
             autoscaler=auto,
-            failures=(FailureEvent(0.01, 0, "crash"),),
+            faults=FaultPlan((Fault(0.01, 0, CRASH),)),
         ).serve(images, poisson_arrivals(400.0, 20, rng=3))
         assert report.n_unserved > 0
         assert report.availability < 1.0

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    AdmissionController,
-    Cluster,
-    FailureEvent,
+from repro.cluster import AdmissionController, Cluster, fleet_comparison_table
+from repro.faults import (
+    CRASH,
+    RECOVER,
+    Fault,
+    FaultPlan,
+    ResilienceConfig,
     crash_window,
-    fleet_comparison_table,
+    partition_window,
 )
-from repro.faults import FaultPlan, ResilienceConfig, partition_window
 from repro.serving.arrivals import constant_arrivals, poisson_arrivals
 from repro.serving.classes import DEFAULT_CLASSES
 from repro.serving.priority import PriorityBatcher
@@ -60,7 +62,7 @@ class TestBasics:
         with pytest.raises(ValueError):
             Cluster([SumBackend()], slo_s=0.0)
         with pytest.raises(ValueError):
-            Cluster([SumBackend()], failures=(FailureEvent(0.1, 5, "crash"),))
+            Cluster([SumBackend()], faults=FaultPlan((Fault(0.1, 5, CRASH),)))
         # Bad cache settings fail at construction, before any serving.
         with pytest.raises(ValueError, match="cache_capacity"):
             Cluster([SumBackend()], cache_capacity=-1)
@@ -130,7 +132,8 @@ class TestFailures:
         report = Cluster(
             [SumBackend(), SumBackend()],
             policy="least-outstanding",
-            failures=crash_window(1, at_s=0.05, duration_s=10.0),  # never recovers in-trace
+            # Never recovers in-trace.
+            faults=FaultPlan(crash_window(1, at_s=0.05, duration_s=10.0)),
         ).serve(images, arrivals, labels=labels_for(images))
         assert report.n_crashes == 1
         assert report.n_retried > 0
@@ -142,7 +145,7 @@ class TestFailures:
         arrivals = constant_arrivals(600.0, 60)
         report = Cluster(
             [SumBackend()],
-            failures=crash_window(0, at_s=0.02, duration_s=0.05),
+            faults=FaultPlan(crash_window(0, at_s=0.02, duration_s=0.05)),
         ).serve(images, arrivals, labels=labels_for(images))
         assert report.n_crashes == 1
         assert report.n_served == 60  # stranded requests drained after recovery
@@ -154,7 +157,7 @@ class TestFailures:
         images = make_images(40)
         report = Cluster(
             [SumBackend()],
-            failures=(FailureEvent(0.02, 0, "crash"),),
+            faults=FaultPlan((Fault(0.02, 0, CRASH),)),
         ).serve(images, constant_arrivals(400.0, 40))
         assert report.n_unserved > 0
         assert report.availability < 1.0
@@ -166,7 +169,7 @@ class TestFailures:
         images = make_images(8)
         report = Cluster(
             [SumBackend(per_item_s=0.1)],
-            failures=crash_window(0, at_s=0.05, duration_s=0.1),
+            faults=FaultPlan(crash_window(0, at_s=0.05, duration_s=0.1)),
             max_batch_size=8,
             max_wait_s=0.001,
         ).serve(images, np.zeros(8))
@@ -178,19 +181,19 @@ class TestFailures:
         # warm-up-complete event must not promote the re-provisioned
         # replica early.  With recover_warmup_s=0.1, the second recovery
         # at t=0.06 makes the replica servable only at t=0.16.
-        from repro.cluster import FailureEvent
-
         images = make_images(8)
         arrivals = np.full(8, 0.1)  # arrive mid-second-warm-up → stranded
-        failures = (
-            FailureEvent(0.01, 0, "crash"),
-            FailureEvent(0.02, 0, "recover"),
-            FailureEvent(0.05, 0, "crash"),
-            FailureEvent(0.06, 0, "recover"),
+        plan = FaultPlan(
+            (
+                Fault(0.01, 0, CRASH),
+                Fault(0.02, 0, RECOVER),
+                Fault(0.05, 0, CRASH),
+                Fault(0.06, 0, RECOVER),
+            )
         )
-        report = Cluster(
-            [SumBackend()], failures=failures, recover_warmup_s=0.1
-        ).serve(images, arrivals)
+        report = Cluster([SumBackend()], faults=plan, recover_warmup_s=0.1).serve(
+            images, arrivals
+        )
         assert report.n_served == 8
         # Requests arrived at t=0.1 and were servable only at t=0.16:
         # every sojourn spans at least the remaining warm-up.  A stale
@@ -205,7 +208,7 @@ class TestFailures:
         report = Cluster(
             [SumBackend(per_item_s=0.002), SumBackend(per_item_s=0.002)],
             policy="round-robin",
-            failures=crash_window(0, at_s=0.03, duration_s=0.1),
+            faults=FaultPlan(crash_window(0, at_s=0.03, duration_s=0.1)),
         ).serve(images, poisson_arrivals(500.0, 100, rng=7), labels=labels)
         assert report.n_served == 100
         assert report.accuracy == 1.0
@@ -247,7 +250,7 @@ class TestClusterCache:
             cache_capacity=16,
             max_batch_size=1,
             max_wait_s=0.0,
-            failures=crash_window(0, at_s=0.001, duration_s=0.05),
+            faults=FaultPlan(crash_window(0, at_s=0.001, duration_s=0.05)),
         ).serve(images, np.array([0.0, 0.01]))
         assert report.n_cached == 0
         assert report.n_retried >= 1

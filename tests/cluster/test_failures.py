@@ -1,54 +1,30 @@
-"""Unit tests for the failure model: event ordering, samplers, and
-crash semantics across replica lifecycle states."""
+"""Unit tests for the crash/recover fault kinds: ordering, the crash
+samplers, and crash semantics across replica lifecycle states.
+
+Validation of the kinds and their same-instant rank against the other
+fault kinds live with the rest of the taxonomy, in
+``tests/faults/test_plan.py``.
+"""
 
 import pytest
 from conftest import SumBackend
 
-from repro.cluster.failures import (
-    CRASH,
-    RECOVER,
-    FailureEvent,
-    crash_window,
-    poisson_failures,
-)
 from repro.cluster.replica import InFlightBatch, Replica, ReplicaState
-
-
-class TestEventValidation:
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="time"):
-            FailureEvent(-0.1, 0, CRASH)
-
-    def test_negative_replica_rejected(self):
-        with pytest.raises(ValueError, match="replica_id"):
-            FailureEvent(0.0, -1, CRASH)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            FailureEvent(0.0, 0, "reboot")
+from repro.faults import CRASH, RECOVER, Fault, crash_window, poisson_failures
 
 
 class TestOrdering:
-    def test_crash_sorts_before_recover_at_same_instant(self):
-        """Regression: same-timestamp ordering is an explicit rank, not
-        string comparison ('crash' < 'recover' happens to hold
-        lexicographically, but the rank is what we rely on)."""
-        recover = FailureEvent(1.0, 0, RECOVER)
-        crash = FailureEvent(1.0, 0, CRASH)
-        assert sorted([recover, crash]) == [crash, recover]
-        assert crash.sort_key() < recover.sort_key()
-
     def test_replica_breaks_time_ties_before_kind(self):
-        a = FailureEvent(1.0, 1, CRASH)
-        b = FailureEvent(1.0, 0, RECOVER)
+        a = Fault(1.0, 1, CRASH)
+        b = Fault(1.0, 0, RECOVER)
         assert sorted([a, b]) == [b, a]
 
     def test_sort_key_is_total_and_stable(self):
         events = [
-            FailureEvent(2.0, 0, CRASH),
-            FailureEvent(1.0, 1, RECOVER),
-            FailureEvent(1.0, 1, CRASH),
-            FailureEvent(1.0, 0, RECOVER),
+            Fault(2.0, 0, CRASH),
+            Fault(1.0, 1, RECOVER),
+            Fault(1.0, 1, CRASH),
+            Fault(1.0, 0, RECOVER),
         ]
         ordered = sorted(events)
         assert [e.sort_key() for e in ordered] == sorted(e.sort_key() for e in events)

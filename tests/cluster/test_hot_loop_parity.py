@@ -20,7 +20,7 @@ not grow with the fleet.
 
 The sweep covers 20 seeds of each configuration: a 16-replica
 power-of-two fleet, a 3-class priority fleet behind weighted-fair
-admission, crash/recover failures, a fault storm against the full
+admission, crash/recover faults, a fault storm against the full
 resilience stack (timeouts, retries, hedges, copies dropped at flush),
 a 16-replica fleet flaky throughout (failed batches from several
 replicas judged in one advance), an autoscaler that scales down until a replica drains to DOWN — alone,
@@ -35,13 +35,19 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, FailureEvent
+from repro.cluster import Cluster
 from repro.cluster.admission import WeightedFairAdmission
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
-from repro.cluster.failures import poisson_failures
 from repro.cluster.replica import Replica, ReplicaState
 from repro.experiments.chaos import resilience_for_fleet
-from repro.faults.plan import FaultPlan, fault_storm, flaky_window
+from repro.faults.plan import (
+    CRASH,
+    Fault,
+    FaultPlan,
+    fault_storm,
+    flaky_window,
+    poisson_failures,
+)
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.classes import DEFAULT_CLASSES
 from repro.sim.records import RequestLog
@@ -179,8 +185,10 @@ def _crashes(seed):
     rng = np.random.default_rng(seed)
     arrival_s = poisson_arrivals(_rate(6, rng.uniform(0.3, 0.9)), N_REQUESTS, rng=rng)
     horizon = float(arrival_s[-1])
-    failures = poisson_failures(6, horizon, horizon / 3, horizon / 20, rng=rng)
-    failures += (FailureEvent(horizon / 2, 0, "crash"),)
+    plan = FaultPlan(
+        poisson_failures(6, horizon, horizon / 3, horizon / 20, rng=rng)
+        + (Fault(horizon / 2, 0, CRASH),)
+    )
     knobs = _knobs(rng)
     warmup = float(rng.uniform(0.0, 0.01))
 
@@ -188,7 +196,7 @@ def _crashes(seed):
         return dict(
             backends=_fleet(np.random.default_rng(seed), 6),
             policy="power-of-two",
-            failures=failures,
+            faults=plan,
             recover_warmup_s=warmup,
             rng=seed,
             **knobs,

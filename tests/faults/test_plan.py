@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster.failures import CRASH, RECOVER, FailureEvent
 from repro.faults import (
+    CRASH,
     FLAKY,
     HEAL,
     PARTITION,
+    RECOVER,
     SLOWDOWN,
     Fault,
     FaultPlan,
@@ -43,6 +44,24 @@ class TestFaultValidation:
             Fault(0.0, 0, FLAKY, 1.0)
         Fault(0.0, 0, FLAKY, 0.0)  # restoring health is legal
 
+    @pytest.mark.parametrize(
+        "kind, magnitude",
+        [(CRASH, 1.0), (RECOVER, 1.0), (SLOWDOWN, 2.0), (PARTITION, 1.0), (HEAL, 1.0),
+         (FLAKY, 0.5)],
+    )
+    def test_nan_time_rejected(self, kind, magnitude):
+        """NaN fails every comparison, so a plain ``time_s < 0`` check
+        would let it through and the replay would fail midway."""
+        with pytest.raises(ValueError, match="time"):
+            Fault(math.nan, 0, kind, magnitude)
+
+    @pytest.mark.parametrize("kind", [CRASH, RECOVER, SLOWDOWN, PARTITION, HEAL, FLAKY])
+    def test_nan_magnitude_rejected(self, kind):
+        """NaN passes ``magnitude < 1.0``; a NaN slowdown would silently
+        leave requests unserved."""
+        with pytest.raises(ValueError, match="magnitude"):
+            Fault(0.0, 0, kind, math.nan)
+
     def test_window_helpers_reject_nonpositive_duration(self):
         for helper, args in (
             (slowdown_window, (0, 0.1, 0.0, 2.0)),
@@ -55,17 +74,24 @@ class TestFaultValidation:
 
 class TestOrdering:
     def test_same_timestamp_kind_ranks(self):
-        """At one instant: heal < slowdown < flaky < partition —
-        explicit ranks, independent of string comparison."""
+        """At one instant: crash < recover < heal < slowdown < flaky <
+        partition — explicit ranks, independent of string comparison
+        ('crash' < 'recover' happens to hold lexicographically, but the
+        rank is what replays rely on)."""
         t = 1.0
         faults = [
             Fault(t, 0, PARTITION),
             Fault(t, 0, FLAKY, 0.3),
             Fault(t, 0, SLOWDOWN, 2.0),
             Fault(t, 0, HEAL),
+            Fault(t, 0, RECOVER),
+            Fault(t, 0, CRASH),
         ]
         kinds = [f.kind for f in sorted(faults)]
-        assert kinds == [HEAL, SLOWDOWN, FLAKY, PARTITION]
+        assert kinds == [CRASH, RECOVER, HEAL, SLOWDOWN, FLAKY, PARTITION]
+        crash, recover = Fault(t, 0, CRASH), Fault(t, 0, RECOVER)
+        assert sorted([recover, crash]) == [crash, recover]
+        assert crash.sort_key() < recover.sort_key()
 
     def test_replica_breaks_ties_before_kind(self):
         a = Fault(1.0, 1, HEAL)
@@ -74,10 +100,14 @@ class TestOrdering:
 
     def test_plan_sorts_on_construction(self):
         plan = FaultPlan(
-            faults=(Fault(2.0, 0, HEAL), Fault(1.0, 0, PARTITION)),
-            failures=(FailureEvent(0.5, 1, RECOVER), FailureEvent(0.1, 1, CRASH)),
+            faults=(
+                Fault(2.0, 0, HEAL),
+                Fault(1.0, 0, PARTITION),
+                Fault(0.5, 1, RECOVER),
+                Fault(0.1, 1, CRASH),
+            ),
         )
-        assert [f.time_s for f in plan.faults] == [1.0, 2.0]
+        assert [f.time_s for f in plan.faults] == [0.1, 0.5, 1.0, 2.0]
         assert [e.kind for e in plan.failures] == [CRASH, RECOVER]
 
 
@@ -87,10 +117,7 @@ class TestFaultPlan:
         assert FaultPlan(faults=(Fault(0.0, 0, PARTITION),))
 
     def test_max_replica_id_spans_both_event_types(self):
-        plan = FaultPlan(
-            faults=(Fault(0.0, 1, SLOWDOWN, 2.0),),
-            failures=(FailureEvent(0.0, 3, CRASH),),
-        )
+        plan = FaultPlan(faults=(Fault(0.0, 1, SLOWDOWN, 2.0), Fault(0.0, 3, CRASH)))
         assert plan.max_replica_id() == 3
         assert FaultPlan().max_replica_id() == -1
 
@@ -145,3 +172,12 @@ class TestFaultStorm:
             fault_storm(0, 1.0)
         with pytest.raises(ValueError, match="horizon"):
             fault_storm(1, 0.0)
+
+    def test_crash_overlay_needs_both_knobs(self):
+        """One crash knob without the other fails loudly instead of
+        silently dropping the crash overlay."""
+        for half in ({"crash_mtbf_s": 2.0}, {"crash_mttr_s": 0.5}):
+            with pytest.raises(ValueError, match="together"):
+                fault_storm(4, 10.0, rng=0, **half)
+        plan = fault_storm(4, 10.0, rng=0, crash_mtbf_s=2.0, crash_mttr_s=0.5)
+        assert any(f.kind == CRASH for f in plan.failures)

@@ -107,7 +107,7 @@ def build_cluster(
     scheduler: str = "priority",
     admission: str = "fair",
     oracle: bool = False,
-    failures=(),
+    faults=None,
 ) -> Cluster:
     """Assemble a cluster for one scenario arm."""
     if admission == "fair":
@@ -125,7 +125,7 @@ def build_cluster(
         backends,
         policy="least-outstanding",
         admission=ctrl,
-        failures=failures,
+        faults=faults,
         slo_s=sc.classes[0].deadline_s,
         classes=sc.classes,
         scheduler=scheduler,
@@ -136,10 +136,10 @@ def build_cluster(
     )
 
 
-def run_scenario(sc, scheduler="priority", admission="fair", oracle=False, failures=()):
+def run_scenario(sc, scheduler="priority", admission="fair", oracle=False, faults=None):
     """Serve one scenario arm; returns (report, finished requests)."""
     cluster = build_cluster(
-        sc, scheduler=scheduler, admission=admission, oracle=oracle, failures=failures
+        sc, scheduler=scheduler, admission=admission, oracle=oracle, faults=faults
     )
     stream = sc.ids if oracle else sc.images[sc.ids]
     return cluster.serve_detailed(

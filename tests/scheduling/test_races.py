@@ -18,7 +18,7 @@ import pytest
 
 from conftest import SumBackend, make_scenario, run_scenario
 
-from repro.cluster.failures import FailureEvent
+from repro.faults import FaultPlan, crash_window
 from repro.serving.classes import ClassSet, RequestClass
 from repro.serving.engine import Server
 from repro.serving.request import Route
@@ -26,14 +26,11 @@ from repro.serving.request import Route
 RACE_SEEDS = range(5)
 
 
-def _crash_failures(sc, replica_id=0):
+def _crash_plan(sc, replica_id=0):
     """Crash `replica_id` at *exactly* an arrival timestamp, mid-trace."""
     t = float(sc.arrival_s[sc.n // 2])
     span = float(sc.arrival_s[-1])
-    return (
-        FailureEvent(t, replica_id, "crash"),
-        FailureEvent(t + 0.2 * span, replica_id, "recover"),
-    )
+    return FaultPlan(crash_window(replica_id, t, 0.2 * span))
 
 
 @pytest.mark.parametrize("seed", RACE_SEEDS)
@@ -46,7 +43,7 @@ def test_crash_on_admission_tick(seed, scheduler):
     if len(sc.per_item) < 2:
         sc.per_item = sc.per_item * 2  # a 1-replica fleet can't absorb a crash
     report, requests = run_scenario(
-        sc, scheduler=scheduler, admission="fair", failures=_crash_failures(sc)
+        sc, scheduler=scheduler, admission="fair", faults=_crash_plan(sc)
     )
     assert report.n_crashes == 1
     assert report.n_served + report.n_shed + report.n_unserved == sc.n
@@ -70,7 +67,7 @@ def test_crash_does_not_break_batch_reserve(seed):
     if len(sc.per_item) < 2:
         sc.per_item = sc.per_item * 2
     report, _ = run_scenario(
-        sc, scheduler="priority", admission="fair", failures=_crash_failures(sc)
+        sc, scheduler="priority", admission="fair", faults=_crash_plan(sc)
     )
     _, _, batch = report.class_reports
     assert batch.n_served > 0

@@ -1,14 +1,16 @@
 #!/usr/bin/env python
 """Documentation health check (the `make docs-check` target).
 
-Three gates, all offline and fast:
+Four gates, all offline and fast:
 
 1. the documentation suite exists (README.md, the docs/ pages) and the
    registered example scripts exist and compile;
 2. every ```python code block in README.md compiles (syntax-checks the
-   quickstart/serving tour without paying for training — `make test`
-   and the examples exercise them for real);
-3. docstring coverage: every public symbol (``__all__``) of every
+   quickstart/serving tour without paying for training);
+3. the README blocks and the examples use the API that exists: every
+   ``from repro... import Name`` resolves, and every keyword passed to
+   such a name is one of its parameters;
+4. docstring coverage: every public symbol (``__all__``) of every
    ``repro`` (sub)package that is a function or class carries a
    docstring, as does every module.
 
@@ -22,6 +24,7 @@ Exits non-zero with a listing of violations.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -45,8 +48,9 @@ REQUIRED_DOCS = (
     "docs/observability.md",
 )
 
-#: Runnable walkthroughs referenced from the docs; each must exist and
-#: compile (execution is covered by the layer smokes, not this gate).
+#: Runnable walkthroughs referenced from the docs; each must exist,
+#: compile, and pass the API gate.  Nothing in CI executes them, so the
+#: API gate is what catches a stale import or keyword.
 REQUIRED_EXAMPLES = (
     "examples/quickstart.py",
     "examples/serving_demo.py",
@@ -75,12 +79,18 @@ def check_docs_exist() -> list[str]:
     return errors
 
 
-def check_readme_code_blocks(run: bool = False) -> list[str]:
-    errors = []
+def _readme_blocks() -> list[str]:
     readme = REPO / "README.md"
     if not readme.exists():
+        return []  # reported by check_docs_exist
+    return re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
+
+
+def check_readme_code_blocks(run: bool = False) -> list[str]:
+    errors = []
+    if not (REPO / "README.md").exists():
         return errors  # reported by check_docs_exist
-    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
+    blocks = _readme_blocks()
     if not blocks:
         errors.append("README.md contains no ```python blocks")
     compiled = []
@@ -98,6 +108,81 @@ def check_readme_code_blocks(run: bool = False) -> list[str]:
             except Exception as exc:  # noqa: BLE001 — report, don't crash
                 errors.append(f"README.md python block {i} failed at runtime: {exc!r}")
                 break
+    return errors
+
+
+def _resolve(module: str, name: str):
+    """``from module import name`` without executing the caller's code."""
+    try:
+        mod = importlib.import_module(module)
+    except ImportError:
+        return None
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return None
+
+
+def api_violations(blocks: list[str], where: str) -> list[str]:
+    """Stale ``repro`` imports and keywords in ``blocks``.
+
+    The blocks share one namespace, as the README's do.  Every
+    ``from repro... import Name`` must resolve, and every keyword in a
+    call of such a name must be one of its parameters; callables that
+    take ``**kwargs`` are skipped.
+    """
+    trees = []
+    for code in blocks:
+        try:
+            trees.append(ast.parse(code))
+        except SyntaxError:
+            pass  # reported by the compile gates
+    errors, bound = [], {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "repro"
+            ):
+                continue
+            for alias in node.names:
+                obj = _resolve(node.module, alias.name)
+                if obj is None:
+                    errors.append(
+                        f"{where}: cannot import {alias.name!r} from {node.module}"
+                    )
+                else:
+                    bound[alias.asname or alias.name] = obj
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in bound
+            ):
+                continue
+            try:
+                params = inspect.signature(bound[node.func.id]).parameters
+            except (TypeError, ValueError):
+                continue
+            if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+                continue
+            for kw in node.keywords:
+                if kw.arg is not None and kw.arg not in params:
+                    errors.append(
+                        f"{where}: {node.func.id}() has no parameter {kw.arg!r}"
+                    )
+    return errors
+
+
+def check_api_usage() -> list[str]:
+    errors = api_violations(_readme_blocks(), "README.md")
+    for rel in REQUIRED_EXAMPLES:
+        path = REPO / rel
+        if path.exists():
+            errors += api_violations([path.read_text()], rel)
     return errors
 
 
@@ -130,7 +215,12 @@ def check_docstrings() -> list[str]:
 
 def main() -> int:
     run = "--run" in sys.argv[1:]
-    errors = check_docs_exist() + check_readme_code_blocks(run=run) + check_docstrings()
+    errors = (
+        check_docs_exist()
+        + check_readme_code_blocks(run=run)
+        + check_api_usage()
+        + check_docstrings()
+    )
     if errors:
         print(f"docs-check: {len(errors)} problem(s)")
         for err in errors:
