@@ -14,6 +14,15 @@ from repro.faults import CRASH, RECOVER, Fault, crash_window, poisson_failures
 
 
 class TestOrdering:
+    def test_crash_sorts_before_recover_at_same_instant(self):
+        """Regression: same-timestamp ordering is an explicit rank, not
+        string comparison ('crash' < 'recover' happens to hold
+        lexicographically, but the rank is what we rely on)."""
+        recover = Fault(1.0, 0, RECOVER)
+        crash = Fault(1.0, 0, CRASH)
+        assert sorted([recover, crash]) == [crash, recover]
+        assert crash.sort_key() < recover.sort_key()
+
     def test_replica_breaks_time_ties_before_kind(self):
         a = Fault(1.0, 1, CRASH)
         b = Fault(1.0, 0, RECOVER)
