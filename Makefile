@@ -9,7 +9,9 @@
 #   make offload-smoke  offload-layer smoke: network links, partition
 #                     planner, policies, EdgeTier on toy models
 #   make sim-smoke    simulation-core smoke: oracle live-vs-table parity,
-#                     SoA records, vectorized arrival regressions
+#                     SoA records, the kernel's M/G/1 analytic oracles
+#                     and Lindley differential, vectorized arrival
+#                     regressions
 #   make tenants-smoke  multi-tenant smoke: scheduler invariants, priority
 #                     batcher, FIFO-vs-priority experiment on toy fleets
 #   make chaos-smoke  robustness smoke: chaos invariants under random fault

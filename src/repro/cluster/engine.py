@@ -339,13 +339,13 @@ class Cluster:
     ) -> None:
         if not backends:
             raise ValueError("a cluster needs at least one replica backend")
-        if slo_s <= 0:
+        if not slo_s > 0:  # false for NaN too
             raise ValueError(f"slo_s must be positive, got {slo_s}")
-        if recover_warmup_s < 0:
+        if not recover_warmup_s >= 0:
             raise ValueError(f"recover_warmup_s must be >= 0, got {recover_warmup_s}")
         if cache_capacity < 0:
             raise ValueError(f"cache_capacity must be >= 0, got {cache_capacity}")
-        if cache_lookup_s < 0:
+        if not cache_lookup_s >= 0:
             raise ValueError(f"cache_lookup_s must be >= 0, got {cache_lookup_s}")
         if len({bool(b.oracle) for b in backends}) > 1:
             raise ValueError(

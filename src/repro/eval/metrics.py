@@ -22,8 +22,7 @@ def latency_percentiles(
     """Latency percentiles of a sample, as plain floats.
 
     The one place the repo computes sojourn/latency percentiles: the
-    M/D/1 simulation (:mod:`repro.hw.serving`), the serving engine
-    (:mod:`repro.serving.engine`), the cluster report
+    serving engine (:mod:`repro.serving.engine`), the cluster report
     (:mod:`repro.cluster.engine`), and :class:`LatencyStats` all call
     this instead of repeating ``np.percentile`` triplets.
 

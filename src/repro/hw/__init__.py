@@ -42,7 +42,6 @@ from repro.hw.power import gci_cpu_power, raspberry_pi_power, PowerModel
 from repro.hw.energy import energy_joules, energy_savings_percent
 from repro.hw.monitor import UtilizationMonitor
 from repro.hw.meter import EnergyMeter, MeterReading
-from repro.hw.serving import ServingStats, simulate_serving, bimodal_service_sampler
 
 
 def __getattr__(name: str):
@@ -92,7 +91,4 @@ __all__ = [
     "UtilizationMonitor",
     "EnergyMeter",
     "MeterReading",
-    "ServingStats",
-    "simulate_serving",
-    "bimodal_service_sampler",
 ]

@@ -1,7 +1,6 @@
 """`repro.serving` — batched inference serving engine.
 
-Turns the passive queueing analysis of :mod:`repro.hw.serving` into an
-executable serving path: arrival generators feed a request queue, a
+An executable serving path: arrival generators feed a request queue, a
 dynamic micro-batcher flushes on size/deadline triggers, a worker-pool
 dispatcher runs real CBNet / BranchyNet / LeNet inference with
 device-calibrated service times, an LRU cache answers repeated images,

@@ -30,12 +30,21 @@ __all__ = [
 ]
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Reject a rate, period or phase that is not a finite positive number.
+
+    ``value <= 0`` is false for NaN, and an infinite rate collapses
+    every gap to zero, so both are refused here.
+    """
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def poisson_arrivals(
     rate_hz: float, n: int, rng: np.random.Generator | int | None = None
 ) -> np.ndarray:
     """``n`` Poisson arrival times at mean rate ``rate_hz`` (steady load)."""
-    if rate_hz <= 0:
-        raise ValueError(f"arrival rate must be positive, got {rate_hz}")
+    _require_positive("arrival rate", rate_hz)
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     rng = as_generator(rng)
@@ -44,8 +53,7 @@ def poisson_arrivals(
 
 def constant_arrivals(rate_hz: float, n: int) -> np.ndarray:
     """``n`` perfectly periodic arrivals (deterministic D/·/1 input)."""
-    if rate_hz <= 0:
-        raise ValueError(f"arrival rate must be positive, got {rate_hz}")
+    _require_positive("arrival rate", rate_hz)
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     return (np.arange(n, dtype=np.float64) + 1.0) / rate_hz
@@ -66,16 +74,15 @@ def bursty_arrivals(
     average of the two rates, but with the clumped arrivals that separate
     tail latency from mean latency in practice.
     """
-    if base_rate_hz <= 0 or burst_rate_hz <= 0:
-        raise ValueError("arrival rates must be positive")
+    _require_positive("base rate", base_rate_hz)
+    _require_positive("burst rate", burst_rate_hz)
+    _require_positive("mean_phase_s", mean_phase_s)
     if burst_rate_hz < base_rate_hz:
         raise ValueError(
             f"burst rate {burst_rate_hz} must be >= base rate {base_rate_hz}"
         )
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    if mean_phase_s <= 0:
-        raise ValueError(f"mean_phase_s must be positive, got {mean_phase_s}")
     rng = as_generator(rng)
     out = np.empty(n, dtype=np.float64)
     t = 0.0
@@ -145,12 +152,10 @@ def diurnal_arrivals(
     peak wastes replica-seconds all night, capacity sized for the mean
     melts every peak.
     """
-    if mean_rate_hz <= 0:
-        raise ValueError(f"arrival rate must be positive, got {mean_rate_hz}")
+    _require_positive("arrival rate", mean_rate_hz)
+    _require_positive("period_s", period_s)
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    if period_s <= 0:
-        raise ValueError(f"period_s must be positive, got {period_s}")
     if not 0.0 <= depth < 1.0:
         raise ValueError(f"depth must be in [0, 1), got {depth}")
     rng = as_generator(rng)
@@ -184,16 +189,17 @@ def flash_crowd_arrivals(
     probability that switches at the boundaries), deterministic per
     seed with no per-event loop.
     """
-    if base_rate_hz <= 0:
-        raise ValueError(f"base rate must be positive, got {base_rate_hz}")
+    _require_positive("base rate", base_rate_hz)
+    _require_positive("peak rate", peak_rate_hz)
+    _require_positive("spike_duration_s", spike_duration_s)
+    if not 0.0 <= spike_start_s < math.inf:
+        raise ValueError(f"spike_start_s must be finite and >= 0, got {spike_start_s}")
     if peak_rate_hz < base_rate_hz:
         raise ValueError(
             f"peak rate {peak_rate_hz} must be >= base rate {base_rate_hz}"
         )
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    if spike_start_s < 0 or spike_duration_s <= 0:
-        raise ValueError("spike_start_s must be >= 0 and spike_duration_s positive")
     rng = as_generator(rng)
     spike_end_s = spike_start_s + spike_duration_s
     # Acceptance off-spike is base/peak; size chunks for that worst case
@@ -214,13 +220,15 @@ def flash_crowd_arrivals(
 def trace_arrivals(times_s) -> np.ndarray:
     """Validate and normalize a recorded arrival-time trace.
 
-    Accepts any sequence of non-negative, non-decreasing timestamps
+    Accepts any sequence of finite, non-negative, non-decreasing timestamps
     (seconds) — e.g. parsed from an access log — and returns it as a
     float64 array ready for :meth:`repro.serving.Server.serve`.
     """
     times = np.asarray(times_s, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("trace must be a non-empty 1-D sequence of timestamps")
+    if not np.isfinite(times).all():
+        raise ValueError("trace timestamps must be finite numbers")
     if times[0] < 0:
         raise ValueError(f"timestamps must be non-negative, got {times[0]}")
     if np.any(np.diff(times) < 0):
@@ -301,8 +309,7 @@ def diurnal_class_mix(
     arrival_s = np.asarray(arrival_s, dtype=np.float64)
     if arrival_s.ndim != 1 or arrival_s.size == 0:
         raise ValueError("arrival_s must be a non-empty 1-D time array")
-    if period_s <= 0:
-        raise ValueError(f"period_s must be positive, got {period_s}")
+    _require_positive("period_s", period_s)
     peak = _validate_shares(peak_shares)
     trough = _validate_shares(trough_shares)
     if peak.shape != trough.shape:

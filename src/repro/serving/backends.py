@@ -28,6 +28,7 @@ the Pi-4/GCI profiles the rest of the evaluation uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +55,20 @@ class BatchTiming:
     when the backend performs dynamic routing (the control-flow /
     synchronization cost of the entropy gate), ``per_item_s`` per
     request, and ``per_hard_extra_s`` per entropy-flagged hard request.
+    Every field must be finite and ``>= 0``: a negative or NaN cost
+    would complete requests before they arrive, or never.
     """
 
     overhead_s: float
     per_item_s: float
     gate_s: float = 0.0
     per_hard_extra_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("overhead_s", "per_item_s", "gate_s", "per_hard_extra_s"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # false for NaN too
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def batch_service_s(self, n: int, n_hard: int = 0) -> float:
         if n <= 0:

@@ -42,7 +42,7 @@ class MicroBatcher:
     def __init__(self, max_batch_size: int = 32, max_wait_s: float = 0.005) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_s < 0:
+        if not max_wait_s >= 0:  # false for NaN too
             raise ValueError(f"max_wait_s must be non-negative, got {max_wait_s}")
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_s)

@@ -83,11 +83,11 @@ class RequestClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("request class needs a non-empty name")
-        if self.deadline_s <= 0:
+        if not self.deadline_s > 0:  # false for NaN too
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValueError(f"weight must be positive, got {self.weight}")
-        if self.max_wait_s is not None and self.max_wait_s < 0:
+        if self.max_wait_s is not None and not self.max_wait_s >= 0:
             raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
 
 

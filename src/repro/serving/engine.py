@@ -1,10 +1,9 @@
 """The single-node serving engine: a one-replica fleet behind a smaller API.
 
-:class:`Server` turns the passive M/D/1 analysis of
-:mod:`repro.hw.serving` into an executable engine.  It replays an
-arrival trace against one model backend on a *virtual clock* — LRU
-result cache, micro-batcher (or, in multi-tenant mode, a worker-gated
-priority batcher), one worker, and the backend's easy/hard routing.
+:class:`Server` replays an arrival trace against one model backend on
+a *virtual clock* — LRU result cache, micro-batcher (or, in
+multi-tenant mode, a worker-gated priority batcher), one worker, and
+the backend's easy/hard routing.
 
 There is one serving kernel in this package, and it lives in
 :class:`repro.cluster.Cluster`; a single node is the one-replica case.

@@ -66,7 +66,7 @@ class PriorityBatcher:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_s < 0:
+        if not max_wait_s >= 0:  # false for NaN too
             raise ValueError(f"max_wait_s must be non-negative, got {max_wait_s}")
         if ordering not in ("priority", "fifo"):
             raise ValueError(f"unknown ordering {ordering!r}")

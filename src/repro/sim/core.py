@@ -11,6 +11,8 @@ ids themselves instead of hashing pixels.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["validate_trace", "request_keys"]
@@ -23,7 +25,9 @@ def validate_trace(
 
     ``images`` is the per-request payload array — pixel batches for the
     live engines, 1-D sample ids in oracle mode; ``arrival_s`` must be
-    non-empty, non-decreasing, and aligned with it.
+    non-empty, non-decreasing, free of NaN and ``-inf``, and aligned
+    with it.  ``+inf`` stays legal: an edge tier can hand the cloud a
+    request behind an outage window that never ends.
     """
     images = np.asarray(images)
     arrival_s = np.asarray(arrival_s, dtype=np.float64)
@@ -33,6 +37,10 @@ def validate_trace(
         )
     if arrival_s.size == 0:
         raise ValueError("cannot serve an empty request stream")
+    # NaN fails every comparison, so the order check cannot see it; a
+    # sorted trace can hold -inf only at its head.
+    if np.isnan(arrival_s).any() or arrival_s[0] == -math.inf:
+        raise ValueError("arrival times must not be NaN or -inf")
     if np.any(np.diff(arrival_s) < 0):
         raise ValueError("arrival times must be non-decreasing")
     return images, arrival_s

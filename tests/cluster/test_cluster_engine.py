@@ -14,7 +14,8 @@ from repro.faults import (
     partition_window,
 )
 from repro.serving.arrivals import constant_arrivals, poisson_arrivals
-from repro.serving.classes import DEFAULT_CLASSES
+from repro.serving.batcher import MicroBatcher
+from repro.serving.classes import DEFAULT_CLASSES, RequestClass
 from repro.serving.priority import PriorityBatcher
 from repro.sim.records import RequestLog
 
@@ -68,6 +69,36 @@ class TestBasics:
             Cluster([SumBackend()], cache_capacity=-1)
         with pytest.raises(ValueError, match="cache_lookup_s"):
             Cluster([SumBackend()], cache_lookup_s=-1.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Cluster([SumBackend()], slo_s=np.nan),
+            lambda: Cluster([SumBackend()], cache_lookup_s=np.nan),
+            lambda: Cluster([SumBackend()], recover_warmup_s=np.nan),
+            lambda: Cluster([SumBackend()], max_wait_s=np.nan),
+            lambda: MicroBatcher(max_wait_s=np.nan),
+            lambda: PriorityBatcher(DEFAULT_CLASSES, max_wait_s=np.nan),
+            lambda: RequestClass("x", 0, deadline_s=np.nan, weight=1.0),
+            lambda: RequestClass("x", 0, deadline_s=0.1, weight=np.nan),
+            lambda: RequestClass("x", 0, deadline_s=0.1, weight=1.0, max_wait_s=np.nan),
+        ],
+        ids=[
+            "cluster-slo_s",
+            "cluster-cache_lookup_s",
+            "cluster-recover_warmup_s",
+            "cluster-max_wait_s",
+            "microbatcher-max_wait_s",
+            "prioritybatcher-max_wait_s",
+            "class-deadline_s",
+            "class-weight",
+            "class-max_wait_s",
+        ],
+    )
+    def test_nan_settings_rejected_at_construction(self, build):
+        """``x < 0`` and ``x <= 0`` are false for NaN, so these used to pass."""
+        with pytest.raises(ValueError):
+            build()
 
     def test_report_renders(self, images100):
         report = Cluster([SumBackend()]).serve(

@@ -1,5 +1,7 @@
 """Arrival-time and popularity generators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,40 @@ from repro.serving.arrivals import (
     bursty_arrivals,
     constant_arrivals,
     diurnal_arrivals,
+    diurnal_class_mix,
     flash_crowd_arrivals,
     poisson_arrivals,
     trace_arrivals,
     zipf_popularity,
 )
+
+
+#: One generator call per rate, period, phase or timestamp argument,
+#: with the argument under test left as ``x``.
+_NON_FINITE_CALLS = {
+    "poisson-rate": lambda x: poisson_arrivals(x, 3),
+    "constant-rate": lambda x: constant_arrivals(x, 3),
+    "bursty-base": lambda x: bursty_arrivals(x, x, 3),
+    "bursty-burst": lambda x: bursty_arrivals(10.0, x, 3),
+    "bursty-phase": lambda x: bursty_arrivals(10.0, 50.0, 3, mean_phase_s=x),
+    "diurnal-rate": lambda x: diurnal_arrivals(x, 3, period_s=1.0),
+    "diurnal-period": lambda x: diurnal_arrivals(10.0, 3, period_s=x),
+    "flash-base": lambda x: flash_crowd_arrivals(x, x, 3, 1.0, 1.0),
+    "flash-peak": lambda x: flash_crowd_arrivals(10.0, x, 3, 1.0, 1.0),
+    "flash-start": lambda x: flash_crowd_arrivals(10.0, 50.0, 3, x, 1.0),
+    "flash-duration": lambda x: flash_crowd_arrivals(10.0, 50.0, 3, 1.0, x),
+    "trace-timestamp": lambda x: trace_arrivals([0.0, x]),
+    "class-mix-period": lambda x: diurnal_class_mix([0.0, 1.0], x, [1, 1], [1, 1]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", _NON_FINITE_CALLS.values(), ids=_NON_FINITE_CALLS.keys())
+def test_non_finite_argument_rejected(call, bad):
+    """``x <= 0`` is false for NaN, so a NaN rate used to yield NaN
+    times, and an infinite rate a trace of zeros."""
+    with pytest.raises(ValueError, match="finite"):
+        call(bad)
 
 
 class TestPoissonArrivals:

@@ -35,6 +35,15 @@ class TestBatchTiming:
         with pytest.raises(ValueError):
             t.batch_service_s(2, -1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("field", ["overhead_s", "per_item_s", "gate_s", "per_hard_extra_s"])
+    def test_fields_must_be_finite_and_non_negative(self, field, bad):
+        """A negative per-item cost used to complete requests before
+        they arrived; NaN passed silently."""
+        fields = {"overhead_s": 0.01, "per_item_s": 0.002, field: bad}
+        with pytest.raises(ValueError, match=field):
+            BatchTiming(**fields)
+
 
 class TestEntropyRouter:
     def test_split_matches_model_gate(self, trained_pipeline):

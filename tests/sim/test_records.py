@@ -77,6 +77,22 @@ class TestTraceValidation:
         with pytest.raises(ValueError, match="non-decreasing"):
             validate_trace(np.zeros((2, 2, 2)), np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize(
+        "arrivals",
+        [[0.0, np.nan, 1.0], [np.nan], [-np.inf, 0.0, 1.0]],
+        ids=["nan-inside", "nan-only", "minus-inf-head"],
+    )
+    def test_rejects_nan_and_minus_inf(self, arrivals):
+        """NaN fails the order check's comparisons, so a NaN arrival
+        used to be served as if absent instead of rejected."""
+        with pytest.raises(ValueError, match="NaN or -inf"):
+            validate_trace(np.zeros(len(arrivals), dtype=np.int64), np.array(arrivals))
+
+    def test_plus_inf_stays_legal(self):
+        """An edge tier can forward a request behind an outage that never ends."""
+        _, arrivals = validate_trace(np.zeros(2, dtype=np.int64), [0.0, np.inf])
+        assert arrivals[-1] == np.inf
+
     def test_oracle_keys_are_sample_ids(self):
         assert request_keys(np.array([4, 2, 4]), oracle=True) == [4, 2, 4]
 

@@ -1,6 +1,6 @@
-"""The docs-check API gate: stale imports and keywords in example code."""
+"""The docs-check gates: stale imports, keywords and cross-references."""
 
-from check_docs import api_violations
+from check_docs import DOC_REFERENCE, ROLE_REFERENCE, api_violations, reference_violations
 
 
 def test_unknown_keyword_is_one_violation_naming_it():
@@ -20,3 +20,18 @@ def test_blocks_share_one_namespace():
     assert api_violations(blocks, "snippet") == []
     (violation,) = api_violations(blocks[:1] + ["FaultPlan(failures=())\n"], "snippet")
     assert "failures" in violation
+
+
+def test_stale_cross_references_are_flagged_with_their_line():
+    """A deleted module leaves dangling names in docs and docstrings."""
+    doc = "Live: `repro.cluster.Cluster.serve_log`.\nGone: `repro.cluster.failures`.\n"
+    (violation,) = reference_violations(doc, DOC_REFERENCE, "README.md")
+    assert violation.startswith("README.md:2:") and "repro.cluster.failures" in violation
+
+    docstring = (
+        ":class:`~repro.sim.OracleBackend`, :meth:`serve <repro.cluster.Cluster.serve>`,\n"
+        ":attr:`repro.cluster.replica.InFlightBatch.indices` (a dataclass field),\n"
+        ":class:`repro.cluster.failures.FailureEvent`, :meth:`relative_names_are_skipped`\n"
+    )
+    (violation,) = reference_violations(docstring, ROLE_REFERENCE, "mod.py")
+    assert violation.startswith("mod.py:3:") and "FailureEvent" in violation

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation health check (the `make docs-check` target).
 
-Four gates, all offline and fast:
+Five gates, all offline and fast:
 
 1. the documentation suite exists (README.md, the docs/ pages) and the
    registered example scripts exist and compile;
@@ -12,7 +12,12 @@ Four gates, all offline and fast:
    such a name is one of its parameters;
 4. docstring coverage: every public symbol (``__all__``) of every
    ``repro`` (sub)package that is a function or class carries a
-   docstring, as does every module.
+   docstring, as does every module;
+5. cross-references resolve: every backticked dotted ``repro.…`` name
+   in README.md and docs/*.md, and every ``repro.…`` target of a
+   ``:mod:``/``:func:``/``:class:``/``:meth:``/``:data:``/``:attr:``
+   role under src/, imports or resolves as an attribute.  Unqualified
+   role targets are relative to their module and are not checked.
 
 With ``--run``, the README python blocks are additionally *executed* in
 order in one shared namespace (later blocks use names from earlier
@@ -111,18 +116,30 @@ def check_readme_code_blocks(run: bool = False) -> list[str]:
     return errors
 
 
-def _resolve(module: str, name: str):
-    """``from module import name`` without executing the caller's code."""
-    try:
-        mod = importlib.import_module(module)
-    except ImportError:
-        return None
-    if hasattr(mod, name):
-        return getattr(mod, name)
-    try:
-        return importlib.import_module(f"{module}.{name}")
-    except ImportError:
-        return None
+_MISSING = object()
+
+
+def _lookup(dotted: str):
+    """What a dotted ``repro`` name denotes, or ``_MISSING``.
+
+    The longest importable prefix is the module and the rest an
+    attribute chain, in which a dataclass field without a class-level
+    default counts as an attribute.  Resolves ``from module import
+    name`` without executing the caller's code.
+    """
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            fields = getattr(obj, "__dataclass_fields__", {})
+            obj = getattr(obj, name, fields.get(name, _MISSING))
+            if obj is _MISSING:
+                break
+        return obj
+    return _MISSING
 
 
 def api_violations(blocks: list[str], where: str) -> list[str]:
@@ -148,8 +165,8 @@ def api_violations(blocks: list[str], where: str) -> list[str]:
             ):
                 continue
             for alias in node.names:
-                obj = _resolve(node.module, alias.name)
-                if obj is None:
+                obj = _lookup(f"{node.module}.{alias.name}")
+                if obj is _MISSING:
                     errors.append(
                         f"{where}: cannot import {alias.name!r} from {node.module}"
                     )
@@ -213,6 +230,37 @@ def check_docstrings() -> list[str]:
     return errors
 
 
+#: A backticked dotted name in Markdown: `repro.cluster.Cluster`.
+DOC_REFERENCE = re.compile(r"`(repro(?:\.\w+)+)`")
+#: A fully qualified docstring role target, with or without a title
+#: or a ``~``: :class:`~repro.sim.OracleBackend`, :meth:`serve <repro.…>`.
+ROLE_REFERENCE = re.compile(
+    r":(?:mod|func|class|meth|data|attr):`(?:[^`<]*<)?~?(repro(?:\.\w+)+)"
+)
+
+
+def reference_violations(text: str, pattern: re.Pattern, where: str) -> list[str]:
+    """The ``pattern`` matches in ``text`` whose dotted name does not resolve."""
+    return [
+        f"{where}:{text.count(chr(10), 0, m.start()) + 1}: "
+        f"`{m.group(1)}` does not resolve"
+        for m in pattern.finditer(text)
+        if _lookup(m.group(1)) is _MISSING
+    ]
+
+
+def check_cross_references() -> list[str]:
+    errors = []
+    for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        if path.exists():
+            rel = str(path.relative_to(REPO))
+            errors += reference_violations(path.read_text(), DOC_REFERENCE, rel)
+    for path in sorted((REPO / "src").rglob("*.py")):
+        rel = str(path.relative_to(REPO))
+        errors += reference_violations(path.read_text(), ROLE_REFERENCE, rel)
+    return errors
+
+
 def main() -> int:
     run = "--run" in sys.argv[1:]
     errors = (
@@ -220,6 +268,7 @@ def main() -> int:
         + check_readme_code_blocks(run=run)
         + check_api_usage()
         + check_docstrings()
+        + check_cross_references()
     )
     if errors:
         print(f"docs-check: {len(errors)} problem(s)")
