@@ -6,8 +6,10 @@
 #                     the load-signal recount-parity test (cached in-flight
 #                     counts vs re-summed batches; tests/cluster, no
 #                     training, seconds)
-#   make offload-smoke  offload-layer smoke: network links, partition
-#                     planner, policies, EdgeTier on toy models
+#   make offload-smoke  offload-layer smoke: network links and their
+#                     transports (a NetworkLink's private radio, the
+#                     session transport), partition planner, policies,
+#                     EdgeTier on toy models
 #   make sim-smoke    simulation-core smoke: oracle live-vs-table parity,
 #                     SoA records, the kernel's M/G/1 analytic oracles
 #                     and Lindley differential, vectorized arrival
@@ -53,6 +55,7 @@ fleet-smoke:
 
 offload-smoke:
 	$(PYTHON) -m pytest tests/offload tests/hw/test_network.py \
+	    tests/netsim/test_transport.py \
 	    tests/serving/test_router_edge_cases.py -q
 
 sim-smoke:

@@ -18,7 +18,8 @@ bottom-up:
 * :mod:`repro.netsim.shared` + :mod:`repro.netsim.transport` — one
   contended :class:`SharedLink` serializer per direction that every
   device's :class:`SessionTransport` reserves self-clocked flights on,
-  which is the whole fair-share contention model;
+  which is the whole fair-share contention model, and
+  :class:`LinkTransport`, a private radio behind the same surface;
 * :mod:`repro.netsim.fleet` — the heap-driven multi-device simulator
   that replays entire edge fleets (real
   :class:`~repro.offload.policies.OffloadPolicy` objects deciding per
@@ -55,7 +56,7 @@ from repro.netsim.session import (
     SessionConfig,
 )
 from repro.netsim.shared import SharedLink
-from repro.netsim.transport import SessionTransfer, SessionTransport
+from repro.netsim.transport import LinkTransport, SessionTransfer, SessionTransport
 
 __all__ = [
     "OUTAGE",
@@ -78,6 +79,7 @@ __all__ = [
     "SharedLink",
     "SessionTransfer",
     "SessionTransport",
+    "LinkTransport",
     "FleetDevice",
     "DeviceStats",
     "FleetNetReport",

@@ -340,7 +340,7 @@ def run_fleet_net(
         schedule_next(st, dev_id)
 
     def handle_down(st: _DeviceState, dev_id: int, req: int, now: float) -> None:
-        arrival = st.transport.send_down(st.spec.down_bytes, now)
+        _, arrival, _ = st.transport.send_down(st.spec.down_bytes, now)
         completion_s[req] = arrival
         delivered_count[req] += 1
 

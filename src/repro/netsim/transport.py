@@ -1,4 +1,4 @@
-"""Session transport: AIMD-paced, session-riding transfers on a shared link.
+"""Transports: session-riding transfers on a shared link, or a private radio.
 
 This is where the three netsim pieces meet the data path.  A
 :class:`SessionTransport` owns one device's
@@ -28,6 +28,11 @@ which makes retransmit amplification *hard-bounded* by
 flight lost, throws the session back to CLOSED, and the transfer
 resumes after renegotiation — under whatever MTU the new conf-ack
 lands, so mid-flight renegotiation genuinely re-segments the payload.
+
+:class:`LinkTransport` puts a :class:`~repro.hw.network.NetworkLink`'s
+private radio behind the same ``estimate_s``/``estimate_down_s``/
+``send``/``send_down`` calls: no session, no window, and whole-payload
+retries sampled by the link's ``transfer``.
 """
 
 from __future__ import annotations
@@ -35,17 +40,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.hw.network import NetworkLink
 from repro.netsim.congestion import AIMDConfig, AIMDController
 from repro.netsim.session import ESTABLISHED, LinkSession, SessionConfig
 from repro.netsim.shared import SharedLink
 from repro.utils.rng import as_generator
 
-__all__ = ["SessionTransfer", "SessionTransport"]
+__all__ = ["LinkTransport", "SessionTransfer", "SessionTransport"]
 
 
 @dataclass(frozen=True)
 class SessionTransfer:
-    """Outcome of one session-riding uplink transfer.
+    """Outcome of one uplink transfer over either transport.
 
     ``sent_bytes`` counts every byte that occupied the serializer
     (originals + retransmits); :attr:`amplification` is its ratio to
@@ -53,7 +59,8 @@ class SessionTransfer:
     ``handshakes`` counts session (re)establishments the transfer paid
     for, ``flap_resumes`` how many of those were forced by carrier
     drops mid-flight.  ``delivered_s`` is when the last segment reaches
-    the far side; ``ack_s`` when the sender learns of it.
+    the far side; ``ack_s`` when the sender learns of it — on a
+    :class:`LinkTransport`, when the private radio frees.
     """
 
     n_bytes: int
@@ -274,19 +281,19 @@ class SessionTransport:
                 return self.result
             now = t_next
 
-    def send_down(self, n_bytes: int, time_s: float) -> float:
-        """Deliver a cloud→edge payload; return its arrival instant.
+    def send_down(self, n_bytes: int, time_s: float) -> tuple[float, float, int]:
+        """Deliver a cloud→edge payload: ``(start_s, arrival_s, retransmits)``.
 
         The downlink is the fat direction in every preset, so it stays
         a plain serializer reservation (congestion control models the
-        contended *uplink*): one reservation plus half an RTT and
-        sampled jitter.
+        contended *uplink*): one reservation, starting after any outage,
+        plus half an RTT and sampled jitter, with no retransmits.
         """
-        _, end = self.link.reserve(n_bytes, time_s, "down")
+        start, end = self.link.reserve(n_bytes, time_s, "down")
         arrival = end + self.link.rtt_s / 2.0
         if self.link.jitter_s > 0.0:
             arrival += float(self.rng.exponential(self.link.jitter_s))
-        return arrival
+        return start, arrival, 0
 
     # ------------------------------------------------------------------ #
     # deterministic planning estimate
@@ -328,3 +335,64 @@ class SessionTransport:
             + link.rtt_s / 2.0
             + link.jitter_s
         )
+
+
+class LinkTransport:
+    """A :class:`~repro.hw.network.NetworkLink`'s private radio.
+
+    The degenerate transport: one FIFO horizon per direction, starts
+    deferred past the link's declared outages, and retries and jitter
+    sampled by :meth:`~repro.hw.network.NetworkLink.transfer` from
+    ``rng``.  Estimates are the link's planning view plus the wait.
+    """
+
+    def __init__(self, link: NetworkLink, rng=None) -> None:
+        self.link = link
+        self.rng = as_generator(rng)
+        self.up_free_s = 0.0
+        self.down_free_s = 0.0
+
+    def send(self, n_bytes: int, time_s: float) -> SessionTransfer:
+        """Queue one payload on the radio: one segment sent ``attempts`` times.
+
+        ``start_s`` is the first on-air instant, ``ack_s`` when the
+        radio frees, ``delivered_s`` that plus propagation and jitter.
+        """
+        link = self.link
+        start = link.next_available(max(time_s, self.up_free_s))
+        transfer = link.transfer(n_bytes, time_s=start, rng=self.rng)
+        self.up_free_s = start + transfer.occupancy_s
+        retries = transfer.attempts - 1
+        return SessionTransfer(
+            n_bytes=int(n_bytes),
+            n_segments=1,
+            sent_bytes=transfer.attempts * int(n_bytes),
+            retx_bytes=retries * int(n_bytes),
+            retx_segments=retries,
+            flights=transfer.attempts,
+            timeouts=retries,
+            handshakes=0,
+            flap_resumes=0,
+            start_s=start,
+            delivered_s=self.up_free_s + transfer.propagation_s,
+            ack_s=self.up_free_s,
+            tx_s=transfer.tx_s,
+        )
+
+    def send_down(self, n_bytes: int, time_s: float) -> tuple[float, float, int]:
+        """Deliver a cloud→edge payload: ``(start_s, arrival_s, retransmits)``."""
+        link = self.link
+        start = link.next_available(max(time_s, self.down_free_s))
+        transfer = link.transfer(n_bytes, time_s=start, rng=self.rng, direction="down")
+        self.down_free_s = start + transfer.occupancy_s
+        return start, self.down_free_s + transfer.propagation_s, transfer.attempts - 1
+
+    def estimate_s(self, n_bytes: int, time_s: float) -> float:
+        """Expected uplink delivery time from ``time_s``, waiting as :meth:`send` would."""
+        link = self.link
+        wait = link.next_available(max(time_s, self.up_free_s)) - time_s
+        return wait + link.expected_one_way_s(n_bytes, time_s=time_s)
+
+    def estimate_down_s(self, n_bytes: int, time_s: float) -> float:
+        """Expected downlink delivery time from ``time_s`` (no sampling)."""
+        return self.link.expected_one_way_s(n_bytes, time_s=time_s, direction="down")

@@ -3,9 +3,9 @@
 :class:`EdgeTier` fronts a cloud serving tier — a single
 :class:`~repro.serving.engine.Server` or a whole
 :class:`~repro.cluster.engine.Cluster` fleet (anything exposing
-``serve_log``) — with one weak edge device behind a
-:class:`~repro.hw.network.NetworkLink`.  It replays an arrival trace on
-the shared virtual clock:
+``serve_log``) — with one weak edge device behind a private
+:class:`~repro.hw.network.NetworkLink` or a session transport.  It
+replays an arrival trace on the shared virtual clock:
 
 1. the edge runs the BranchyNet stem + branch gate (one FIFO compute
    queue, calibrated per-device latency), unless the policy is
@@ -42,6 +42,7 @@ from repro.hw.energy import energy_joules
 from repro.hw.flops import stage_cost
 from repro.hw.latency import branchynet_expected_latency
 from repro.hw.network import NetworkLink
+from repro.netsim.transport import LinkTransport, SessionTransport
 from repro.obs.prof import current_profiler
 from repro.obs.spans import (
     SPAN_CLOUD,
@@ -165,7 +166,7 @@ class OffloadReport:
     edge_energy_j: float
     radio_energy_j: float
     n_retransmits: int = 0  # lossy-link re-sends, uplink + downlink combined
-    n_sessions: int = 0  # netsim transport: sessions established (0 = legacy link)
+    n_sessions: int = 0  # netsim transport: sessions established (0 on a NetworkLink)
     n_renegotiations: int = 0  # netsim transport: conf-nak'd option rounds
     n_flap_drops: int = 0  # netsim transport: carrier drops forcing re-establishment
     accuracy: float = float("nan")
@@ -277,8 +278,14 @@ class EdgeTier:
         Calibrated edge :class:`~repro.hw.device.DeviceProfile` (one
         FIFO compute queue).
     link:
-        The :class:`~repro.hw.network.NetworkLink` between tiers; uplink
-        serialization occupies the radio, so offloads queue on it.
+        The network path between tiers: a
+        :class:`~repro.hw.network.NetworkLink`, the device's private
+        radio (offloads queue on it; every ``serve`` starts it idle), or
+        a :class:`~repro.netsim.transport.SessionTransport`, whose
+        offloads ride AIMD-paced flights over its shared link, whose
+        deadline estimates read live congestion state, and whose
+        session counters reach the report.  Devices contending for one
+        link are :func:`~repro.netsim.fleet.run_fleet_net`'s job.
     cloud:
         The cloud tier: a :class:`~repro.serving.engine.Server` or
         :class:`~repro.cluster.engine.Cluster` (anything with
@@ -303,8 +310,8 @@ class EdgeTier:
         inference, cloud, report).  ``None`` falls back to the
         process-global profiler (``REPRO_PROF=1``), else off.
     rng:
-        Seed/generator for link loss and jitter sampling (deterministic
-        replays).
+        Seed/generator for a ``NetworkLink``'s loss and jitter sampling
+        (a ``SessionTransport`` samples from its own stream).
     cloud_est_s:
         Expected cloud service time for the deadline policy's remote
         estimate; inferred from the cloud tier's backend when omitted.
@@ -316,23 +323,13 @@ class EdgeTier:
         oracle-wrapped — see :func:`cloud_server_for`) serves the same
         ids.  All virtual-clock quantities stay identical to the live
         path.
-    transport:
-        Optional :class:`~repro.netsim.transport.SessionTransport`.
-        When given, every offload rides its connection session over the
-        transport's :class:`~repro.netsim.shared.SharedLink`: uplinks
-        become AIMD-paced flights (throughput emerges from loss),
-        deadline estimates come from the transport's live congestion
-        state, downlinks reserve the shared serializer, and the report
-        gains session counters.  ``link`` may then be ``None`` (the
-        transport's shared link provides name/RTT/radio power); other
-        edge tiers handed the *same* transport's link contend for it.
     """
 
     def __init__(
         self,
         branchynet,
         edge_device: DeviceProfile,
-        link: NetworkLink | None,
+        link: NetworkLink | SessionTransport,
         cloud,
         policy: OffloadPolicy,
         codec: TensorCodec | None = None,
@@ -341,7 +338,6 @@ class EdgeTier:
         oracle=None,
         obs=None,
         prof=None,
-        transport=None,
     ) -> None:
         if not hasattr(cloud, "serve_log"):
             raise TypeError(
@@ -355,14 +351,11 @@ class EdgeTier:
                 "backend must be oracle-wrapped too — build it via "
                 "cloud_server_for(..., oracle=...)"
             )
-        if link is None and transport is None:
+        if not isinstance(link, (NetworkLink, SessionTransport)):
             raise TypeError("EdgeTier needs a NetworkLink or a SessionTransport")
         self.branchynet = branchynet
         self.edge_device = edge_device
-        self.transport = transport
-        # In transport mode the shared link provides the name / RTT /
-        # radio-power surface the reporting path reads.
-        self.link = link if link is not None else transport.link
+        self.link = link
         self.cloud = cloud
         self.policy = policy
         self.codec = codec or TensorCodec()
@@ -391,6 +384,12 @@ class EdgeTier:
             return min(r.backend.mean_service_s() for r in replicas)
         return 0.0
 
+    def _transport(self) -> LinkTransport | SessionTransport:
+        """One ``serve`` call's transport: a fresh idle radio, or the session."""
+        if isinstance(self.link, NetworkLink):
+            return LinkTransport(self.link, rng=self.rng)
+        return self.link
+
     # ------------------------------------------------------------------ #
     # serving loop
     # ------------------------------------------------------------------ #
@@ -417,6 +416,7 @@ class EdgeTier:
         if prof is not None:
             prof.start("serve")
             prof.start("warmup")
+        transport = self._transport()
         threshold = float(self.branchynet.entropy_threshold)
         if not self.policy.runs_gate:
             entropies = np.full(n, np.nan, dtype=np.float64)
@@ -450,7 +450,6 @@ class EdgeTier:
         cloud_part = np.full(n, np.nan)  # cloud sojourn, offloaded only
 
         edge_free = 0.0
-        uplink_free = 0.0
         edge_busy = 0.0
         radio_busy = 0.0
         uplink_bytes_total = 0
@@ -475,27 +474,15 @@ class EdgeTier:
                 ready = arrival
             easy = bool(entropies[i] < threshold) if self.policy.runs_gate else False
             est_local = (ready - arrival) + (0.0 if easy else self.trunk_extra_s)
-            # Link legs are estimated at decision time, so trace-driven
-            # bandwidth degradation reaches the deadline policy directly
-            # instead of only via an already-built uplink backlog.  In
-            # transport mode the estimate reads *live* congestion state
-            # (AIMD window, session FSM, shared-serializer backlog), so
-            # it collapses exactly when the link does.
-            if self.transport is not None:
-                est_remote = (
-                    (ready - arrival)
-                    + self.transport.estimate_s(up_bytes, ready)
-                    + self.cloud_est_s
-                    + self.transport.estimate_down_s(down_bytes, ready)
-                )
-            else:
-                est_remote = (
-                    (ready - arrival)
-                    + max(0.0, uplink_free - ready)
-                    + self.link.expected_one_way_s(up_bytes, time_s=ready)
-                    + self.cloud_est_s
-                    + self.link.expected_one_way_s(down_bytes, time_s=ready, direction="down")
-                )
+            # Link legs are estimated at decision time from the
+            # transport's live state, so degradation and outages reach
+            # the deadline policy before an uplink backlog builds.
+            est_remote = (
+                (ready - arrival)
+                + transport.estimate_s(up_bytes, ready)
+                + self.cloud_est_s
+                + transport.estimate_down_s(down_bytes, ready)
+            )
             ctx = OffloadContext(
                 entropy=float(entropies[i]),
                 easy=easy,
@@ -515,60 +502,28 @@ class EdgeTier:
                     edge_busy += self.trunk_extra_s
                     edge_part[i] += self.trunk_extra_s
                 continue
-            # Offload: serialization occupies the radio; retries and
-            # jitter are sampled (seed-deterministic).
+            # Offload: the transport queues the payload on the uplink,
+            # defers it past outages, and samples loss and jitter
+            # (seed-deterministic) under a bounded retransmit budget.
             outcome[i] = _OFFLOADED
             edge_part[i] = ready - arrival
-            # A declared link outage defers the start (the radio waits it
-            # out); retransmits within a transfer are bounded by the
-            # link's max_attempts budget and surfaced in the report.
             if prof is not None:
                 prof.start("network")
-            if self.transport is not None:
-                # Session-riding uplink: the payload travels as AIMD
-                # flights over the shared serializer; handshakes, flaps,
-                # and outages are the transport's problem.
-                result = self.transport.send(up_bytes, ready)
-                if debug and (result.retx_segments or result.handshakes > 1):
-                    logger.debug(
-                        "uplink session: request %d delivered after %d flights "
-                        "(%d retx segments, %d handshakes)",
-                        i, result.flights, result.retx_segments, result.handshakes,
-                    )
-                # The radio is held until the final ack returns.
-                uplink_free = result.ack_s
-                radio_busy += result.tx_s
-                uplink_bytes_total += up_bytes
-                n_retransmits += result.retx_segments
-                cloud_arrival = result.delivered_s
-                if obs is not None:
-                    obs.on_leg(SPAN_UPLINK, i, result.start_s, cloud_arrival)
-                if prof is not None:
-                    prof.stop()  # network
-                ship.append((i, ready, cloud_arrival))
-                continue
-            wanted = max(ready, uplink_free)
-            tx_start = self.link.next_available(wanted)
-            if debug and tx_start > wanted:
+            result = transport.send(up_bytes, ready)
+            if debug and (result.retx_segments or result.handshakes > 1):
                 logger.debug(
-                    "uplink outage: request %d deferred %.6fs -> %.6fs",
-                    i, wanted, tx_start,
+                    "uplink: request %d delivered after %d flights "
+                    "(%d retx segments, %d handshakes)",
+                    i, result.flights, result.retx_segments, result.handshakes,
                 )
-            transfer = self.link.transfer(up_bytes, time_s=tx_start, rng=self.rng)
-            if debug and transfer.attempts > 1:
-                logger.debug(
-                    "uplink fallback: request %d delivered after %d attempts",
-                    i, transfer.attempts,
-                )
-            uplink_free = tx_start + transfer.occupancy_s
-            # Radio energy covers serialization attempts only — the
-            # retransmit-timeout gaps inside occupancy_s are idle air.
-            radio_busy += transfer.tx_s
+            # Radio energy covers serialization only — retransmit
+            # timeouts and ack waits are idle air.
+            radio_busy += result.tx_s
             uplink_bytes_total += up_bytes
-            n_retransmits += transfer.attempts - 1
-            cloud_arrival = uplink_free + transfer.propagation_s
+            n_retransmits += result.retx_segments
+            cloud_arrival = result.delivered_s
             if obs is not None:
-                obs.on_leg(SPAN_UPLINK, i, tx_start, cloud_arrival)
+                obs.on_leg(SPAN_UPLINK, i, result.start_s, cloud_arrival)
             if prof is not None:
                 prof.stop()  # network
             ship.append((i, ready, cloud_arrival))
@@ -581,7 +536,8 @@ class EdgeTier:
             prof.stop()  # inference
             prof.start("cloud")
         cloud_report, down_retransmits = self._run_cloud(
-            images, ship, down_bytes, completion, predictions, net_part, cloud_part, scenario
+            images, transport, ship, down_bytes, completion, predictions, net_part,
+            cloud_part, scenario,
         )
         n_retransmits += down_retransmits
         if prof is not None:
@@ -594,6 +550,7 @@ class EdgeTier:
         if obs is not None:
             obs.finalize_arrays(arrival_s, completion)
         report = self._report(
+            transport,
             arrival_s,
             completion,
             outcome,
@@ -628,7 +585,8 @@ class EdgeTier:
         predictions[hard_idx] = result.predictions
 
     def _run_cloud(
-        self, images, ship, down_bytes, completion, predictions, net_part, cloud_part, scenario
+        self, images, transport, ship, down_bytes, completion, predictions, net_part,
+        cloud_part, scenario,
     ):
         """Ship payloads, serve them upstream, ride the downlink back."""
         if not ship:
@@ -663,42 +621,14 @@ class EdgeTier:
             if np.isfinite(cloud_done_s[pos])
         ]
         finished.sort()
-        downlink_free = 0.0
         n_retransmits = 0
         obs = self.obs
         debug = logger.isEnabledFor(10)  # logging.DEBUG
         for cloud_done, pos, req_id in finished:
-            if self.transport is not None:
-                # Responses reserve the shared downlink serializer.
-                tx_start = max(cloud_done, self.transport.link.free_at("down"))
-                done = self.transport.send_down(down_bytes, cloud_done)
-                downlink_free = self.transport.link.free_at("down")
-                completion[req_id] = done
-                predictions[req_id] = cloud_log.prediction[pos]
-                cloud_part[req_id] = cloud_done - cloud_arrival[pos]
-                net_part[req_id] = (cloud_arrival[pos] - ready_s[pos]) + (done - cloud_done)
-                if obs is not None:
-                    obs.on_leg(SPAN_CLOUD, req_id, float(cloud_arrival[pos]), float(cloud_done))
-                    obs.on_leg(SPAN_DOWNLINK, req_id, tx_start, done)
-                continue
-            wanted = max(cloud_done, downlink_free)
-            tx_start = self.link.next_available(wanted)
-            if debug and tx_start > wanted:
-                logger.debug(
-                    "downlink outage: request %d deferred %.6fs -> %.6fs",
-                    req_id, wanted, tx_start,
-                )
-            transfer = self.link.transfer(
-                down_bytes, time_s=tx_start, rng=self.rng, direction="down"
-            )
-            if debug and transfer.attempts > 1:
-                logger.debug(
-                    "downlink fallback: request %d delivered after %d attempts",
-                    req_id, transfer.attempts,
-                )
-            downlink_free = tx_start + transfer.occupancy_s
-            n_retransmits += transfer.attempts - 1
-            done = downlink_free + transfer.propagation_s
+            tx_start, done, retx = transport.send_down(down_bytes, cloud_done)
+            if debug and retx:
+                logger.debug("downlink: request %d delivered after %d retransmits", req_id, retx)
+            n_retransmits += retx
             completion[req_id] = done
             predictions[req_id] = cloud_log.prediction[pos]
             cloud_part[req_id] = cloud_done - cloud_arrival[pos]
@@ -725,6 +655,7 @@ class EdgeTier:
     # ------------------------------------------------------------------ #
     def _report(
         self,
+        transport,
         arrival_s,
         completion,
         outcome,
@@ -755,15 +686,11 @@ class EdgeTier:
         span = float(arrival_s[-1] - arrival_s[0])
         n = len(arrival_s)
         offloaded = outcome == _OFFLOADED
-        n_sessions = n_renegotiations = n_flap_drops = 0
-        if self.transport is not None:
-            sess = self.transport.session
-            n_sessions = sess.n_established
-            n_renegotiations = sess.n_naks
-            n_flap_drops = sess.n_carrier_drops
+        # A private radio has no session to count.
+        sess = transport.session if isinstance(transport, SessionTransport) else None
         return OffloadReport(
             policy=self.policy.name,
-            link=self.link.name,
+            link=transport.link.name,
             codec=self.codec.dtype,
             scenario=scenario,
             n_requests=n,
@@ -795,11 +722,11 @@ class EdgeTier:
             ),
             edge_utilization=edge_busy / makespan if makespan > 0 else 0.0,
             edge_energy_j=energy_joules(self.edge_device, edge_busy),
-            radio_energy_j=self.link.tx_power_w * radio_busy,
+            radio_energy_j=transport.link.tx_power_w * radio_busy,
             n_retransmits=int(n_retransmits),
-            n_sessions=n_sessions,
-            n_renegotiations=n_renegotiations,
-            n_flap_drops=n_flap_drops,
+            n_sessions=sess.n_established if sess else 0,
+            n_renegotiations=sess.n_naks if sess else 0,
+            n_flap_drops=sess.n_carrier_drops if sess else 0,
             accuracy=accuracy,
             cloud_report=cloud_report,
         )

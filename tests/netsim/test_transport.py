@@ -1,15 +1,18 @@
-"""Session transport: AIMD-paced flights, the hard retransmit bound,
-mid-flight renegotiation, and deterministic replay."""
+"""Transports: the session's AIMD-paced flights, the hard retransmit
+bound, mid-flight renegotiation and deterministic replay; and the
+private radio of a ``NetworkLink``."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from repro.hw.network import lte
+from repro.hw.network import NetworkLink, lte
 from repro.netsim import (
     AIMDConfig,
     ESTABLISHED,
     LinkFaultPlan,
+    LinkTransport,
     SessionTransport,
     SharedLink,
     degradation_window,
@@ -171,10 +174,66 @@ class TestDeterminismAndEstimates:
     def test_send_down_rides_the_downlink_serializer(self):
         link = _clean_link()
         tr = SessionTransport(link, rng=0)
-        arrival = tr.send_down(40_000, 0.0)
+        _, arrival, _ = tr.send_down(40_000, 0.0)
         ser = link.serialization_s(40_000, 0.0, "down")
         assert arrival == pytest.approx(ser + link.rtt_s / 2)
         assert link.free_at("down") == pytest.approx(ser)
-        assert tr.estimate_down_s(40_000, 0.0) == pytest.approx(
-            tr.estimate_down_s(40_000, 0.0)
+        # The reserved response is the backlog, then one serialization
+        # and half an RTT.
+        assert tr.estimate_down_s(40_000, 0.0) == pytest.approx(2 * ser + link.rtt_s / 2)
+
+
+def _radio(**kwargs):
+    return NetworkLink(
+        name="radio", uplink_mbps=8.0, downlink_mbps=16.0, rtt_s=0.02, **kwargs
+    )
+
+
+class TestLinkTransport:
+    def test_send_is_one_segment_sent_once_per_attempt(self):
+        link = _radio(jitter_s=0.004, loss_rate=0.5, retry_backoff_mult=2.0)
+        for seed in range(8):
+            transfer = link.transfer(4_000, time_s=0.0, rng=np.random.default_rng(seed))
+            result = LinkTransport(link, rng=seed).send(4_000, 0.0)
+            retries = transfer.attempts - 1
+            assert (result.n_segments, result.flights, result.handshakes) == (
+                1, transfer.attempts, 0
+            )
+            assert result.retx_segments == retries
+            assert result.sent_bytes == transfer.attempts * 4_000
+            assert result.amplification == transfer.attempts
+            assert result.start_s == 0.0
+            assert result.ack_s == transfer.occupancy_s  # the radio frees
+            assert result.delivered_s == transfer.occupancy_s + transfer.propagation_s
+            assert result.tx_s == transfer.tx_s
+
+    def test_radio_queues_and_waits_out_outages(self):
+        link = _radio(outages=((1.0, 2.0),))
+        tr = LinkTransport(link)
+        first = tr.send(10_000, 0.0)
+        second = tr.send(10_000, 0.0)
+        assert second.start_s == first.ack_s  # FIFO behind the first payload
+        assert tr.send(10_000, 1.5).start_s == 2.0
+        start, arrival, retransmits = tr.send_down(10_000, 1.2)
+        assert start == 2.0 and retransmits == 0
+        assert arrival == pytest.approx(
+            2.0 + link.serialization_s(10_000, direction="down") + link.rtt_s / 2
         )
+
+    def test_estimate_waits_out_a_declared_outage(self):
+        """Inside a window the estimate includes the wait the send will pay."""
+        link = _radio(outages=((1.0, 2.0),))
+        tr = LinkTransport(link)
+        estimate = tr.estimate_s(6_000, 1.5)
+        assert estimate == pytest.approx(0.5 + link.expected_one_way_s(6_000, time_s=1.5))
+        # Lossless and jitter-free, the estimate is exact.
+        assert tr.send(6_000, 1.5).delivered_s == pytest.approx(1.5 + estimate)
+
+    def test_estimate_is_backlog_plus_the_planning_view(self):
+        link = _radio(loss_rate=0.1, jitter_s=0.002)
+        tr = LinkTransport(link, rng=0)
+        assert tr.estimate_s(6_000, 0.0) == link.expected_one_way_s(6_000)
+        tr.send(60_000, 0.0)
+        backlog = tr.up_free_s - 0.01
+        assert tr.estimate_s(6_000, 0.01) == backlog + link.expected_one_way_s(6_000, 0.01)
+        assert tr.estimate_down_s(40, 0.01) == link.expected_one_way_s(40, 0.01, "down")

@@ -252,6 +252,19 @@ class TestCodecsAndDegradation:
         assert report.n_local_hard > 0
         assert report.p99_s < gated.p99_s
 
+    def test_deadline_policy_does_not_ship_into_a_declared_outage(self, branchy, stream):
+        """The remote estimate includes the outage wait the uplink will
+        pay, so no hard request is shipped into the window to sit it out."""
+        images, _, _ = stream
+        arrival_s = poisson_arrivals(100.0, len(images), rng=1)
+        cut = NetworkLink(
+            name="cut", uplink_mbps=20.0, downlink_mbps=20.0, rtt_s=0.01,
+            outages=((0.5, 1.5),),
+        )
+        report = _tier(branchy, DeadlineAware(0.1), link=cut).serve(images, arrival_s)
+        assert report.n_offloaded > 0 and report.n_local_hard > 0
+        assert report.max_s < 0.5
+
     def test_report_renders(self, branchy, stream):
         images, arrival_s, labels = stream
         report = _tier(branchy, EntropyGated()).serve(images, arrival_s, labels=labels)

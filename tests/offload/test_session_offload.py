@@ -1,6 +1,7 @@
-"""EdgeTier in transport mode: session-riding offload over a shared
-link — bandwidth collapse mid-transfer, mid-flight renegotiation, and
-oracle/--live parity on storming links."""
+"""EdgeTier on a session transport: session-riding offload over a shared
+link — bandwidth collapse mid-transfer, mid-flight renegotiation,
+oracle/--live parity on storming links, traced legs on both transports,
+and parity with a one-device ``run_fleet_net``."""
 
 from __future__ import annotations
 
@@ -10,20 +11,29 @@ import math
 import numpy as np
 import pytest
 
+from repro.eval.metrics import latency_percentiles
 from repro.hw.devices import gci_cpu, raspberry_pi4
-from repro.hw.network import BandwidthTrace, wifi
+from repro.hw.network import BandwidthTrace, lte, wifi
 from repro.models.branchynet import BranchyLeNet
 from repro.netsim import (
     AIMDConfig,
+    FleetDevice,
     LinkFaultPlan,
     SessionTransport,
     SharedLink,
     flap_at,
+    link_storm,
+    outage_window,
+    run_fleet_net,
 )
+from repro.netsim.fleet import LOCAL_EASY, LOCAL_HARD
+from repro.obs.observer import Observer
+from repro.obs.spans import SPAN_CLOUD, SPAN_DOWNLINK, SPAN_REQUEST, SPAN_UPLINK
 from repro.offload.engine import EdgeTier, cloud_server_for
-from repro.offload.policies import DeadlineAware, EntropyGated
+from repro.offload.policies import AlwaysRemote, DeadlineAware, EntropyGated
 from repro.serving.arrivals import poisson_arrivals
 from repro.sim import offload_oracle
+from repro.utils.rng import as_generator, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -49,20 +59,23 @@ def _transport(faults=None, degradation=None, seed=5, init_cwnd=16):
     return SessionTransport(link, rng=seed, aimd=AIMDConfig(init_cwnd=init_cwnd))
 
 
+def _same_fields(a, b) -> None:
+    """Two reports agree field for field, NaN equal to NaN."""
+    for f in dataclasses.fields(a):
+        if f.name == "cloud_report":
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, float) and math.isnan(x):
+            assert isinstance(y, float) and math.isnan(y), f.name
+        else:
+            assert x == y, f"{f.name}: {x!r} != {y!r}"
+
+
 def _tier(branchy, policy, transport, **kwargs):
     cloud = cloud_server_for(
         policy, branchy, gci_cpu(), max_batch_size=8, max_wait_s=0.002
     )
-    return EdgeTier(
-        branchy,
-        raspberry_pi4(),
-        None,
-        cloud,
-        policy,
-        rng=3,
-        transport=transport,
-        **kwargs,
-    )
+    return EdgeTier(branchy, raspberry_pi4(), transport, cloud, policy, rng=3, **kwargs)
 
 
 class TestTransportMode:
@@ -149,35 +162,158 @@ class TestOracleLiveParity:
                 tier = EdgeTier(
                     branchy,
                     raspberry_pi4(),
-                    None,
+                    transport,
                     cloud,
                     policy,
                     oracle=oracle,
                     rng=9,
-                    transport=transport,
                 )
                 return tier.serve(ids, arrival_s, labels=labels)
             cloud = cloud_server_for(policy, branchy, gci_cpu(), **cloud_kwargs)
-            tier = EdgeTier(
-                branchy,
-                raspberry_pi4(),
-                None,
-                cloud,
-                policy,
-                rng=9,
-                transport=transport,
-            )
+            tier = EdgeTier(branchy, raspberry_pi4(), transport, cloud, policy, rng=9)
             return tier.serve(images, arrival_s, labels=labels)
 
         live = run(None)
         orc = run(offload_oracle(branchy, images))
-        for f in dataclasses.fields(live):
-            if f.name == "cloud_report":
-                continue
-            a, b = getattr(live, f.name), getattr(orc, f.name)
-            if isinstance(a, float) and math.isnan(a):
-                assert isinstance(b, float) and math.isnan(b), f.name
-            else:
-                assert a == b, f"{f.name}: live={a!r} oracle={b!r}"
+        _same_fields(live, orc)
         assert live.n_sessions == orc.n_sessions
         assert live.n_flap_drops == orc.n_flap_drops
+
+
+class TestTracedLegs:
+    @pytest.mark.parametrize("kind", ["network-link", "session"])
+    def test_legs_tile_each_offload_and_skip_outages(self, branchy, stream, kind):
+        """Tracing changes no number, and each offload's three legs chain
+        from the uplink to the answer without starting inside an outage."""
+        images, _, _ = stream
+        # At 120 req/s a session's response lands just after the outage
+        # begins (request 26, cloud done at 0.2515 s).
+        arrival_s = poisson_arrivals(120.0, len(images), rng=1)
+        policy = AlwaysRemote()
+
+        def run(obs):
+            if kind == "network-link":
+                link = dataclasses.replace(wifi(), outages=((0.25, 0.35),))
+                windows = link.outages
+            else:
+                plan = LinkFaultPlan(faults=(outage_window(0.25, 0.1),))
+                shared = SharedLink.from_network_link(wifi(), faults=plan)
+                link = SessionTransport(shared, rng=5)
+                windows = plan.outages
+            cloud = cloud_server_for(
+                policy, branchy, gci_cpu(), max_batch_size=8, max_wait_s=0.002
+            )
+            tier = EdgeTier(branchy, raspberry_pi4(), link, cloud, policy, rng=3, obs=obs)
+            return tier.serve(images, arrival_s), windows
+
+        obs = Observer()
+        (traced, windows), (plain, _) = run(obs), run(None)
+        _same_fields(traced, plain)
+
+        spans = obs.spans
+        legs = {}
+        for span_kind in (SPAN_REQUEST, SPAN_UPLINK, SPAN_CLOUD, SPAN_DOWNLINK):
+            rows = np.flatnonzero(spans.kind == span_kind)
+            order = rows[np.argsort(spans.req[rows], kind="stable")]
+            legs[span_kind] = order
+        assert plain.n_offloaded == plain.n_requests  # AlwaysRemote
+        offloaded = np.arange(plain.n_requests)
+        for span_kind in (SPAN_UPLINK, SPAN_CLOUD, SPAN_DOWNLINK):
+            # Exactly one leg of each kind per offloaded request.
+            np.testing.assert_array_equal(spans.req[legs[span_kind]], offloaded)
+        up, cloud, down, request = (
+            legs[SPAN_UPLINK], legs[SPAN_CLOUD], legs[SPAN_DOWNLINK], legs[SPAN_REQUEST]
+        )
+        np.testing.assert_array_equal(spans.end_s[up], spans.start_s[cloud])
+        assert np.all(spans.end_s[cloud] <= spans.start_s[down])
+        np.testing.assert_array_equal(spans.end_s[down], spans.end_s[request])
+        for start in spans.start_s[down]:
+            assert not any(lo <= start < hi for lo, hi in windows), start
+
+
+#: (seed, preset, storm, policy) cells where every request completes
+#: before the next arrives — the precondition, and the only criterion
+#: the seeds were picked by.
+_PARITY_CELLS = [
+    (0, wifi, False, EntropyGated()),
+    (0, wifi, False, DeadlineAware(0.25)),
+    (1, wifi, True, EntropyGated()),
+    (4, wifi, True, DeadlineAware(0.25)),
+    (5, wifi, True, DeadlineAware(0.12)),
+    (1, lte, False, DeadlineAware(0.12)),
+    (3, lte, True, DeadlineAware(0.12)),
+]
+
+
+class TestFleetParity:
+    """One device on ``EdgeTier`` and on ``run_fleet_net`` is one model."""
+
+    @pytest.fixture(scope="class")
+    def two_image_oracle(self, branchy, stream):
+        images, _, _ = stream
+        entropy = branchy.branch_entropies(images)
+        # Pool id 0 exits at the branch; pool id 1 is flagged hard.
+        pool = images[[int(np.argmin(entropy)), int(np.argmax(entropy))]]
+        return offload_oracle(branchy, pool)
+
+    @pytest.mark.parametrize(
+        "seed, preset, storm, policy",
+        _PARITY_CELLS,
+        ids=[
+            f"seed{seed}-{preset.__name__}-{'storm' if storm else 'clean'}-"
+            f"{policy.name}{getattr(policy, 'deadline_s', '')}"
+            for seed, preset, storm, policy in _PARITY_CELLS
+        ],
+    )
+    def test_single_device_matches_run_fleet_net(
+        self, branchy, two_image_oracle, seed, preset, storm, policy
+    ):
+        oracle = two_image_oracle
+
+        def shared():
+            # No jitter: EdgeTier reserves every downlink after its uplink
+            # loop while run_fleet_net interleaves them, and both engines
+            # draw from one transport stream.
+            plan = link_storm(20.0, rng=seed) if storm else LinkFaultPlan()
+            link = dataclasses.replace(preset(), jitter_s=0.0)
+            return SharedLink.from_network_link(link, faults=plan)
+
+        cloud = cloud_server_for(
+            policy, branchy, gci_cpu(), oracle=oracle, max_batch_size=1, max_wait_s=0.0
+        )
+        fleet_seed = int(as_generator(seed).integers(2**31 - 1))
+        transport = SessionTransport(shared(), rng=derive_seed(fleet_seed, "transport-0"))
+        tier = EdgeTier(branchy, raspberry_pi4(), transport, cloud, policy, oracle=oracle)
+        device = FleetDevice(
+            rate_hz=2.0,
+            n_requests=40,
+            up_bytes=tier.codec.wire_bytes(oracle.boundary_elems(policy.payload)),
+            down_bytes=40,
+            gate_s=tier.gate_s,
+            local_s=tier.trunk_extra_s,
+            cloud_s=cloud.backend.batch_service_s(1),
+        )
+        fleet = run_fleet_net(shared(), (device,), policy, deadline_s=1.0, rng=seed)
+
+        # run_fleet_net's own arrivals and hard mask, drawn as it draws them.
+        dev_rng = as_generator(derive_seed(fleet_seed, "device-0"))
+        gaps = dev_rng.exponential(1.0 / device.rate_hz, size=device.n_requests)
+        hard = dev_rng.random(device.n_requests) < device.p_hard
+        arrival_s = np.cumsum(gaps)
+        np.testing.assert_array_equal(arrival_s, fleet.arrival_s)
+        # Precondition: nothing queues on the device.  Past it the engines
+        # differ on purpose: run_fleet_net holds the device until the
+        # uplink ack, EdgeTier does not.
+        assert np.all(fleet.completion_s[:-1] <= fleet.arrival_s[1:])
+
+        report = tier.serve(hard.astype(np.int64), arrival_s)
+        assert (report.n_offloaded, report.n_local_hard, report.n_local_easy) == (
+            fleet.n_offloaded,
+            int((fleet.outcome == LOCAL_HARD).sum()),
+            int((fleet.outcome == LOCAL_EASY).sum()),
+        )
+        sojourn = fleet.sojourn_s
+        p50, _, p99 = latency_percentiles(sojourn)
+        assert (report.mean_s, report.p50_s, report.p99_s, report.max_s) == (
+            float(sojourn.mean()), p50, p99, float(sojourn.max())
+        )

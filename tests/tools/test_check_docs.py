@@ -1,6 +1,13 @@
 """The docs-check gates: stale imports, keywords and cross-references."""
 
-from check_docs import DOC_REFERENCE, ROLE_REFERENCE, api_violations, reference_violations
+from check_docs import (
+    DOC_REFERENCE,
+    ROLE_REFERENCE,
+    api_violations,
+    reference_violations,
+    snippet_violations,
+    unique_public_names,
+)
 
 
 def test_unknown_keyword_is_one_violation_naming_it():
@@ -35,3 +42,17 @@ def test_stale_cross_references_are_flagged_with_their_line():
     )
     (violation,) = reference_violations(docstring, ROLE_REFERENCE, "mod.py")
     assert violation.startswith("mod.py:3:") and "FailureEvent" in violation
+
+
+def test_stale_keywords_in_inline_call_snippets_are_flagged_with_their_line():
+    """A removed parameter leaves stale call snippets in the prose docs."""
+    names = unique_public_names()
+    assert {"EdgeTier", "SessionTransport", "TensorCodec"} <= names.keys()
+    doc = (
+        "Pass `EdgeTier(..., codec=TensorCodec(\"uint8\"))` or\n"
+        "`EdgeTier(..., transport=SessionTransport(...))`; `replace(p, jitter_s=0)`\n"
+        "is not ours, and `EdgeTier` alone is no call.\n"
+        "```python\nEdgeTier(..., fenced=True)\n```\n"
+    )
+    (violation,) = snippet_violations(doc, names, "docs/offload.md")
+    assert violation.startswith("docs/offload.md:2:") and "'transport'" in violation

@@ -9,7 +9,10 @@ Five gates, all offline and fast:
    quickstart/serving tour without paying for training);
 3. the README blocks and the examples use the API that exists: every
    ``from repro... import Name`` resolves, and every keyword passed to
-   such a name is one of its parameters;
+   such a name is one of its parameters; the same keyword check covers
+   the backticked call snippets in README.md and docs/*.md whose callee
+   is a public ``repro`` name bound to one object
+   (`` `EdgeTier(..., codec=...)` ``);
 4. docstring coverage: every public symbol (``__all__``) of every
    ``repro`` (sub)package that is a function or class carries a
    docstring, as does every module;
@@ -89,6 +92,12 @@ def _readme_blocks() -> list[str]:
     if not readme.exists():
         return []  # reported by check_docs_exist
     return re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
+
+
+def _doc_pages() -> list[Path]:
+    """README.md and the docs/*.md pages that exist."""
+    pages = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+    return [path for path in pages if path.exists()]
 
 
 def check_readme_code_blocks(run: bool = False) -> list[str]:
@@ -194,12 +203,64 @@ def api_violations(blocks: list[str], where: str) -> list[str]:
     return errors
 
 
+#: An inline code span (fenced blocks are blanked out first).
+INLINE_CODE = re.compile(r"(?<!`)`([^`]+)`(?!`)")
+FENCED_BLOCK = re.compile(r"```.*?```", re.DOTALL)
+
+
+def unique_public_names() -> dict[str, str]:
+    """Public ``repro`` names bound to one object, each with a module exporting it."""
+    exporters: dict[str, str] = {}
+    objects: dict[str, set[int]] = {}
+    for name in iter_modules():
+        module = importlib.import_module(name)
+        for symbol in getattr(module, "__all__", []):
+            exporters.setdefault(symbol, name)
+            objects.setdefault(symbol, set()).add(id(getattr(module, symbol, None)))
+    return {symbol: exporters[symbol] for symbol, ids in objects.items() if len(ids) == 1}
+
+
+def snippet_violations(text: str, names: dict[str, str], where: str) -> list[str]:
+    """Stale keywords in the inline call snippets of a Markdown ``text``.
+
+    A snippet is an inline code span that parses as a Python expression
+    calling one of ``names`` (``name -> module``); each is checked by
+    :func:`api_violations` as if it imported its callees.
+    """
+    text = FENCED_BLOCK.sub(lambda m: "\n" * m.group(0).count("\n"), text)
+    errors = []
+    for m in INLINE_CODE.finditer(text):
+        code = m.group(1).strip()
+        try:
+            tree = ast.parse(code, mode="eval")
+        except SyntaxError:
+            continue
+        callees = sorted(
+            {
+                node.func.id
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in names
+            }
+        )
+        if callees:
+            imports = "".join(f"from {names[c]} import {c}\n" for c in callees)
+            line = text.count("\n", 0, m.start()) + 1
+            errors += api_violations([imports + code], f"{where}:{line}")
+    return errors
+
+
 def check_api_usage() -> list[str]:
     errors = api_violations(_readme_blocks(), "README.md")
     for rel in REQUIRED_EXAMPLES:
         path = REPO / rel
         if path.exists():
             errors += api_violations([path.read_text()], rel)
+    names = unique_public_names()
+    for path in _doc_pages():
+        rel = str(path.relative_to(REPO))
+        errors += snippet_violations(path.read_text(), names, rel)
     return errors
 
 
@@ -251,10 +312,9 @@ def reference_violations(text: str, pattern: re.Pattern, where: str) -> list[str
 
 def check_cross_references() -> list[str]:
     errors = []
-    for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
-        if path.exists():
-            rel = str(path.relative_to(REPO))
-            errors += reference_violations(path.read_text(), DOC_REFERENCE, rel)
+    for path in _doc_pages():
+        rel = str(path.relative_to(REPO))
+        errors += reference_violations(path.read_text(), DOC_REFERENCE, rel)
     for path in sorted((REPO / "src").rglob("*.py")):
         rel = str(path.relative_to(REPO))
         errors += reference_violations(path.read_text(), ROLE_REFERENCE, rel)
