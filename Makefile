@@ -9,7 +9,8 @@
 #   make offload-smoke  offload-layer smoke: network links and their
 #                     transports (a NetworkLink's private radio, the
 #                     session transport), partition planner, policies,
-#                     EdgeTier on toy models
+#                     EdgeTier on toy models, and the fleet device loop
+#                     EdgeTier runs on (tests/netsim/test_net_fleet.py)
 #   make sim-smoke    simulation-core smoke: oracle live-vs-table parity,
 #                     SoA records, the kernel's M/G/1 analytic oracles
 #                     and Lindley differential, vectorized arrival
@@ -55,7 +56,7 @@ fleet-smoke:
 
 offload-smoke:
 	$(PYTHON) -m pytest tests/offload tests/hw/test_network.py \
-	    tests/netsim/test_transport.py \
+	    tests/netsim/test_transport.py tests/netsim/test_net_fleet.py \
 	    tests/serving/test_router_edge_cases.py -q
 
 sim-smoke:

@@ -1285,13 +1285,15 @@ class Cluster:
                 else None
             ),
         )
-        replica.commit(batch)
-        heapq.heappush(self._completions, (completion, replica.replica_id))
         if self.obs is not None:
+            # The waiting room this batch leaves behind: the batcher plus
+            # committed copies that have not started, read before commit.
             self.obs.on_batch(
                 start, completion, replica.replica_id, len(indices),
-                queue_depth=len(replica.batcher),
+                queue_depth=replica.queue_depth(flush_s),
             )
+        replica.commit(batch)
+        heapq.heappush(self._completions, (completion, replica.replica_id))
         log.completion_s[idx] = completion
         log.dispatch_s[idx] = start
         log.batch_size[idx] = len(indices)

@@ -1,10 +1,11 @@
 """Fleet network simulator: many edge devices contending for one uplink.
 
-:class:`~repro.offload.engine.EdgeTier` is one device against a private
-link; this module is the *fleet* view the shared-link model exists for.
-:func:`run_fleet_net` replays N devices' arrival processes through one
-:class:`~repro.netsim.shared.SharedLink` on a single heap-driven
-virtual clock: every device owns a
+This module holds the one offload event loop, a heap-driven device
+loop on the virtual clock.  :class:`~repro.offload.engine.EdgeTier`
+drives it with one device against a real cloud tier;
+:func:`run_fleet_net` is the *fleet* view the shared-link model exists
+for.  It replays N devices' arrival processes through one
+:class:`~repro.netsim.shared.SharedLink`: every device owns a
 :class:`~repro.netsim.transport.SessionTransport` (session FSM + AIMD
 window), offload decisions reuse the *real*
 :class:`~repro.offload.policies.OffloadPolicy` objects through the same
@@ -33,7 +34,8 @@ import numpy as np
 
 from repro.netsim.congestion import AIMDConfig
 from repro.netsim.shared import SharedLink
-from repro.netsim.transport import SessionTransport
+from repro.netsim.transport import LinkTransport, SessionTransfer, SessionTransport
+from repro.obs.spans import SPAN_CLOUD, SPAN_DOWNLINK, SPAN_EDGE_GATE, SPAN_UPLINK
 from repro.offload.policies import OffloadContext, OffloadPolicy
 from repro.utils.rng import as_generator, derive_seed
 
@@ -52,7 +54,8 @@ class FleetDevice:
     requests exit at the gate and never touch the link).  ``gate_s`` /
     ``local_s`` / ``cloud_s`` are the stem+branch pass, the extra local
     trunk, and the cloud service time — constants, because the fleet
-    simulator studies the network, not the model.
+    simulator studies the network, not the model.  A policy with
+    ``runs_gate = False`` never pays ``gate_s``, as on the edge tier.
     """
 
     rate_hz: float
@@ -65,14 +68,16 @@ class FleetDevice:
     p_hard: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0:
-            raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
+        if not 0 < self.rate_hz < math.inf:
+            raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
         if self.n_requests <= 0:
             raise ValueError(f"n_requests must be positive, got {self.n_requests}")
         if self.up_bytes <= 0 or self.down_bytes <= 0:
             raise ValueError("payload sizes must be positive")
-        if min(self.gate_s, self.local_s, self.cloud_s) < 0:
-            raise ValueError("compute times must be non-negative")
+        for name in ("gate_s", "local_s", "cloud_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # false for NaN too
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 <= self.p_hard <= 1.0:
             raise ValueError(f"p_hard must be in [0, 1], got {self.p_hard}")
 
@@ -176,28 +181,189 @@ class FleetNetReport:
         )
 
 
-class _DeviceState:
-    """Mutable per-device bookkeeping for the event loop (internal)."""
+_REQ, _ADV = 0, 1  # device loop event kinds
 
-    def __init__(self, spec, transport, arrivals, hard, entropy, base):
-        self.spec = spec
-        self.transport = transport
-        self.arrivals = arrivals
-        self.hard = hard
-        self.entropy = entropy
-        self.base = base  # global request-id offset
-        self.next_req = 0
-        self.edge_free = 0.0
-        self.inflight_req = -1
-        self.delivered_bytes = 0
-        self.sent_bytes = 0
-        self.retx_bytes = 0
-        self.flights = 0
-        self.timeouts = 0
-        self.first_tx_s = math.inf
-        self.last_ack_s = 0.0
-        self.max_amplification = 1.0
-        self.n_offloaded = 0
+
+@dataclass(eq=False)
+class _Device:
+    """One device inside :class:`_DeviceLoop`: its stream and its ledger.
+
+    ``arrivals``, ``entropy`` and ``easy`` are per request; ``gate_s``
+    is the stem+branch pass, ``local_s`` the extra local trunk, and
+    ``cloud_est_s`` the cloud service time the remote estimate assumes.
+    """
+
+    arrivals: np.ndarray
+    entropy: np.ndarray
+    easy: np.ndarray
+    policy: OffloadPolicy
+    transport: SessionTransport | LinkTransport
+    gate_s: float
+    local_s: float
+    cloud_est_s: float
+    up_bytes: int
+    down_bytes: int
+    base: int = 0  # global id of the device's first request
+    next_req: int = 0
+    inflight_req: int = -1
+    edge_free: float = 0.0
+    edge_busy: float = 0.0  # gate + local trunk seconds, in request order
+    radio_busy: float = 0.0  # uplink serialization seconds, in request order
+    transfers: list[SessionTransfer] = field(default_factory=list)  # in request order
+
+
+class _DeviceLoop:
+    """The offload event loop: devices gate, decide and ship on one clock.
+
+    :func:`run_fleet_net` drives it with N devices on one shared link;
+    :meth:`~repro.offload.engine.EdgeTier.serve` with one device, whose
+    shipped payloads it then serves on a real cloud tier.  :meth:`run`
+    takes every request to its decision and every uplink to its
+    delivery; :meth:`downlink` then answers what the cloud finished.
+
+    A device considers one request at a time.  It pays the gate unless
+    its policy has ``runs_gate = False``, decides on
+    :class:`~repro.offload.policies.OffloadContext` estimates read from
+    its transport, and finishes locally or hands the payload to the
+    transport, which the loop drives through ``start``/``advance``.  The
+    transfer's ``release_s`` says when the device may consider its next
+    request, so the transport, not the loop, decides the device hold.
+    """
+
+    def __init__(self, devices: list[_Device], obs=None) -> None:
+        self.devices = devices
+        self.obs = obs
+        total = 0
+        for dev in devices:
+            dev.base = total
+            total += len(dev.arrivals)
+        self.arrival_s = np.concatenate([dev.arrivals for dev in devices])
+        self.device_of = np.repeat(
+            np.arange(len(devices), dtype=np.int64), [len(dev.arrivals) for dev in devices]
+        )
+        self.outcome = np.full(total, LOCAL_EASY, dtype=np.int64)
+        self.completion_s = np.full(total, np.nan)
+        self.ready_s = np.full(total, np.nan)  # gate done, or hand-over
+        self.delivered_s = np.full(total, np.nan)  # uplink reaches the cloud
+
+    def run(self) -> None:
+        """Decide every request; drive every uplink to its delivery."""
+        devices, obs = self.devices, self.obs
+        outcome, completion, ready_s = self.outcome, self.completion_s, self.ready_s
+        heap = [(float(dev.arrivals[0]), k, _REQ, k) for k, dev in enumerate(devices)]
+        heapq.heapify(heap)
+        seq = len(heap)
+        while heap:
+            now, _, kind, k = heapq.heappop(heap)
+            dev = devices[k]
+            transport = dev.transport
+            if kind == _ADV:
+                status, t_next = transport.advance(now)
+                if status == "wait":
+                    heapq.heappush(heap, (t_next, seq, _ADV, k))
+                    seq += 1
+                    continue
+                result = transport.result
+                req = dev.inflight_req
+                self.delivered_s[req] = t_next
+                dev.transfers.append(result)
+                dev.radio_busy += result.tx_s
+                # The transport decides how long the offload holds the device.
+                dev.edge_free = max(dev.edge_free, result.release_s)
+                if obs is not None:
+                    obs.on_leg(SPAN_UPLINK, req, result.start_s, t_next)
+            else:
+                i = dev.next_req
+                dev.next_req += 1
+                req = dev.base + i
+                arrival = float(dev.arrivals[i])
+                ready = start = max(arrival, dev.edge_free)
+                if dev.policy.runs_gate:
+                    ready = dev.edge_free = start + dev.gate_s
+                    dev.edge_busy += dev.gate_s
+                    if obs is not None:
+                        obs.on_leg(SPAN_EDGE_GATE, req, start, ready)
+                ready_s[req] = ready
+                easy = bool(dev.easy[i])
+                ctx = OffloadContext(
+                    entropy=float(dev.entropy[i]),
+                    easy=easy,
+                    est_local_s=(ready - arrival) + (0.0 if easy else dev.local_s),
+                    # Link legs are estimated from the transport's live
+                    # state, so degradation and outages reach the policy
+                    # before an uplink backlog builds.
+                    est_remote_s=(
+                        (ready - arrival)
+                        + transport.estimate_s(dev.up_bytes, ready)
+                        + dev.cloud_est_s
+                        + transport.estimate_down_s(dev.down_bytes, ready)
+                    ),
+                )
+                if dev.policy.offload(ctx):
+                    outcome[req] = OFFLOADED
+                    dev.inflight_req = req
+                    transport.start(dev.up_bytes, ready)
+                    heapq.heappush(heap, (ready, seq, _ADV, k))
+                    seq += 1
+                    continue
+                if easy:
+                    completion[req] = ready
+                else:
+                    outcome[req] = LOCAL_HARD
+                    completion[req] = dev.edge_free = ready + dev.local_s
+                    dev.edge_busy += dev.local_s
+            if dev.next_req < len(dev.arrivals):
+                t = max(float(dev.arrivals[dev.next_req]), dev.edge_free)
+                heapq.heappush(heap, (t, seq, _REQ, k))
+                seq += 1
+
+    def downlink(self, req, cloud_in, cloud_out) -> tuple[np.ndarray, int]:
+        """Ride each answered response back; return its ids and retransmits.
+
+        Request ``req[k]`` reached the cloud at ``cloud_in[k]`` and left
+        it at ``cloud_out[k]`` (NaN: never answered, so it stays
+        unanswered).  Responses reserve their device's downlink in order
+        of cloud completion, then cloud arrival, then request id, after
+        every uplink, so a transport draws its downlink jitter after its
+        uplink draws.  The returned ids are in that order.
+        """
+        devices, obs, completion = self.devices, self.obs, self.completion_s
+        order = np.lexsort((req, cloud_in, cloud_out))
+        order = order[np.isfinite(cloud_out[order])]
+        n_retransmits = 0
+        for k in order.tolist():
+            r = int(req[k])
+            dev = devices[self.device_of[r]]
+            t_in, t_out = float(cloud_in[k]), float(cloud_out[k])
+            start, arrival, retx = dev.transport.send_down(dev.down_bytes, t_out)
+            completion[r] = arrival
+            n_retransmits += retx
+            if obs is not None:
+                obs.on_leg(SPAN_CLOUD, r, t_in, t_out)
+                obs.on_leg(SPAN_DOWNLINK, r, start, arrival)
+        return req[order], n_retransmits
+
+
+def _device_stats(dev_id: int, dev: _Device) -> DeviceStats:
+    transfers, transport = dev.transfers, dev.transport
+    return DeviceStats(
+        device_id=dev_id,
+        n_requests=len(dev.arrivals),
+        n_offloaded=len(transfers),
+        delivered_bytes=sum(t.n_bytes for t in transfers),
+        sent_bytes=sum(t.sent_bytes for t in transfers),
+        retx_bytes=sum(t.retx_bytes for t in transfers),
+        first_tx_s=min((t.start_s for t in transfers), default=0.0),
+        last_ack_s=max((t.ack_s for t in transfers), default=0.0),
+        flights=sum(t.flights for t in transfers),
+        timeouts=sum(t.timeouts for t in transfers),
+        md_events=transport.aimd.n_md,
+        sessions=transport.session.n_established,
+        handshake_retx=transport.session.n_handshake_retx,
+        carrier_drops=transport.session.n_carrier_drops,
+        flap_resumes=transport.n_flap_resumes,
+        max_amplification=max((t.amplification for t in transfers), default=1.0),
+    )
 
 
 def run_fleet_net(
@@ -217,31 +383,24 @@ def run_fleet_net(
     gets its own RNG stream (derived from ``rng``) and its own
     transport, so fleets replay identically regardless of interleaving;
     the link's :class:`~repro.netsim.faults.LinkFaultPlan` batters all
-    of them at once.  Devices are strictly serial on the edge side (the
-    next request gates after the previous one's local compute or uplink
-    ack); cloud service and the downlink overlap.
+    of them at once.  A device considers its next request once the
+    previous one finished locally or its uplink was acked: a
+    :class:`~repro.netsim.transport.SessionTransport` carries one
+    transfer at a time.  Cloud service and the downlink overlap.
+    ``obs`` receives the transports' session and window events.
     """
     devices = tuple(devices)
     if not devices:
         raise ValueError("run_fleet_net needs at least one device")
-    if deadline_s <= 0:
-        raise ValueError(f"deadline_s must be positive, got {deadline_s}")
+    if not 0 < deadline_s < math.inf:
+        raise ValueError(f"deadline_s must be positive and finite, got {deadline_s}")
     root = as_generator(rng)
     fleet_seed = int(root.integers(2**31 - 1))
-
-    def policy_of(dev_id: int) -> OffloadPolicy:
-        if isinstance(policy_for, OffloadPolicy):
-            return policy_for
-        return policy_for(dev_id)
-
-    states: list[_DeviceState] = []
-    total = 0
+    states = []
     for dev_id, spec in enumerate(devices):
         dev_rng = as_generator(derive_seed(fleet_seed, f"device-{dev_id}"))
         gaps = dev_rng.exponential(1.0 / spec.rate_hz, size=spec.n_requests)
-        arrivals = np.cumsum(gaps)
         hard = dev_rng.random(spec.n_requests) < spec.p_hard
-        entropy = np.where(hard, 1.0, 0.0)
         transport = SessionTransport(
             link,
             rng=as_generator(derive_seed(fleet_seed, f"transport-{dev_id}")),
@@ -250,142 +409,30 @@ def run_fleet_net(
             obs=obs,
             device_id=dev_id,
         )
-        states.append(_DeviceState(spec, transport, arrivals, hard, entropy, total))
-        total += spec.n_requests
-
-    arrival_s = np.concatenate([s.arrivals for s in states])
-    completion_s = np.full(total, np.nan)
-    outcome = np.full(total, LOCAL_EASY, dtype=np.int64)
-    device_of = np.concatenate(
-        [np.full(s.spec.n_requests, i, dtype=np.int64) for i, s in enumerate(states)]
-    )
-    delivered_count = np.zeros(total, dtype=np.int64)
-
-    # Event kinds: "req" = device considers its next request, "adv" =
-    # drive the device's in-flight uplink transfer, "down" = a cloud
-    # response reaches the downlink serializer.
-    heap: list[tuple[float, int, str, int, int]] = []
-    seq = 0
-
-    def push(t: float, kind: str, dev: int, req: int = -1) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, dev, req))
-        seq += 1
-
-    for dev_id, st in enumerate(states):
-        push(float(st.arrivals[0]), "req", dev_id)
-
-    def handle_req(st: _DeviceState, dev_id: int, now: float) -> None:
-        i = st.next_req
-        spec = st.spec
-        arrival = float(st.arrivals[i])
-        start = max(arrival, st.edge_free, now)
-        gate_done = start + spec.gate_s
-        st.edge_free = gate_done
-        req = st.base + i
-        easy = not bool(st.hard[i])
-        est_local = (gate_done - arrival) + (0.0 if easy else spec.local_s)
-        est_remote = (
-            (gate_done - arrival)
-            + st.transport.estimate_s(spec.up_bytes, gate_done)
-            + spec.cloud_s
-            + st.transport.estimate_down_s(spec.down_bytes, gate_done)
+        policy = policy_for if isinstance(policy_for, OffloadPolicy) else policy_for(dev_id)
+        states.append(
+            _Device(
+                np.cumsum(gaps), np.where(hard, 1.0, 0.0), ~hard, policy, transport,
+                gate_s=spec.gate_s, local_s=spec.local_s, cloud_est_s=spec.cloud_s,
+                up_bytes=spec.up_bytes, down_bytes=spec.down_bytes,
+            )
         )
-        ctx = OffloadContext(
-            entropy=float(st.entropy[i]),
-            easy=easy,
-            est_local_s=est_local,
-            est_remote_s=est_remote,
-        )
-        st.next_req += 1
-        if not policy_of(dev_id).offload(ctx):
-            if easy:
-                completion_s[req] = gate_done
-            else:
-                outcome[req] = LOCAL_HARD
-                completion_s[req] = gate_done + spec.local_s
-                st.edge_free = completion_s[req]
-            schedule_next(st, dev_id)
-            return
-        outcome[req] = OFFLOADED
-        st.n_offloaded += 1
-        st.inflight_req = req
-        st.transport.start(spec.up_bytes, gate_done)
-        push(gate_done, "adv", dev_id)
 
-    def schedule_next(st: _DeviceState, dev_id: int) -> None:
-        if st.next_req < st.spec.n_requests:
-            push(max(float(st.arrivals[st.next_req]), st.edge_free), "req", dev_id)
-
-    def handle_adv(st: _DeviceState, dev_id: int, now: float) -> None:
-        status, t_next = st.transport.advance(now)
-        if status == "wait":
-            push(t_next, "adv", dev_id)
-            return
-        result = st.transport.result
-        req = st.inflight_req
-        st.inflight_req = -1
-        st.delivered_bytes += result.n_bytes
-        st.sent_bytes += result.sent_bytes
-        st.retx_bytes += result.retx_bytes
-        st.flights += result.flights
-        st.timeouts += result.timeouts
-        st.first_tx_s = min(st.first_tx_s, result.start_s)
-        st.last_ack_s = max(st.last_ack_s, result.ack_s)
-        st.max_amplification = max(st.max_amplification, result.amplification)
-        # The radio is held until the sender sees the final ack; then
-        # the next request may gate.
-        st.edge_free = max(st.edge_free, result.ack_s)
-        push(t_next + st.spec.cloud_s, "down", dev_id, req)
-        schedule_next(st, dev_id)
-
-    def handle_down(st: _DeviceState, dev_id: int, req: int, now: float) -> None:
-        _, arrival, _ = st.transport.send_down(st.spec.down_bytes, now)
-        completion_s[req] = arrival
-        delivered_count[req] += 1
-
-    while heap:
-        t, _, kind, dev_id, req = heapq.heappop(heap)
-        st = states[dev_id]
-        if kind == "req":
-            handle_req(st, dev_id, t)
-        elif kind == "adv":
-            handle_adv(st, dev_id, t)
-        else:
-            handle_down(st, dev_id, req, t)
-
-    stats = tuple(
-        DeviceStats(
-            device_id=i,
-            n_requests=st.spec.n_requests,
-            n_offloaded=st.n_offloaded,
-            delivered_bytes=st.delivered_bytes,
-            sent_bytes=st.sent_bytes,
-            retx_bytes=st.retx_bytes,
-            first_tx_s=0.0 if math.isinf(st.first_tx_s) else st.first_tx_s,
-            last_ack_s=st.last_ack_s,
-            flights=st.flights,
-            timeouts=st.timeouts,
-            md_events=st.transport.aimd.n_md,
-            sessions=st.transport.session.n_established,
-            handshake_retx=st.transport.session.n_handshake_retx,
-            carrier_drops=st.transport.session.n_carrier_drops,
-            flap_resumes=st.transport.n_flap_resumes,
-            max_amplification=st.max_amplification,
-        )
-        for i, st in enumerate(states)
-    )
-    policy_name = (
-        policy_for.name if isinstance(policy_for, OffloadPolicy) else policy_of(0).name
-    )
+    loop = _DeviceLoop(states)
+    loop.run()
+    # The cloud is a constant service time per device, never a queue.
+    req = np.flatnonzero(loop.outcome == OFFLOADED)
+    cloud_in = loop.delivered_s[req]
+    cloud_s = np.array([spec.cloud_s for spec in devices])[loop.device_of[req]]
+    delivered, _ = loop.downlink(req, cloud_in, cloud_in + cloud_s)
     return FleetNetReport(
-        policy=policy_name,
+        policy=states[0].policy.name,
         link=link.name,
         deadline_s=float(deadline_s),
-        arrival_s=arrival_s,
-        completion_s=completion_s,
-        outcome=outcome,
-        device_of=device_of,
-        delivered_count=delivered_count,
-        devices=stats,
+        arrival_s=loop.arrival_s,
+        completion_s=loop.completion_s,
+        outcome=loop.outcome,
+        device_of=loop.device_of,
+        delivered_count=np.bincount(delivered, minlength=loop.outcome.size),
+        devices=tuple(_device_stats(i, dev) for i, dev in enumerate(states)),
     )

@@ -11,11 +11,14 @@ flight launches on the ack — so uplink throughput is
 ``≈ cwnd·mtu/rtt``, an *emergent* quantity that grows additively while
 the link is clean and halves on loss, rather than a preset.
 
-The engine is **stepwise** so a fleet simulator can interleave many
-devices on the virtual clock: :meth:`start` arms a transfer, then each
-:meth:`advance` performs at most one handshake or one flight and
-returns ``("wait", t_next)`` until it returns ``("done", delivered_s)``.
-:meth:`send` is the synchronous convenience loop for single-device use.
+Both transports are **stepwise**, so the device loop of
+:mod:`repro.netsim.fleet` interleaves many devices on the virtual clock
+and drives either kind the same way: :meth:`start` arms a transfer,
+then each :meth:`advance` returns ``("wait", t_next)`` until it returns
+``("done", delivered_s)`` with ``result`` populated.  A session's
+advance performs at most one handshake or one flight; a private
+radio's transfer is closed-form, so its first advance finishes it.
+:meth:`send` is the synchronous convenience loop.
 
 Loss discipline (the invariant the chaos harness asserts): segment loss
 is sampled **only while** the bytes already sent plus the flight in the
@@ -30,9 +33,8 @@ resumes after renegotiation — under whatever MTU the new conf-ack
 lands, so mid-flight renegotiation genuinely re-segments the payload.
 
 :class:`LinkTransport` puts a :class:`~repro.hw.network.NetworkLink`'s
-private radio behind the same ``estimate_s``/``estimate_down_s``/
-``send``/``send_down`` calls: no session, no window, and whole-payload
-retries sampled by the link's ``transfer``.
+private radio behind the same calls: no session, no window, and
+whole-payload retries sampled by the link's ``transfer``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,10 @@ class SessionTransfer:
     for, ``flap_resumes`` how many of those were forced by carrier
     drops mid-flight.  ``delivered_s`` is when the last segment reaches
     the far side; ``ack_s`` when the sender learns of it — on a
-    :class:`LinkTransport`, when the private radio frees.
+    :class:`LinkTransport`, when the private radio frees.  ``release_s``
+    is when the sending device may hand over its next payload: the ack
+    on a session, which carries one transfer at a time, and the
+    hand-over instant on a private radio, which queues payloads FIFO.
     """
 
     n_bytes: int
@@ -76,6 +81,7 @@ class SessionTransfer:
     delivered_s: float
     ack_s: float
     tx_s: float
+    release_s: float
 
     @property
     def amplification(self) -> float:
@@ -87,12 +93,14 @@ class SessionTransport:
     """One device's stateful uplink onto a :class:`SharedLink`.
 
     Owns the session FSM, the AIMD window, and the in-flight transfer
-    state.  All sampling (segment loss, handshake loss, jitter) draws
-    from the caller-provided stream, so storms replay identically in
-    oracle and ``--live`` modes.  ``obs`` (optional) is a
-    :class:`~repro.obs.observer.Observer`-like object receiving
-    ``EV_SESSION``/``EV_CWND`` instants; ``cwnd_history`` accumulates
-    ``(time_s, window)`` samples for the uplink timeline.
+    state.  It carries one transfer at a time (:meth:`start` raises
+    while one is in flight), so a transfer's ``release_s`` is its ack:
+    the sending device waits for it.  All sampling (segment loss,
+    handshake loss, jitter) draws from the caller-provided stream, so
+    storms replay identically in oracle and ``--live`` modes.  ``obs``
+    (optional) is a :class:`~repro.obs.observer.Observer`-like object
+    receiving ``EV_SESSION``/``EV_CWND`` instants; ``cwnd_history``
+    accumulates ``(time_s, window)`` samples for the uplink timeline.
     """
 
     def __init__(
@@ -267,6 +275,7 @@ class SessionTransport:
             delivered_s=delivered_s,
             ack_s=ack_s,
             tx_s=self._tx,
+            release_s=ack_s,
         )
         self._active = False
         self.n_transfers += 1
@@ -344,6 +353,8 @@ class LinkTransport:
     deferred past the link's declared outages, and retries and jitter
     sampled by :meth:`~repro.hw.network.NetworkLink.transfer` from
     ``rng``.  Estimates are the link's planning view plus the wait.
+    The radio queues payloads, so it takes the next one at once: a
+    transfer's ``release_s`` is its hand-over instant.
     """
 
     def __init__(self, link: NetworkLink, rng=None) -> None:
@@ -351,23 +362,31 @@ class LinkTransport:
         self.rng = as_generator(rng)
         self.up_free_s = 0.0
         self.down_free_s = 0.0
+        self.result: SessionTransfer | None = None
 
-    def send(self, n_bytes: int, time_s: float) -> SessionTransfer:
-        """Queue one payload on the radio: one segment sent ``attempts`` times.
+    def start(self, n_bytes: int, time_s: float) -> None:
+        """Hand one payload to the radio at ``time_s``; :meth:`advance` sends it."""
+        self._handed = (int(n_bytes), float(time_s))
 
-        ``start_s`` is the first on-air instant, ``ack_s`` when the
-        radio frees, ``delivered_s`` that plus propagation and jitter.
+    def advance(self, now: float) -> tuple[str, float]:
+        """Send the handed-over payload: one segment sent ``attempts`` times.
+
+        The transfer is closed-form, so this one step finishes it and
+        returns ``("done", delivered_s)``.  ``start_s`` is the first
+        on-air instant, ``ack_s`` when the radio frees, ``delivered_s``
+        that plus propagation and jitter.
         """
+        n_bytes, handed_s = self._handed
         link = self.link
-        start = link.next_available(max(time_s, self.up_free_s))
+        start = link.next_available(max(handed_s, self.up_free_s))
         transfer = link.transfer(n_bytes, time_s=start, rng=self.rng)
         self.up_free_s = start + transfer.occupancy_s
         retries = transfer.attempts - 1
-        return SessionTransfer(
-            n_bytes=int(n_bytes),
+        self.result = SessionTransfer(
+            n_bytes=n_bytes,
             n_segments=1,
-            sent_bytes=transfer.attempts * int(n_bytes),
-            retx_bytes=retries * int(n_bytes),
+            sent_bytes=transfer.attempts * n_bytes,
+            retx_bytes=retries * n_bytes,
             retx_segments=retries,
             flights=transfer.attempts,
             timeouts=retries,
@@ -377,7 +396,15 @@ class LinkTransport:
             delivered_s=self.up_free_s + transfer.propagation_s,
             ack_s=self.up_free_s,
             tx_s=transfer.tx_s,
+            release_s=handed_s,
         )
+        return ("done", self.result.delivered_s)
+
+    def send(self, n_bytes: int, time_s: float) -> SessionTransfer:
+        """Synchronous transfer: :meth:`start` plus its one :meth:`advance`."""
+        self.start(n_bytes, time_s)
+        self.advance(time_s)
+        return self.result
 
     def send_down(self, n_bytes: int, time_s: float) -> tuple[float, float, int]:
         """Deliver a cloud→edge payload: ``(start_s, arrival_s, retransmits)``."""

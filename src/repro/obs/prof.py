@@ -69,7 +69,6 @@ ENGINE_PHASES = (
     "complete",    # completion handling: purge, response judging
     "events",      # heap events: crash/recover/fault/timeout/retry/hedge/tick
     "inference",   # oracle lookup / live model inference over the batches
-    "network",     # offload: uplink/downlink transfer sampling
     "report",      # report build: vectorized reductions over the log
 )
 

@@ -5,11 +5,12 @@
 :class:`~repro.cluster.engine.Cluster` fleet (anything exposing
 ``serve_log``) — with one weak edge device behind a private
 :class:`~repro.hw.network.NetworkLink` or a session transport.  It
-replays an arrival trace on the shared virtual clock:
+replays an arrival trace on the shared virtual clock, through the
+device loop :func:`~repro.netsim.fleet.run_fleet_net` drives too:
 
 1. the edge runs the BranchyNet stem + branch gate (one FIFO compute
-   queue, calibrated per-device latency), unless the policy is
-   full-offload;
+   queue, calibrated per-device latency), unless the policy skips it
+   (``runs_gate = False``);
 2. an :class:`~repro.offload.policies.OffloadPolicy` decides, per
    request, local completion vs upstream shipping;
 3. local-easy requests answer at the branch exit; local-hard requests
@@ -44,17 +45,10 @@ from repro.hw.latency import branchynet_expected_latency
 from repro.hw.network import NetworkLink
 from repro.netsim.transport import LinkTransport, SessionTransport
 from repro.obs.prof import current_profiler
-from repro.obs.spans import (
-    SPAN_CLOUD,
-    SPAN_DOWNLINK,
-    SPAN_EDGE_GATE,
-    SPAN_UPLINK,
-)
-from repro.offload.policies import OffloadContext, OffloadPolicy, TensorCodec
+from repro.offload.policies import OffloadPolicy, TensorCodec
 from repro.serving.backends import BatchTiming, InferenceBackend
 from repro.serving.engine import Server
 from repro.serving.router import RouteDecision
-from repro.utils.logging import get_logger
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -66,8 +60,6 @@ __all__ = [
 ]
 
 _FLOAT32_BYTES = 4
-
-logger = get_logger("offload.engine")
 
 
 class RemoteTrunkBackend(InferenceBackend):
@@ -268,6 +260,12 @@ def _cloud_is_oracle(cloud) -> bool:
 class EdgeTier:
     """Split inference between one edge device and a cloud serving tier.
 
+    :meth:`serve` hands the offload event loop of
+    :mod:`repro.netsim.fleet` one device: its entropies (live or from
+    the oracle), payload sizes, gate and trunk costs, ``cloud_est_s``,
+    policy and transport.  It serves the shipped payloads on the cloud
+    tier, then the loop's downlink pass rides the responses back.
+
     Parameters
     ----------
     branchynet:
@@ -284,8 +282,11 @@ class EdgeTier:
         a :class:`~repro.netsim.transport.SessionTransport`, whose
         offloads ride AIMD-paced flights over its shared link, whose
         deadline estimates read live congestion state, and whose
-        session counters reach the report.  Devices contending for one
-        link are :func:`~repro.netsim.fleet.run_fleet_net`'s job.
+        session counters reach the report.  The transport decides the
+        device hold: a session carries one transfer at a time, so the
+        device waits for each ack; the private radio queues payloads,
+        so the device is free after the gate.  Devices contending for
+        one link are :func:`~repro.netsim.fleet.run_fleet_net`'s job.
     cloud:
         The cloud tier: a :class:`~repro.serving.engine.Server` or
         :class:`~repro.cluster.engine.Cluster` (anything with
@@ -306,8 +307,9 @@ class EdgeTier:
         ``serve`` call.
     prof:
         Optional :class:`~repro.obs.prof.PhaseProfiler` attributing
-        **wall-clock** time to edge phases (warmup, event_loop, network,
-        inference, cloud, report).  ``None`` falls back to the
+        **wall-clock** time to edge phases: warmup; event_loop, which
+        includes the uplink transfers; inference; cloud, which includes
+        the downlink pass; report.  ``None`` falls back to the
         process-global profiler (``REPRO_PROF=1``), else off.
     rng:
         Seed/generator for a ``NetworkLink``'s loss and jitter sampling
@@ -373,6 +375,8 @@ class EdgeTier:
         self.cloud_est_s = (
             self._infer_cloud_est(cloud) if cloud_est_s is None else float(cloud_est_s)
         )
+        if not self.cloud_est_s >= 0:  # false for NaN too
+            raise ValueError(f"cloud_est_s must be >= 0, got {self.cloud_est_s}")
 
     @staticmethod
     def _infer_cloud_est(cloud) -> float:
@@ -407,6 +411,9 @@ class EdgeTier:
         genuine end-to-end accuracy (branch exits, local trunks, and
         cloud completions alike).
         """
+        # Imported here: repro.netsim.fleet imports repro.offload.policies,
+        # whose package imports this module.
+        from repro.netsim.fleet import _Device, _DeviceLoop
         from repro.sim.core import validate_trace
 
         images, arrival_s = validate_trace(images, arrival_s)
@@ -441,129 +448,46 @@ class EdgeTier:
         down_bytes = int(self.branchynet.num_classes) * _FLOAT32_BYTES
         if prof is not None:
             prof.stop()  # warmup
-
-        completion = np.full(n, np.nan)
-        outcome = np.full(n, _LOCAL_EASY, dtype=np.int64)
-        predictions = np.full(n, -1, dtype=np.int64)
-        edge_part = np.zeros(n)  # queue + edge compute, per request
-        net_part = np.full(n, np.nan)  # uplink + downlink, offloaded only
-        cloud_part = np.full(n, np.nan)  # cloud sojourn, offloaded only
-
-        edge_free = 0.0
-        edge_busy = 0.0
-        radio_busy = 0.0
-        uplink_bytes_total = 0
-        n_retransmits = 0
-        ship: list[tuple[int, float, float]] = []  # (req, ship_ready_s, cloud_arrival_s)
-
-        obs = self.obs
-        debug = logger.isEnabledFor(10)  # logging.DEBUG
-        if prof is not None:
             prof.start("event_loop")
-        for i in range(n):
-            arrival = float(arrival_s[i])
-            if self.policy.runs_gate:
-                start = max(arrival, edge_free)
-                gate_done = start + self.gate_s
-                edge_free = gate_done
-                edge_busy += self.gate_s
-                ready = gate_done
-                if obs is not None:
-                    obs.on_leg(SPAN_EDGE_GATE, i, start, gate_done)
-            else:
-                ready = arrival
-            easy = bool(entropies[i] < threshold) if self.policy.runs_gate else False
-            est_local = (ready - arrival) + (0.0 if easy else self.trunk_extra_s)
-            # Link legs are estimated at decision time from the
-            # transport's live state, so degradation and outages reach
-            # the deadline policy before an uplink backlog builds.
-            est_remote = (
-                (ready - arrival)
-                + transport.estimate_s(up_bytes, ready)
-                + self.cloud_est_s
-                + transport.estimate_down_s(down_bytes, ready)
-            )
-            ctx = OffloadContext(
-                entropy=float(entropies[i]),
-                easy=easy,
-                est_local_s=est_local,
-                est_remote_s=est_remote,
-            )
-            if not self.policy.offload(ctx):
-                edge_part[i] = ready - arrival
-                if easy:
-                    completion[i] = ready
-                    predictions[i] = branch_preds[i]
-                else:
-                    # Hard sample kept local: the trunk runs on the edge.
-                    outcome[i] = _LOCAL_HARD
-                    completion[i] = ready + self.trunk_extra_s
-                    edge_free = completion[i]
-                    edge_busy += self.trunk_extra_s
-                    edge_part[i] += self.trunk_extra_s
-                continue
-            # Offload: the transport queues the payload on the uplink,
-            # defers it past outages, and samples loss and jitter
-            # (seed-deterministic) under a bounded retransmit budget.
-            outcome[i] = _OFFLOADED
-            edge_part[i] = ready - arrival
-            if prof is not None:
-                prof.start("network")
-            result = transport.send(up_bytes, ready)
-            if debug and (result.retx_segments or result.handshakes > 1):
-                logger.debug(
-                    "uplink: request %d delivered after %d flights "
-                    "(%d retx segments, %d handshakes)",
-                    i, result.flights, result.retx_segments, result.handshakes,
-                )
-            # Radio energy covers serialization only — retransmit
-            # timeouts and ack waits are idle air.
-            radio_busy += result.tx_s
-            uplink_bytes_total += up_bytes
-            n_retransmits += result.retx_segments
-            cloud_arrival = result.delivered_s
-            if obs is not None:
-                obs.on_leg(SPAN_UPLINK, i, result.start_s, cloud_arrival)
-            if prof is not None:
-                prof.stop()  # network
-            ship.append((i, ready, cloud_arrival))
+        device = _Device(
+            arrival_s, entropies, entropies < threshold, self.policy, transport,
+            gate_s=self.gate_s, local_s=self.trunk_extra_s, cloud_est_s=self.cloud_est_s,
+            up_bytes=up_bytes, down_bytes=down_bytes,
+        )
+        loop = _DeviceLoop([device], obs=self.obs)
+        loop.run()
+        outcome, completion = loop.outcome, loop.completion_s
         if prof is not None:
             prof.stop()  # event_loop
             prof.start("inference")
 
+        predictions = np.full(n, -1, dtype=np.int64)
+        easy = outcome == _LOCAL_EASY
+        predictions[easy] = branch_preds[easy]
         self._run_local_hard(images, outcome, predictions)
         if prof is not None:
             prof.stop()  # inference
             prof.start("cloud")
+        net_part = np.full(n, np.nan)  # uplink + downlink, offloaded only
+        cloud_part = np.full(n, np.nan)  # cloud sojourn, offloaded only
         cloud_report, down_retransmits = self._run_cloud(
-            images, transport, ship, down_bytes, completion, predictions, net_part,
-            cloud_part, scenario,
+            images, loop, predictions, net_part, cloud_part, scenario
         )
-        n_retransmits += down_retransmits
         if prof is not None:
             prof.stop()  # cloud
             prof.start("report")
 
+        edge_part = loop.ready_s - arrival_s  # queue + edge compute, per request
+        edge_part[outcome == _LOCAL_HARD] += self.trunk_extra_s
         accuracy = float("nan")
         if labels is not None:
             accuracy = float((predictions == np.asarray(labels)).mean())
-        if obs is not None:
-            obs.finalize_arrays(arrival_s, completion)
+        if self.obs is not None:
+            self.obs.finalize_arrays(arrival_s, completion)
+        n_retransmits = sum(t.retx_segments for t in device.transfers) + down_retransmits
         report = self._report(
-            transport,
-            arrival_s,
-            completion,
-            outcome,
-            edge_part,
-            net_part,
-            cloud_part,
-            uplink_bytes_total,
-            n_retransmits,
-            edge_busy,
-            radio_busy,
-            accuracy,
-            cloud_report,
-            scenario,
+            device, loop, edge_part, net_part, cloud_part, n_retransmits, accuracy,
+            cloud_report, scenario,
         )
         if prof is not None:
             prof.stop()  # report
@@ -584,17 +508,14 @@ class EdgeTier:
         result = self.branchynet.infer(images[hard_idx], threshold=-1.0)
         predictions[hard_idx] = result.predictions
 
-    def _run_cloud(
-        self, images, transport, ship, down_bytes, completion, predictions, net_part,
-        cloud_part, scenario,
-    ):
-        """Ship payloads, serve them upstream, ride the downlink back."""
-        if not ship:
+    def _run_cloud(self, images, loop, predictions, net_part, cloud_part, scenario):
+        """Serve the shipped payloads upstream, then the loop's downlink pass."""
+        shipped = np.flatnonzero(loop.outcome == _OFFLOADED)
+        if not shipped.size:
             return None, 0
-        order = sorted(range(len(ship)), key=lambda k: ship[k][2])
-        req_ids = [ship[k][0] for k in order]
-        ready_s = np.array([ship[k][1] for k in order])
-        cloud_arrival = np.array([ship[k][2] for k in order])
+        # The cloud sees payloads in uplink-delivery order.
+        req_ids = shipped[np.argsort(loop.delivered_s[shipped], kind="stable")]
+        cloud_arrival = loop.delivered_s[req_ids]
 
         if self.oracle is not None:
             # Sample ids travel as-is; the (already decoded) payloads
@@ -610,32 +531,17 @@ class EdgeTier:
         report, cloud_log = self.cloud.serve_log(
             payloads, cloud_arrival, scenario=f"{scenario}-offload"
         )
-        # Responses ride the downlink in cloud-*completion* order (a
-        # cluster's replicas may finish out of arrival order); requests a
-        # shedding cloud tier never served end the trace unserved instead
-        # of poisoning the downlink queue with NaN.
-        cloud_done_s = cloud_log.completion_s
-        finished = [
-            (cloud_done_s[pos], pos, req_id)
-            for pos, req_id in enumerate(req_ids)
-            if np.isfinite(cloud_done_s[pos])
-        ]
-        finished.sort()
-        n_retransmits = 0
-        obs = self.obs
-        debug = logger.isEnabledFor(10)  # logging.DEBUG
-        for cloud_done, pos, req_id in finished:
-            tx_start, done, retx = transport.send_down(down_bytes, cloud_done)
-            if debug and retx:
-                logger.debug("downlink: request %d delivered after %d retransmits", req_id, retx)
-            n_retransmits += retx
-            completion[req_id] = done
-            predictions[req_id] = cloud_log.prediction[pos]
-            cloud_part[req_id] = cloud_done - cloud_arrival[pos]
-            net_part[req_id] = (cloud_arrival[pos] - ready_s[pos]) + (done - cloud_done)
-            if obs is not None:
-                obs.on_leg(SPAN_CLOUD, req_id, float(cloud_arrival[pos]), float(cloud_done))
-                obs.on_leg(SPAN_DOWNLINK, req_id, tx_start, done)
+        # Requests a shedding cloud tier never served end the trace
+        # unserved instead of poisoning the downlink queue with NaN.
+        cloud_done = cloud_log.completion_s
+        _, n_retransmits = loop.downlink(req_ids, cloud_arrival, cloud_done)
+        served = np.isfinite(cloud_done)
+        req = req_ids[served]
+        predictions[req] = cloud_log.prediction[served]
+        cloud_part[req] = cloud_done[served] - cloud_arrival[served]
+        net_part[req] = (cloud_arrival[served] - loop.ready_s[req]) + (
+            loop.completion_s[req] - cloud_done[served]
+        )
         return report, n_retransmits
 
     def _decode(self, raw: np.ndarray) -> np.ndarray:
@@ -654,22 +560,11 @@ class EdgeTier:
     # reporting
     # ------------------------------------------------------------------ #
     def _report(
-        self,
-        transport,
-        arrival_s,
-        completion,
-        outcome,
-        edge_part,
-        net_part,
-        cloud_part,
-        uplink_bytes_total,
-        n_retransmits,
-        edge_busy,
-        radio_busy,
-        accuracy,
-        cloud_report,
-        scenario,
+        self, device, loop, edge_part, net_part, cloud_part, n_retransmits, accuracy,
+        cloud_report, scenario,
     ) -> OffloadReport:
+        arrival_s, completion, outcome = loop.arrival_s, loop.completion_s, loop.outcome
+        transport = device.transport
         sojourn = completion - arrival_s
         # A shedding/failing cloud tier leaves offloaded requests
         # unserved (NaN completion); latency statistics cover the served
@@ -698,7 +593,7 @@ class EdgeTier:
             n_local_hard=int((outcome == _LOCAL_HARD).sum()),
             n_offloaded=int(offloaded.sum()),
             n_unserved=n_unserved,
-            uplink_bytes=int(uplink_bytes_total),
+            uplink_bytes=device.up_bytes * len(device.transfers),
             duration_s=makespan,
             throughput_rps=len(served) / makespan if makespan > 0 else float("inf"),
             arrival_rate_hz=(n - 1) / span if span > 0 else float("inf"),
@@ -720,9 +615,9 @@ class EdgeTier:
                 if np.isfinite(cloud_part[offloaded]).any()
                 else float("nan")
             ),
-            edge_utilization=edge_busy / makespan if makespan > 0 else 0.0,
-            edge_energy_j=energy_joules(self.edge_device, edge_busy),
-            radio_energy_j=transport.link.tx_power_w * radio_busy,
+            edge_utilization=device.edge_busy / makespan if makespan > 0 else 0.0,
+            edge_energy_j=energy_joules(self.edge_device, device.edge_busy),
+            radio_energy_j=transport.link.tx_power_w * device.radio_busy,
             n_retransmits=int(n_retransmits),
             n_sessions=sess.n_established if sess else 0,
             n_renegotiations=sess.n_naks if sess else 0,

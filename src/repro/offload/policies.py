@@ -123,7 +123,7 @@ class EntropyGated(OffloadPolicy):
     name = "entropy-gated"
 
     def __init__(self, threshold: float | None = None) -> None:
-        if threshold is not None and threshold < 0:
+        if threshold is not None and not threshold >= 0:  # false for NaN too
             raise ValueError(f"entropy threshold must be >= 0, got {threshold}")
         self.threshold = threshold
 
@@ -148,8 +148,8 @@ class DeadlineAware(OffloadPolicy):
     name = "deadline-aware"
 
     def __init__(self, deadline_s: float) -> None:
-        if deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
+        if not 0 < deadline_s < math.inf:
+            raise ValueError(f"deadline_s must be positive and finite, got {deadline_s}")
         self.deadline_s = float(deadline_s)
 
     def offload(self, ctx: OffloadContext) -> bool:

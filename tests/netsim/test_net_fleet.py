@@ -9,6 +9,7 @@ from repro.netsim import (
     AIMDConfig,
     FleetDevice,
     LinkFaultPlan,
+    SessionTransport,
     SharedLink,
     outage_window,
     run_fleet_net,
@@ -76,10 +77,13 @@ class TestFairShare:
         assert float(np.min(goodputs)) >= 0.65 * mean
 
     def test_two_devices_split_what_one_gets(self):
-        solo = _run(n_devices=1, loss=0.05, rate_hz=40.0, n_requests=80)
-        duo = _run(n_devices=2, loss=0.05, rate_hz=40.0, n_requests=80)
-        solo_bps = solo.goodputs_bps()[0]
-        for bps in duo.goodputs_bps():
+        # Lossless 240 kB payloads at 40 Hz: two devices saturate the
+        # cell, so each gets less than one device alone (at most 0.87x
+        # on seeds 0-39).  At 9 kB under 5% loss they barely contend,
+        # and the goodput gap is loss-draw noise.
+        kwargs = dict(loss=0.0, rate_hz=40.0, n_requests=80, up_bytes=240_000)
+        solo_bps = _run(n_devices=1, **kwargs).goodputs_bps()[0]
+        for bps in _run(n_devices=2, **kwargs).goodputs_bps():
             assert bps < solo_bps  # contention strictly costs throughput
 
 
@@ -121,6 +125,26 @@ class TestDeterminism:
         assert np.array_equal(a.outcome, b.outcome)
         assert np.array_equal(a.delivered_count, b.delivered_count)
         assert a.devices == b.devices
+
+    def test_one_clock_across_devices(self, monkeypatch):
+        """Requests are decided in time order, whichever device owns them."""
+        decided_at = []
+        estimate_s = SessionTransport.estimate_s
+
+        def recorded(transport, n_bytes, time_s):
+            decided_at.append(time_s)
+            return estimate_s(transport, n_bytes, time_s)
+
+        monkeypatch.setattr(SessionTransport, "estimate_s", recorded)
+        spec = FleetDevice(rate_hz=10.0, n_requests=30, up_bytes=9_000)
+        report = run_fleet_net(
+            SharedLink.from_network_link(lte()), (spec,) * 4, EntropyGated(),
+            deadline_s=0.5, rng=1,
+        )
+        first = report.arrival_s[:: spec.n_requests]
+        assert first[0] > first.min()  # device 0 is not the first to arrive
+        assert len(decided_at) == report.n_requests
+        assert decided_at == sorted(decided_at)
 
     def test_seeds_change_the_run(self):
         link = SharedLink.from_network_link(lte())

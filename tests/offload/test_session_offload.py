@@ -30,7 +30,7 @@ from repro.netsim.fleet import LOCAL_EASY, LOCAL_HARD
 from repro.obs.observer import Observer
 from repro.obs.spans import SPAN_CLOUD, SPAN_DOWNLINK, SPAN_REQUEST, SPAN_UPLINK
 from repro.offload.engine import EdgeTier, cloud_server_for
-from repro.offload.policies import AlwaysRemote, DeadlineAware, EntropyGated
+from repro.offload.policies import AlwaysLocal, AlwaysRemote, DeadlineAware, EntropyGated
 from repro.serving.arrivals import poisson_arrivals
 from repro.sim import offload_oracle
 from repro.utils.rng import as_generator, derive_seed
@@ -231,22 +231,28 @@ class TestTracedLegs:
             assert not any(lo <= start < hi for lo, hi in windows), start
 
 
-#: (seed, preset, storm, policy) cells where every request completes
-#: before the next arrives — the precondition, and the only criterion
-#: the seeds were picked by.
+#: The full grid, crossed so that no cell is picked by its result:
+#: seeds 0-5 × wifi/lte × clean/storm × four policies × 2 and 8 req/s.
+#: Requests queue on the device in many cells, most of all at 8 req/s;
+#: an 8 req/s cell's id ends in "-8hz".
+_PARITY_POLICIES = (EntropyGated(), DeadlineAware(0.25), DeadlineAware(0.12), AlwaysRemote())
 _PARITY_CELLS = [
-    (0, wifi, False, EntropyGated()),
-    (0, wifi, False, DeadlineAware(0.25)),
-    (1, wifi, True, EntropyGated()),
-    (4, wifi, True, DeadlineAware(0.25)),
-    (5, wifi, True, DeadlineAware(0.12)),
-    (1, lte, False, DeadlineAware(0.12)),
-    (3, lte, True, DeadlineAware(0.12)),
+    (seed, preset, storm, policy, rate_hz)
+    for rate_hz in (2.0, 8.0)
+    for seed in range(6)
+    for preset in (wifi, lte)
+    for storm in (False, True)
+    for policy in _PARITY_POLICIES
 ]
 
 
 class TestFleetParity:
-    """One device on ``EdgeTier`` and on ``run_fleet_net`` is one model."""
+    """One device on ``EdgeTier`` and on ``run_fleet_net`` is one model.
+
+    The differential gate of the shared device loop: both entry points
+    drive it, so they agree with jitter on, whether or not requests
+    queue on the device.
+    """
 
     @pytest.fixture(scope="class")
     def two_image_oracle(self, branchy, stream):
@@ -257,26 +263,23 @@ class TestFleetParity:
         return offload_oracle(branchy, pool)
 
     @pytest.mark.parametrize(
-        "seed, preset, storm, policy",
+        "seed, preset, storm, policy, rate_hz",
         _PARITY_CELLS,
         ids=[
             f"seed{seed}-{preset.__name__}-{'storm' if storm else 'clean'}-"
             f"{policy.name}{getattr(policy, 'deadline_s', '')}"
-            for seed, preset, storm, policy in _PARITY_CELLS
+            f"{'' if rate_hz == 2.0 else f'-{rate_hz:g}hz'}"
+            for seed, preset, storm, policy, rate_hz in _PARITY_CELLS
         ],
     )
     def test_single_device_matches_run_fleet_net(
-        self, branchy, two_image_oracle, seed, preset, storm, policy
+        self, branchy, two_image_oracle, seed, preset, storm, policy, rate_hz
     ):
         oracle = two_image_oracle
 
         def shared():
-            # No jitter: EdgeTier reserves every downlink after its uplink
-            # loop while run_fleet_net interleaves them, and both engines
-            # draw from one transport stream.
             plan = link_storm(20.0, rng=seed) if storm else LinkFaultPlan()
-            link = dataclasses.replace(preset(), jitter_s=0.0)
-            return SharedLink.from_network_link(link, faults=plan)
+            return SharedLink.from_network_link(preset(), faults=plan)
 
         cloud = cloud_server_for(
             policy, branchy, gci_cpu(), oracle=oracle, max_batch_size=1, max_wait_s=0.0
@@ -285,7 +288,7 @@ class TestFleetParity:
         transport = SessionTransport(shared(), rng=derive_seed(fleet_seed, "transport-0"))
         tier = EdgeTier(branchy, raspberry_pi4(), transport, cloud, policy, oracle=oracle)
         device = FleetDevice(
-            rate_hz=2.0,
+            rate_hz=rate_hz,
             n_requests=40,
             up_bytes=tier.codec.wire_bytes(oracle.boundary_elems(policy.payload)),
             down_bytes=40,
@@ -301,10 +304,11 @@ class TestFleetParity:
         hard = dev_rng.random(device.n_requests) < device.p_hard
         arrival_s = np.cumsum(gaps)
         np.testing.assert_array_equal(arrival_s, fleet.arrival_s)
-        # Precondition: nothing queues on the device.  Past it the engines
-        # differ on purpose: run_fleet_net holds the device until the
-        # uplink ack, EdgeTier does not.
-        assert np.all(fleet.completion_s[:-1] <= fleet.arrival_s[1:])
+        if not policy.runs_gate:
+            # AlwaysRemote ships raw inputs, and the cloud's full model
+            # exits early on every one: its service time is one constant,
+            # as the fleet's is.
+            hard[:] = False
 
         report = tier.serve(hard.astype(np.int64), arrival_s)
         assert (report.n_offloaded, report.n_local_hard, report.n_local_easy) == (
@@ -317,3 +321,45 @@ class TestFleetParity:
         assert (report.mean_s, report.p50_s, report.p99_s, report.max_s) == (
             float(sojourn.mean()), p50, p99, float(sojourn.max())
         )
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _fleet_device(**kwargs):
+    return FleetDevice(**{"rate_hz": 10.0, "n_requests": 20, "up_bytes": 100, **kwargs})
+
+
+def _edge_tier(branchy, **kwargs):
+    cloud = cloud_server_for(EntropyGated(), branchy, gci_cpu())
+    return EdgeTier(branchy, raspberry_pi4(), wifi(), cloud, EntropyGated(), **kwargs)
+
+
+def _fleet_run(deadline_s):
+    link = SharedLink.from_network_link(lte())
+    return run_fleet_net(link, (_fleet_device(),), AlwaysLocal(), deadline_s=deadline_s)
+
+
+_BAD_SETTINGS = {
+    "fleet-rate-nan": lambda b: _fleet_device(rate_hz=_NAN),
+    "fleet-rate-inf": lambda b: _fleet_device(rate_hz=_INF),
+    "fleet-gate-nan": lambda b: _fleet_device(gate_s=_NAN),
+    "fleet-gate-inf": lambda b: _fleet_device(gate_s=_INF),
+    "fleet-local-nan": lambda b: _fleet_device(local_s=_NAN),
+    "fleet-cloud-nan": lambda b: _fleet_device(cloud_s=_NAN),
+    "fleet-cloud-inf": lambda b: _fleet_device(cloud_s=_INF),
+    "run-deadline-nan": lambda b: _fleet_run(_NAN),
+    "run-deadline-inf": lambda b: _fleet_run(_INF),
+    "deadline-aware-nan": lambda b: DeadlineAware(_NAN),
+    "deadline-aware-inf": lambda b: DeadlineAware(_INF),
+    "entropy-gated-nan": lambda b: EntropyGated(threshold=_NAN),
+    "edge-cloud-est-nan": lambda b: _edge_tier(b, cloud_est_s=_NAN),
+    "edge-cloud-est-negative": lambda b: _edge_tier(b, cloud_est_s=-1e-3),
+}
+
+
+@pytest.mark.parametrize("build", _BAD_SETTINGS.values(), ids=_BAD_SETTINGS)
+def test_non_finite_offload_settings_fail_at_construction(branchy, build):
+    """NaN or infinite settings raise before any request is replayed."""
+    with pytest.raises(ValueError):
+        build(branchy)

@@ -36,6 +36,7 @@ import pytest
 from scipy import stats
 
 from repro.cluster import Cluster
+from repro.obs.observer import Observer
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.backends import BatchTiming, InferenceBackend
 from repro.sim import InferenceTable, OracleBackend
@@ -191,14 +192,33 @@ def test_littles_law_on_the_waiting_room(replays, law, rho):
 
     The samples pool the case's seeds: at ρ = 0.3 one replay's waiting
     room holds 0.06 requests on average, too few for a 3% check alone.
-    The observer's ``queue_depth`` series cannot stand in: it records
-    the batcher after each flush, which is always empty here.
     """
     runs = replays(law, rho)
     depth = np.concatenate([r.depth_seen for r in runs]).mean()
     rate = np.mean([r.arrival_rate_hz for r in runs])
     wait = np.concatenate([r.wait_s for r in runs]).mean()
     assert depth == pytest.approx(rate * wait, rel=0.03)
+
+
+def test_observer_queue_depth_gauge_counts_the_waiting_room():
+    """The Observer's ``queue_depth`` series averages to ``L_q = λ·W_q``.
+
+    Each dispatch records the waiting room it leaves behind: the batcher
+    plus committed copies that have not started.  With batch size 1 and
+    no wait, every arrival dispatches at once, so by PASTA the samples
+    average to the time-average number waiting.
+    """
+    law = "constant"
+    rate = 0.9 / service_moments(law)[0]
+    arrivals, exits = draw_trace(law, rate, 20_000, seed=0)
+    obs = Observer()
+    cluster = Cluster([make_backend(law, exits)], obs=obs, **FIFO)
+    report, log = cluster.serve_log(np.arange(arrivals.size), arrivals)
+    depth = obs.metrics.series("queue_depth")
+    assert depth.counts().sum() == arrivals.size
+    wait = float(np.mean(log.dispatch_s - log.arrival_s))
+    mean_depth = depth.sums().sum() / depth.counts().sum()
+    assert mean_depth == pytest.approx(report.arrival_rate_hz * wait, rel=0.03)
 
 
 @CASES
