@@ -2,10 +2,11 @@
 #
 #   make test         tier-1 unit/integration suite (the CI gate)
 #   make fleet-smoke  cluster-layer smoke: policies/autoscaler/crashes on
-#                     toy fleets, incl. the hot-loop sweep-parity test and
+#                     toy fleets, incl. the hot-loop sweep-parity test,
 #                     the load-signal recount-parity test (cached in-flight
-#                     counts vs re-summed batches; tests/cluster, no
-#                     training, seconds)
+#                     counts vs re-summed batches) and the chunked-inference
+#                     parity test (toy and live fleets; tests/cluster,
+#                     seconds once the test pipeline is disk-cached)
 #   make offload-smoke  offload-layer smoke: network links and their
 #                     transports (a NetworkLink's private radio, the
 #                     session transport), partition planner, policies,
@@ -14,7 +15,9 @@
 #   make sim-smoke    simulation-core smoke: oracle live-vs-table parity,
 #                     SoA records, the kernel's M/G/1 analytic oracles
 #                     and Lindley differential, vectorized arrival
-#                     regressions
+#                     regressions, and served fastpath predictions
+#                     against the reference path (no arena growth across
+#                     ragged batches)
 #   make tenants-smoke  multi-tenant smoke: scheduler invariants, priority
 #                     batcher, FIFO-vs-priority experiment on toy fleets
 #   make chaos-smoke  robustness smoke: chaos invariants under random fault
@@ -60,7 +63,8 @@ offload-smoke:
 	    tests/serving/test_router_edge_cases.py -q
 
 sim-smoke:
-	$(PYTHON) -m pytest tests/sim tests/serving/test_arrivals.py -q
+	$(PYTHON) -m pytest tests/sim tests/serving/test_arrivals.py \
+	    tests/serving/test_fastpath_serving.py -q
 
 tenants-smoke:
 	$(PYTHON) -m pytest tests/scheduling tests/serving/test_priority_batcher.py \

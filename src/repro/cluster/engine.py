@@ -26,6 +26,10 @@ replica's backend — real model inference, or precomputed-table lookups
 when the fleet is built from :class:`repro.sim.OracleBackend` wrappers —
 so the :class:`ClusterReport` carries genuine served accuracy next to
 the latency, shedding, availability, and replica-seconds columns.
+Each backend's finished batches are packed, in finish order, into
+``predict`` calls of at most ``max_batch_size`` rows with their routing
+decisions joined; predictions are per sample and never feed back into
+the timeline, so the packing changes host time only.
 
 Per-request bookkeeping is the structure-of-arrays
 :class:`~repro.sim.records.RequestLog`; arrivals are consumed from a
@@ -241,6 +245,65 @@ class _Books:
     attempt: np.ndarray | None = None
     pending: np.ndarray | None = None
     drop: np.ndarray | None = None
+
+
+class _Chunk:
+    """Finished rows of one backend waiting for one ``predict`` call.
+
+    ``rows`` are request indices in finish order and ``decisions`` the
+    member batches' routing decisions.  ``picks`` are the positions of
+    ``rows`` within the joined decisions; it stays ``None`` until a
+    member drops rows, and ``width`` counts the joined positions.
+    """
+
+    __slots__ = ("backend", "rows", "decisions", "picks", "width")
+
+    def __init__(self, backend: InferenceBackend) -> None:
+        self.backend = backend
+        self.rows: list[int] = []
+        self.decisions: list[RouteDecision] = []
+        self.picks: list[int] | None = None
+        self.width = 0
+
+    def add(self, batch: InFlightBatch, keep: list[int] | None) -> None:
+        """Append ``batch``'s rows at positions ``keep`` (``None``: all)."""
+        indices, width = batch.indices, self.width
+        if keep is None:
+            self.rows.extend(indices)
+            if self.picks is not None:
+                self.picks.extend(range(width, width + len(indices)))
+        else:
+            if self.picks is None:
+                self.picks = list(range(width))
+            self.rows.extend([indices[p] for p in keep])
+            self.picks.extend([width + p for p in keep])
+        if batch.decision is not None:
+            self.decisions.append(batch.decision)
+        self.width = width + len(indices)
+
+    def predict(self, images: np.ndarray, prediction: np.ndarray) -> None:
+        """One ``predict`` call over the chunk, written into ``prediction``."""
+        idx = np.asarray(self.rows, dtype=np.intp)
+        prediction[idx] = self.backend.predict(images[idx], self.decision())
+
+    def decision(self) -> RouteDecision | None:
+        """The member decisions joined field by field, at ``picks``."""
+        decisions, picks = self.decisions, self.picks
+        if not decisions:
+            return None
+        if len(decisions) == 1 and picks is None:
+            return decisions[0]
+
+        def join(parts: list[np.ndarray]) -> np.ndarray:
+            joined = np.concatenate(parts)
+            return joined if picks is None else joined[picks]
+
+        labels = [d.predictions for d in decisions]
+        return RouteDecision(
+            easy=join([d.easy for d in decisions]),
+            entropy=join([d.entropy for d in decisions]),
+            predictions=None if any(p is None for p in labels) else join(labels),
+        )
 
 
 class Cluster:
@@ -1320,31 +1383,58 @@ class Cluster:
     # predictions + reporting
     # ------------------------------------------------------------------ #
     def _fill_predictions(self, books: _Books) -> None:
-        """Run each surviving batch through its replica's backend.
+        """Run the surviving batches through their backends, in chunks.
 
-        Crash-cancelled batches never reach ``books.finished``, so every
-        request is predicted at most once — by the batch that actually
-        completed for it on the virtual timeline.
+        Each backend object's finished batches are packed, in the order
+        they finished, into chunks of at most ``max_batch_size`` rows —
+        the size ``serve_log`` warmed every live backend for, so no plan
+        recompiles — and each chunk is one ``predict`` call with its
+        members' routing decisions joined.  Predictions never feed back
+        into the timeline (service time came from ``BatchTiming`` at
+        dispatch) and every backend predicts per sample, so the chunking
+        changes only the host time inference takes.
+
+        Crash-cancelled batches never reach ``books.finished``.  In a
+        resilient fleet a finished batch may still carry a cancelled
+        attempt's rows (a late response, a lost hedge race).  Those rows
+        are dropped before they join a chunk: a row is kept only when
+        the request's final record names this batch's replica and
+        completion time, so a late response is not predicted and cannot
+        overwrite the winner's.  (Two copies a partition withholds on one
+        replica until the same heal share that record; both are kept,
+        and both predict the same image.)
         """
-        prediction = books.log.prediction
-        images = books.images
+        log = books.log
+        cap = self.max_batch_size
         guarded = self.resilience is not None
-        replica_col = books.log.replica_id
-        completion_col = books.log.completion_s
+        if guarded:
+            final_replica = log.replica_id.tolist()
+            final_done = log.completion_s.tolist()
+        chunks: dict[int, _Chunk] = {}
         for replica, batch in books.finished:
-            idx = np.asarray(batch.indices, dtype=np.intp)
-            preds = replica.backend.predict(images[idx], batch.decision)
+            n, keep = len(batch.indices), None
             if guarded:
-                # Only requests whose final record is *this* batch take
-                # its predictions — a cancelled attempt's (late, lost)
-                # response must not overwrite the winner's.
-                mask = (replica_col[idx] == replica.replica_id) & (
-                    completion_col[idx] == batch.completion_s
-                )
-                prediction[idx[mask]] = preds[mask]
-            else:
-                prediction[idx] = preds
-        books.log.fill_cached_predictions()
+                rid, done = replica.replica_id, batch.completion_s
+                keep = [
+                    pos
+                    for pos, i in enumerate(batch.indices)
+                    if final_replica[i] == rid and final_done[i] == done
+                ]
+                if not keep:
+                    continue
+                if len(keep) == n:
+                    keep = None
+                else:
+                    n = len(keep)
+            chunk = chunks.get(id(replica.backend))
+            if chunk is None or len(chunk.rows) + n > cap:
+                if chunk is not None:
+                    chunk.predict(books.images, log.prediction)
+                chunk = chunks[id(replica.backend)] = _Chunk(replica.backend)
+            chunk.add(batch, keep)
+        for chunk in chunks.values():
+            chunk.predict(books.images, log.prediction)
+        log.fill_cached_predictions()
 
     def _report(
         self,

@@ -49,21 +49,23 @@ class BreakerConfig:
     half_open_probes: int = 2
 
     def __post_init__(self) -> None:
-        if self.window_s <= 0:
+        # Negated comparisons: NaN fails every comparison, so it is
+        # rejected too.
+        if not self.window_s > 0:
             raise ValueError(f"window_s must be positive, got {self.window_s}")
-        if self.min_samples < 1:
+        if not self.min_samples >= 1:
             raise ValueError(f"min_samples must be >= 1, got {self.min_samples}")
         if not 0.0 < self.error_threshold <= 1.0:
             raise ValueError(
                 f"error_threshold must be in (0, 1], got {self.error_threshold}"
             )
-        if self.latency_threshold_s is not None and self.latency_threshold_s <= 0:
+        if self.latency_threshold_s is not None and not self.latency_threshold_s > 0:
             raise ValueError(
                 f"latency_threshold_s must be positive, got {self.latency_threshold_s}"
             )
-        if self.cooldown_s <= 0:
+        if not self.cooldown_s > 0:
             raise ValueError(f"cooldown_s must be positive, got {self.cooldown_s}")
-        if self.half_open_probes < 1:
+        if not self.half_open_probes >= 1:
             raise ValueError(
                 f"half_open_probes must be >= 1, got {self.half_open_probes}"
             )

@@ -59,12 +59,14 @@ class DegradationConfig:
             raise ValueError(
                 f"degrade_pressure must be in (0, 1], got {self.degrade_pressure}"
             )
-        if self.shed_pressure < self.degrade_pressure:
+        # Negated comparisons: NaN fails every comparison, so it is
+        # rejected too.
+        if not self.shed_pressure >= self.degrade_pressure:
             raise ValueError(
                 f"shed_pressure ({self.shed_pressure}) must be >= "
                 f"degrade_pressure ({self.degrade_pressure})"
             )
-        if self.dwell_s < 0:
+        if not self.dwell_s >= 0:
             raise ValueError(f"dwell_s must be >= 0, got {self.dwell_s}")
 
 

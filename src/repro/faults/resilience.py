@@ -41,13 +41,15 @@ class ResilienceConfig:
     degradation: DegradationConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
+        # Negated comparisons: NaN fails every comparison, so it is
+        # rejected too (a NaN timer would never fire).
+        if not self.timeout_s > 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.hedge_delay_s is not None and self.hedge_delay_s <= 0:
+        if self.hedge_delay_s is not None and not self.hedge_delay_s > 0:
             raise ValueError(
                 f"hedge_delay_s must be positive, got {self.hedge_delay_s}"
             )
-        if self.hedge_delay_s is not None and self.hedge_delay_s >= self.timeout_s:
+        if self.hedge_delay_s is not None and not self.hedge_delay_s < self.timeout_s:
             raise ValueError(
                 f"hedge_delay_s ({self.hedge_delay_s}) must be < "
                 f"timeout_s ({self.timeout_s}): a hedge that arms after "
@@ -69,7 +71,7 @@ def hedge_delay_for(
     """
     if not backends:
         raise ValueError("backends must be non-empty")
-    if factor <= 0:
+    if not factor > 0:  # false for NaN too
         raise ValueError(f"factor must be positive, got {factor}")
     worst = max(
         b.batch_service_s(max_batch_size, max_batch_size) for b in backends

@@ -34,15 +34,17 @@ class RetryPolicy:
     jitter_frac: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
+        # Negated comparisons: NaN fails every comparison, so it is
+        # rejected too.
+        if not self.max_retries >= 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.base_backoff_s < 0:
+        if not self.base_backoff_s >= 0:
             raise ValueError(
                 f"base_backoff_s must be >= 0, got {self.base_backoff_s}"
             )
-        if self.backoff_mult < 1.0:
+        if not self.backoff_mult >= 1.0:
             raise ValueError(f"backoff_mult must be >= 1, got {self.backoff_mult}")
-        if self.max_backoff_s < self.base_backoff_s:
+        if not self.max_backoff_s >= self.base_backoff_s:
             raise ValueError(
                 f"max_backoff_s ({self.max_backoff_s}) must be >= "
                 f"base_backoff_s ({self.base_backoff_s})"

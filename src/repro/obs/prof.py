@@ -68,7 +68,8 @@ ENGINE_PHASES = (
     "dispatch",    # batch dispatch: routing pass + timing model + log writes
     "complete",    # completion handling: purge, response judging
     "events",      # heap events: crash/recover/fault/timeout/retry/hedge/tick
-    "inference",   # oracle lookup / live model inference over the batches
+    "inference",   # oracle lookup / live model inference: one predict
+                   # per chunk of finished batches (<= max_batch_size rows)
     "report",      # report build: vectorized reductions over the log
 )
 

@@ -145,11 +145,14 @@ class InferenceBackend:
     def predict(
         self, images: np.ndarray, decision: RouteDecision | None = None
     ) -> np.ndarray:
-        """Real model predictions for one batch.
+        """Real model predictions, one per row of ``images``.
 
-        ``decision`` is the batch's routing outcome when the engine
-        already ran :meth:`route`; dynamic backends reuse its branch
-        predictions instead of repeating the shared-stem forward pass.
+        ``decision`` is the routing outcome when the engine already ran
+        :meth:`route`; dynamic backends reuse its branch predictions
+        instead of repeating the shared-stem forward pass.  One call may
+        carry several dispatched micro-batches (at most the fleet's
+        ``max_batch_size`` rows in all) with their decisions joined row
+        for row, so a prediction must depend only on its own row.
         """
         raise NotImplementedError
 

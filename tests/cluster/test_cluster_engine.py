@@ -1,4 +1,7 @@
-"""Fleet engine semantics: balancing, shedding, failures, caching, drains."""
+"""Fleet engine semantics: balancing, shedding, failures, caching, drains,
+inference chunks."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from repro.faults import (
     crash_window,
     partition_window,
 )
+from repro.hw.devices import gci_cpu
 from repro.serving.arrivals import constant_arrivals, poisson_arrivals
+from repro.serving.backends import CBNetBackend
 from repro.serving.batcher import MicroBatcher
 from repro.serving.classes import DEFAULT_CLASSES, RequestClass
 from repro.serving.priority import PriorityBatcher
@@ -477,3 +482,87 @@ class TestLoadSignals:
                 getattr(log, column), getattr(want_log, column), err_msg=column
             )
         assert report == want_report
+
+
+class _SpySumBackend(SumBackend):
+    """SumBackend recording the row count of every ``predict`` call."""
+
+    def __init__(self, calls, per_item_s=0.001):
+        super().__init__(per_item_s=per_item_s)
+        self.calls = calls
+
+    def predict(self, images, decision=None):
+        self.calls.append(images.shape[0])
+        return super().predict(images, decision)
+
+
+def _warm_spies(images, *per_item_s):
+    """Spy backends warmed at batch size 16, the warmup's calls dropped."""
+    calls = []
+    backends = [_SpySumBackend(calls, p) for p in per_item_s]
+    for backend in backends:
+        backend.warmup(16, sample_shape=images.shape[1:])
+    calls.clear()
+    return backends, calls
+
+
+def _plan_state(cbnet):
+    """(capacity, arena allocations) of every cached fastpath plan."""
+    return {
+        (owner, key): (plan.capacity, plan.arena.allocation_count)
+        for owner in ("autoencoder", "classifier")
+        for key, plan in getattr(cbnet, owner).__dict__.get("_fastpath_plans", {}).items()
+    }
+
+
+class TestPredictChunks:
+    """Inference after the timeline: one ``predict`` per chunk of each
+    backend's finished batches, never more than ``max_batch_size`` rows."""
+
+    def test_small_batches_share_bounded_predict_calls(self):
+        images = make_images(600)
+        backends, calls = _warm_spies(images, 0.001, 0.001)
+        cluster = Cluster(backends, policy="round-robin", max_batch_size=16)
+        report = cluster.serve(
+            images, poisson_arrivals(150.0, 600, rng=3), labels=labels_for(images)
+        )
+        batches = sum(r.n_batches for r in cluster.replicas)
+        assert report.mean_batch_size < 2
+        assert max(calls) <= 16
+        assert len(calls) <= batches / 4, (len(calls), batches)
+        assert sum(calls) == report.n_served == 600  # each request predicted once
+        assert report.accuracy == 1.0
+
+    def test_cancelled_copies_are_never_predicted(self):
+        """A hedge's losing copy still finishes its batch on the slow
+        replica; only the winning copy's row reaches ``predict``."""
+        images = make_images(40)
+        backends, calls = _warm_spies(images, 0.02, 0.001)
+        report = Cluster(
+            backends,
+            policy="round-robin",
+            resilience=ResilienceConfig(timeout_s=0.2, hedge_delay_s=0.01),
+        ).serve(images, constant_arrivals(20.0, 40), labels=labels_for(images))
+        assert report.n_hedged > 0
+        assert report.n_served == 40 and report.accuracy == 1.0
+        assert sum(calls) == 40
+
+    def test_live_chunks_reuse_the_warmed_plans(self, trained_pipeline):
+        """Chunks fit the plans ``serve`` warms at ``max_batch_size``:
+        no plan recompiles at a larger capacity and no arena grows."""
+        cbnet = copy.deepcopy(trained_pipeline.cbnet)
+        cbnet.autoencoder.clear_inference_plans()
+        cbnet.classifier.clear_inference_plans()
+        backends = [CBNetBackend(cbnet, gci_cpu()) for _ in range(2)]
+        pool = trained_pipeline.datasets["test"].images
+        images = pool[np.random.default_rng(0).integers(0, len(pool), 500)]
+        for backend in backends:
+            backend.warmup(16, sample_shape=images.shape[1:])
+        warmed = _plan_state(cbnet)
+        assert warmed and all(cap == 16 for cap, _ in warmed.values()), warmed
+        unit = backends[0].batch_service_s(16) / 16
+        cluster = Cluster(backends, policy="round-robin", max_batch_size=16)
+        report = cluster.serve(images, poisson_arrivals(0.3 * 2 / unit, 500, rng=4))
+        assert report.n_served == 500
+        assert report.mean_batch_size < 8  # ragged batches: chunks pack several
+        assert _plan_state(cbnet) == warmed

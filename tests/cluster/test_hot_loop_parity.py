@@ -26,7 +26,16 @@ a 16-replica fleet flaky throughout (failed batches from several
 replicas judged in one advance), an autoscaler that scales down until a replica drains to DOWN — alone,
 and on a 3-class fleet under a fault storm, where a draining replica's
 worker-gated queue can hold only cancelled copies and flush to nothing —
-and a 16-entry result cache.
+a 16-entry result cache, and a fleet sharing one routed backend behind
+admission that degrades (forced early exits).
+
+``_PerBatchCluster`` keeps the reference inference fill: one ``predict``
+per finished batch, with a resilient fleet's cancelled rows masked out
+of the write.  The production fill packs each backend's finished
+batches into chunks of at most ``max_batch_size`` rows and joins their
+routing decisions; it must write the same predictions over every
+configuration above and over live LeNet, BranchyNet, CBNet and hybrid
+fleets.
 """
 
 import dataclasses
@@ -36,7 +45,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.cluster.admission import WeightedFairAdmission
+from repro.cluster.admission import DEGRADE, AdmissionController, WeightedFairAdmission
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.replica import Replica, ReplicaState
 from repro.experiments.chaos import resilience_for_fleet
@@ -48,7 +57,15 @@ from repro.faults.plan import (
     flaky_window,
     poisson_failures,
 )
+from repro.hw.devices import gci_cpu
+from repro.models import BranchyLeNet, LeNet
 from repro.serving.arrivals import poisson_arrivals
+from repro.serving.backends import (
+    BranchyNetBackend,
+    CBNetBackend,
+    HybridBackend,
+    LeNetBackend,
+)
 from repro.serving.classes import DEFAULT_CLASSES
 from repro.sim.records import RequestLog
 
@@ -130,6 +147,52 @@ class _SweepCluster(Cluster):
                         finished.append((replica, batch))
                     else:
                         finished.append((replica, batch))
+
+
+class _PerBatchCluster(Cluster):
+    """Reference engine: one ``predict`` per finished batch."""
+
+    def _fill_predictions(self, books):
+        prediction = books.log.prediction
+        images = books.images
+        guarded = self.resilience is not None
+        replica_col = books.log.replica_id
+        completion_col = books.log.completion_s
+        for replica, batch in books.finished:
+            idx = np.asarray(batch.indices, dtype=np.intp)
+            preds = replica.backend.predict(images[idx], batch.decision)
+            if guarded:
+                # Only requests whose final record is *this* batch take
+                # its predictions — a cancelled attempt's (late, lost)
+                # response must not overwrite the winner's.
+                mask = (replica_col[idx] == replica.replica_id) & (
+                    completion_col[idx] == batch.completion_s
+                )
+                prediction[idx[mask]] = preds[mask]
+            else:
+                prediction[idx] = preds
+        books.log.fill_cached_predictions()
+
+
+class _RouteAwareSumBackend(RoutedSumBackend):
+    """Routed toy whose labels depend on the decision it is handed.
+
+    Hard rows are labelled 10-19 and easy rows 0-9, and each row's
+    entropy must be its own image's mean, so a decision joined out of
+    row order changes the predictions.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.calls = self.rows = 0
+
+    def predict(self, images, decision=None):
+        self.calls += 1
+        self.rows += images.shape[0]
+        np.testing.assert_array_equal(
+            decision.entropy, images.reshape(images.shape[0], -1).mean(axis=1)
+        )
+        return super().predict(images) + 10 * ~decision.easy
 
 
 def _fleet(rng, n):
@@ -360,6 +423,30 @@ def _cache16(seed):
     return build, arrival_s, None
 
 
+def _degrade(seed):
+    """Overload against a small budget under a fault storm: admission
+    degrades arrivals onto the early exit, resilience leaves cancelled
+    copies in finished batches, and one routed backend object serves all
+    four replicas."""
+    rng = np.random.default_rng(seed)
+    arrival_s = poisson_arrivals(_rate(4, rng.uniform(0.9, 1.5)), N_REQUESTS, rng=rng)
+    knobs = _knobs(rng)
+    budget = int(rng.integers(4, 32))
+    plan, resilience = _storm_kwargs(rng, arrival_s, 4, knobs)
+
+    def build():
+        return dict(
+            backends=[_RouteAwareSumBackend()] * 4,
+            policy="least-outstanding",
+            admission=AdmissionController(budget, policy=DEGRADE),
+            faults=plan,
+            resilience=resilience,
+            **knobs,
+        )
+
+    return build, arrival_s, None
+
+
 CASES = {
     "p2c16": _p2c16,
     "tenants": _tenants,
@@ -369,6 +456,7 @@ CASES = {
     "autoscale": _autoscale,
     "autoscale_storm": _autoscale_storm,
     "cache16": _cache16,
+    "degrade": _degrade,
 }
 
 
@@ -449,6 +537,97 @@ def test_cached_load_signals_match_recount(case):
     # Admission (tenants) and autoscaler ticks read the fleet total.
     if case in ("tenants", "autoscale", "autoscale_storm"):
         assert checks["total"] > 0, checks
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_chunked_predictions_match_per_batch_fill(case):
+    images, labels = _images()
+    work = {"calls": 0, "rows": 0, "ref_calls": 0, "ref_rows": 0, "degraded": 0}
+    for seed in SEEDS:
+        build, arrival_s, codes = CASES[case](seed)
+        ref_run = _replay(_PerBatchCluster, build, arrival_s, codes, images, labels)
+        run = _replay(Cluster, build, arrival_s, codes, images, labels)
+        _assert_same_run(f"{case} seed {seed}", run, ref_run)
+        if case == "degrade":
+            backend, ref_backend = run[0].replicas[0].backend, ref_run[0].replicas[0].backend
+            work["calls"] += backend.calls
+            work["rows"] += backend.rows
+            work["ref_calls"] += ref_backend.calls
+            work["ref_rows"] += ref_backend.rows
+            work["degraded"] += run[1].n_degraded
+    if case == "degrade":
+        # Forced-easy decisions were joined, and cancelled rows were
+        # dropped from routed chunks before predict.
+        assert work["degraded"] > 0, work
+        assert work["calls"] < work["ref_calls"], work
+        assert work["rows"] < work["ref_rows"], work
+
+
+N_LIVE = 240
+LIVE_SEEDS = range(5)
+
+
+def _gap_threshold(model, images):
+    """A gate threshold mid-way across the widest entropy gap.
+
+    Compiled plans are shape-specialized, so a sample's entropy can
+    differ by ~1 ulp between batch sizes; the threshold must not sit
+    within that noise of any sample.
+    """
+    entropy = np.sort(model.branch_gate(images)[0])
+    lo, hi = int(0.3 * len(entropy)), int(0.7 * len(entropy))
+    i = lo + int(np.argmax(np.diff(entropy[lo:hi])))
+    return float(0.5 * (entropy[i] + entropy[i + 1]))
+
+
+def _live_backends(kind, pipeline):
+    """Two backend objects over one live model, one of them shared by two
+    replicas, plus the image pool they serve."""
+    device = gci_cpu()
+    pool = np.random.default_rng(0).random((48, 1, 28, 28), dtype=np.float32)
+    if kind == "lenet":
+        model = LeNet(rng=0)
+        make = lambda: LeNetBackend(model, device)
+    elif kind == "branchynet":
+        model = BranchyLeNet(rng=0)
+        threshold = _gap_threshold(model, pool)
+        make = lambda: BranchyNetBackend(model, device, threshold=threshold)
+    else:
+        pool = pipeline.datasets["test"].images[:48]
+        if kind == "cbnet":
+            make = lambda: CBNetBackend(pipeline.cbnet, device)
+        else:
+            make = lambda: HybridBackend(pipeline.cbnet, pipeline.branchynet, device)
+    shared = make()
+    return [shared, shared, make()], pool
+
+
+@pytest.mark.parametrize("kind", ["lenet", "branchynet", "cbnet", "hybrid"])
+def test_live_chunked_predictions_match_per_batch_fill(kind, request):
+    pipeline = request.getfixturevalue("trained_pipeline") if kind in ("cbnet", "hybrid") else None
+    backends, pool = _live_backends(kind, pipeline)
+    unit = backends[0].batch_service_s(8, 0) / 8
+    for seed in LIVE_SEEDS:
+        rng = np.random.default_rng(seed)
+        images = pool[rng.integers(0, len(pool), N_LIVE)]
+        arrival_s = poisson_arrivals(
+            rng.uniform(0.5, 1.3) * len(backends) / unit, N_LIVE, rng=rng
+        )
+        knobs = _knobs(rng)
+        budget = int(rng.integers(4, 32))
+
+        def build():
+            return dict(
+                backends=list(backends),
+                policy="power-of-two",
+                admission=AdmissionController(budget, policy=DEGRADE),
+                rng=seed,
+                **knobs,
+            )
+
+        ref_run = _replay(_PerBatchCluster, build, arrival_s, None, images, None)
+        run = _replay(Cluster, build, arrival_s, None, images, None)
+        _assert_same_run(f"live {kind} seed {seed}", run, ref_run)
 
 
 def test_purge_calls_per_request_do_not_grow_with_fleet(monkeypatch):

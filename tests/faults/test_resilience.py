@@ -1,8 +1,17 @@
 """Unit tests for the bundled ResilienceConfig and hedge-delay helper."""
 
+import math
+from functools import partial
+
 import pytest
 
-from repro.faults import ResilienceConfig, hedge_delay_for
+from repro.faults import (
+    BreakerConfig,
+    DegradationConfig,
+    ResilienceConfig,
+    RetryPolicy,
+    hedge_delay_for,
+)
 from repro.serving.backends import BatchTiming, InferenceBackend
 
 
@@ -28,6 +37,35 @@ class TestValidation:
     def test_hedge_after_timeout_rejected(self):
         with pytest.raises(ValueError, match="hedge"):
             ResilienceConfig(timeout_s=0.1, hedge_delay_s=0.1)
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (ResilienceConfig, "timeout_s"),
+            (ResilienceConfig, "hedge_delay_s"),
+            (RetryPolicy, "max_retries"),
+            (RetryPolicy, "base_backoff_s"),
+            (RetryPolicy, "backoff_mult"),
+            (RetryPolicy, "max_backoff_s"),
+            (BreakerConfig, "window_s"),
+            (BreakerConfig, "cooldown_s"),
+            (BreakerConfig, "latency_threshold_s"),
+            (DegradationConfig, "dwell_s"),
+            (DegradationConfig, "shed_pressure"),
+            pytest.param(
+                partial(hedge_delay_for, [_Toy(0.001)], 8, 0.004),
+                "factor",
+                id="hedge_delay_for-factor",
+            ),
+        ],
+    )
+    def test_nan_setting_fails_at_construction(self, make, name):
+        """NaN fails every comparison, so a ``x <= 0`` check lets it
+        through.  A NaN timer or backoff never wins the event loop's
+        merge against the next arrival, and the replay crashes at its
+        end instead of here."""
+        with pytest.raises(ValueError, match=name):
+            make(**{name: math.nan})
 
     def test_defaults_are_consistent(self):
         config = ResilienceConfig()

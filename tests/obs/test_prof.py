@@ -216,11 +216,11 @@ class TestAttribution:
     def test_injected_slowdown_names_its_phase(self):
         """A stall in backend.predict must surface as `inference` regressing.
 
-        The cluster runs batch predictions inside the ``inference``
-        phase (post-loop ``_fill_predictions``), so stalling every
-        predict call by 2 ms grows that phase's self time by hundreds of
-        milliseconds — orders of magnitude above scheduling noise in any
-        other phase.
+        The cluster makes its ``predict`` calls, one per chunk of
+        finished batches, inside the ``inference`` phase (post-loop
+        ``_fill_predictions``), so stalling every call by 2 ms grows that
+        phase's self time by hundreds of milliseconds — orders of
+        magnitude above scheduling noise in any other phase.
         """
         sc = make_scenario(4)
         _, base = run_profiled(sc)
@@ -231,7 +231,7 @@ class TestAttribution:
             (name, (b, n)) for name, b, n, _ in compare_phase_reports(base, stalled)
         )
         base_s, new_s = rows["inference"]
-        assert new_s > base_s + 0.01  # >= 5 batches x 2 ms, minus slack
+        assert new_s > base_s + 0.01  # >= 5 predict calls x 2 ms, minus slack
 
 
 class TestProfStudy:
