@@ -3,7 +3,9 @@
 #   make test         tier-1 unit/integration suite (the CI gate)
 #   make fleet-smoke  cluster-layer smoke: policies/autoscaler/crashes on
 #                     toy fleets, incl. the hot-loop sweep-parity test,
-#                     the load-signal recount-parity test (cached in-flight
+#                     the deadline-scan parity test (per-event scan vs the
+#                     deadline floor) and the floor invariant check, the
+#                     load-signal recount-parity test (cached in-flight
 #                     counts vs re-summed batches) and the chunked-inference
 #                     parity test (toy and live fleets; tests/cluster,
 #                     seconds once the test pipeline is disk-cached)

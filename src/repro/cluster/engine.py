@@ -19,7 +19,9 @@ replica:
    re-dispatches it through the balancer (counted as retries).
    Completions come off a heap of ``(completion_s, replica_id)``
    entries, so advancing the clock touches only the replicas with a
-   batch due, not the whole fleet.
+   batch due, not the whole fleet; a deadline floor (a lower bound on
+   every replica's next flush) skips the scan for due flushes at every
+   event before it.
 
 Once the timeline is fixed, every surviving batch runs through its
 replica's backend — real model inference, or precomputed-table lookups
@@ -476,6 +478,9 @@ class Cluster:
         self._seq = 0
         # (completion_s, replica_id) per committed batch; see _advance.
         self._completions: list[tuple[float, int]] = []
+        # Lower bound on every replica's next_deadline_s(); see
+        # _flush_deadlines_until.
+        self._deadline_floor = -math.inf
         self._refresh_up()
         self._served = False
 
@@ -709,6 +714,7 @@ class Cluster:
         self._heap = []
         self._seq = 0
         self._completions = []
+        self._deadline_floor = -math.inf
         self._refresh_up()
         if self.faults is not None:
             # Plan order (already sorted with explicit tie ranks) becomes
@@ -862,7 +868,19 @@ class Cluster:
                 prof.stop()  # complete
 
     def _flush_deadlines_until(self, limit_s: float) -> None:
-        """Service every batcher deadline that fires before ``limit_s``."""
+        """Service every batcher deadline that fires by ``limit_s``.
+
+        Returns at once while ``limit_s`` is below the deadline floor, a
+        lower bound on every replica's :meth:`Replica.next_deadline_s`:
+        no flush can be due, so the O(replicas) scan is skipped.  Each
+        completed scan sets the floor to the minimum it found, and
+        ``_route_to`` lowers it to the routed replica's deadline after
+        each add and the flush the add may trigger — an add is the only
+        way a replica's deadline falls — so every flush still fires at
+        the same instant and in the same order.
+        """
+        if limit_s < self._deadline_floor:
+            return
         while True:
             best = None
             best_deadline = math.inf
@@ -872,6 +890,7 @@ class Cluster:
                     best = replica
                     best_deadline = deadline
             if best is None or best_deadline > limit_s:
+                self._deadline_floor = best_deadline
                 return
             prof = self.prof
             if prof is not None:
@@ -1261,6 +1280,9 @@ class Cluster:
             self._books.pending[i] += 1
         if replica.should_dispatch(now):
             self._dispatch(replica, replica.batcher.flush(), now)
+        deadline = replica.next_deadline_s()
+        if deadline < self._deadline_floor:
+            self._deadline_floor = deadline
         return replica
 
     def _dispatch(self, replica: Replica, indices: list[int], flush_s: float) -> None:

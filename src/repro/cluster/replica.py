@@ -295,6 +295,12 @@ class Replica:
         matters — instead of racing ahead into the worker's FIFO, so
         the next flush is ``worker_free_s`` once a full batch is
         pending, else ``max(deadline, worker_free_s)``.
+
+        Invariant: the value falls only when a request joins the
+        batcher.  Flush, commit, purge, crash, drain, provisioning and
+        coming UP with an empty batcher keep it, raise it or make it
+        ``inf``; the engine's deadline floor relies on this to skip
+        scans that cannot fire a flush.
         """
         if self.state not in (ReplicaState.UP, ReplicaState.DRAINING):
             return math.inf

@@ -36,14 +36,16 @@ class MicroBatcher:
     max_wait_s:
         Flush as soon as the oldest pending request has waited this long
         (deadline trigger).  ``0`` degenerates to unbatched FIFO serving:
-        every request flushes immediately.
+        every request flushes immediately.  It must be finite: an
+        infinite cap never flushes a partial batch, and its requests
+        would end the trace unserved.
     """
 
     def __init__(self, max_batch_size: int = 32, max_wait_s: float = 0.005) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if not max_wait_s >= 0:  # false for NaN too
-            raise ValueError(f"max_wait_s must be non-negative, got {max_wait_s}")
+        if not 0 <= max_wait_s < math.inf:  # false for NaN too
+            raise ValueError(f"max_wait_s must be finite and >= 0, got {max_wait_s}")
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_s)
         self._pending: list[int] = []

@@ -28,6 +28,7 @@ class in its :class:`ClassSet` (mirrors the route-code scheme of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,8 @@ class RequestClass:
         Optional micro-batching wait cap for this class (``None`` uses
         the engine's ``max_wait_s``).  A tight cap on the interactive
         class is what lets an urgent arrival preempt a forming batch.
+        It must be finite: an infinite cap never flushes a partial
+        batch of that class.
     """
 
     name: str
@@ -87,8 +90,8 @@ class RequestClass:
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
         if not self.weight > 0:
             raise ValueError(f"weight must be positive, got {self.weight}")
-        if self.max_wait_s is not None and not self.max_wait_s >= 0:
-            raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
+        if self.max_wait_s is not None and not 0 <= self.max_wait_s < math.inf:
+            raise ValueError(f"max_wait_s must be finite and >= 0, got {self.max_wait_s}")
 
 
 class ClassSet:

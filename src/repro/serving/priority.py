@@ -48,7 +48,8 @@ class PriorityBatcher:
         Cap on requests per flush (the micro-batch size).
     max_wait_s:
         Default deadline trigger, used for classes whose
-        ``max_wait_s`` is ``None``.
+        ``max_wait_s`` is ``None``.  Finite and >= 0, like
+        :class:`~repro.serving.batcher.MicroBatcher`'s.
     ordering:
         ``"priority"`` (the point of this class) or ``"fifo"`` — the
         control arm for scheduler comparisons: identical queueing
@@ -66,8 +67,8 @@ class PriorityBatcher:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if not max_wait_s >= 0:  # false for NaN too
-            raise ValueError(f"max_wait_s must be non-negative, got {max_wait_s}")
+        if not 0 <= max_wait_s < math.inf:  # false for NaN too
+            raise ValueError(f"max_wait_s must be finite and >= 0, got {max_wait_s}")
         if ordering not in ("priority", "fifo"):
             raise ValueError(f"unknown ordering {ordering!r}")
         self.classes = classes

@@ -2,6 +2,7 @@
 inference chunks."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.serving.arrivals import constant_arrivals, poisson_arrivals
 from repro.serving.backends import CBNetBackend
 from repro.serving.batcher import MicroBatcher
 from repro.serving.classes import DEFAULT_CLASSES, RequestClass
+from repro.serving.engine import Server
 from repro.serving.priority import PriorityBatcher
 from repro.sim.records import RequestLog
 
@@ -103,6 +105,25 @@ class TestBasics:
     def test_nan_settings_rejected_at_construction(self, build):
         """``x < 0`` and ``x <= 0`` are false for NaN, so these used to pass."""
         with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Cluster([SumBackend()], max_batch_size=4, max_wait_s=math.inf),
+            lambda: Server(SumBackend(), max_batch_size=4, max_wait_s=math.inf),
+            lambda: MicroBatcher(max_wait_s=math.inf),
+            lambda: PriorityBatcher(DEFAULT_CLASSES, max_wait_s=math.inf),
+            lambda: RequestClass("x", 1, deadline_s=0.1, weight=1.0, max_wait_s=math.inf),
+        ],
+        ids=["cluster", "server", "microbatcher", "prioritybatcher", "class"],
+    )
+    def test_infinite_wait_caps_rejected_at_construction(self, build):
+        """An infinite cap never flushes a partial batch: the end-of-trace
+        flush at ``inf`` skips an ``inf`` deadline, so its requests used
+        to end the trace silently unserved (a one-replica fleet batching
+        4 served 8 of 10 requests 10 ms apart)."""
+        with pytest.raises(ValueError, match="max_wait_s"):
             build()
 
     def test_report_renders(self, images100):

@@ -15,8 +15,18 @@ column for column, and ``_CheckedCluster`` asserts that every cached
 read — at each balancer choose, admission decision and autoscaler
 tick — equals that recount.
 
-A last test pins the cost the sweep paid: purges per request must
-not grow with the fleet.
+``_ScanCluster`` keeps the reference deadline scan: it asks every
+replica for ``next_deadline_s()`` on every event, where the production
+loop skips the scan while the event's time is below its deadline
+floor.  The production run must match it column for column, a trace
+whose deadlines fall exactly on arrivals included, and
+``_FloorCheckedCluster`` asserts on every entry to
+``_flush_deadlines_until`` that the floor is at most the earliest
+deadline of any replica, and that skipping happened.
+
+The last tests pin the cost the references paid: purges and deadline
+reads per request must not grow with the fleet, and cache hits read no
+deadlines.
 
 The sweep covers 20 seeds of each configuration: a 16-replica
 power-of-two fleet, a 3-class priority fleet behind weighted-fair
@@ -147,6 +157,55 @@ class _SweepCluster(Cluster):
                         finished.append((replica, batch))
                     else:
                         finished.append((replica, batch))
+
+
+class _ScanCluster(Cluster):
+    """Reference engine: scan every replica's deadline on every event."""
+
+    def _flush_deadlines_until(self, limit_s):
+        while True:
+            best = None
+            best_deadline = math.inf
+            for replica in self.replicas:
+                deadline = replica.next_deadline_s()
+                if deadline < best_deadline:
+                    best = replica
+                    best_deadline = deadline
+            if best is None or best_deadline > limit_s:
+                return
+            prof = self.prof
+            if prof is not None:
+                prof.start("batch_form")
+            self._advance(best_deadline)
+            self._dispatch(best, best.batcher.flush(), best_deadline)
+            if prof is not None:
+                prof.stop()  # batch_form
+
+
+class _FloorCheckedCluster(Cluster):
+    """Production engine asserting the deadline floor on every scan entry.
+
+    On entry the floor must be at most the earliest ``next_deadline_s()``
+    of any replica; after a scan that ran, it must equal that minimum.
+    Entries the floor skipped are counted.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.n_entries = self.n_skipped = 0
+
+    def _earliest(self):
+        return min(r.next_deadline_s() for r in self.replicas)
+
+    def _flush_deadlines_until(self, limit_s):
+        floor, earliest = self._deadline_floor, self._earliest()
+        assert floor <= earliest, f"limit {limit_s}: floor {floor} > deadline {earliest}"
+        self.n_entries += 1
+        if limit_s < floor:
+            self.n_skipped += 1
+        super()._flush_deadlines_until(limit_s)
+        if limit_s >= floor:
+            assert self._deadline_floor == self._earliest(), f"limit {limit_s}"
 
 
 class _PerBatchCluster(Cluster):
@@ -520,6 +579,47 @@ def test_event_loop_matches_per_event_sweep(case):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
+def test_event_loop_matches_per_event_scan(case):
+    images, labels = _images()
+    for seed in SEEDS:
+        build, arrival_s, codes = CASES[case](seed)
+        ref_run = _replay(_ScanCluster, build, arrival_s, codes, images, labels)
+        run = _replay(Cluster, build, arrival_s, codes, images, labels)
+        _assert_same_run(f"{case} seed {seed}", run, ref_run)
+
+
+def test_deadline_at_an_event_fires_before_it():
+    """A deadline that falls exactly on an arrival flushes before it.
+
+    Arrivals every 1/8 s against a 1/4 s wait cap (all exact binary
+    fractions): each batch's deadline is the instant of the arrival two
+    after its first, which must open the next batch, so every batch
+    holds two requests.  Skipping a scan whose limit equals the floor
+    would let that arrival join the due batch.
+    """
+    n = 40
+    images = make_images(n)
+    arrival_s = np.arange(n) * 0.125
+    build = lambda: dict(backends=[SumBackend()], max_batch_size=16, max_wait_s=0.25)
+    ref_run = _replay(_ScanCluster, build, arrival_s, None, images, None)
+    run = _replay(Cluster, build, arrival_s, None, images, None)
+    _assert_same_run("exact deadlines", run, ref_run)
+    assert (run[2].batch_size == 2).all()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_deadline_floor_bounds_every_deadline(case):
+    images, labels = _images()
+    entries = skipped = 0
+    for seed in SEEDS:
+        build, arrival_s, codes = CASES[case](seed)
+        cluster = _replay(_FloorCheckedCluster, build, arrival_s, codes, images, labels)[0]
+        entries += cluster.n_entries
+        skipped += cluster.n_skipped
+    assert 0 < skipped < entries, (skipped, entries)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_cached_load_signals_match_recount(case):
     images, labels = _images()
     checks = {"choose": 0, "total": 0}
@@ -661,3 +761,65 @@ def test_purge_calls_per_request_do_not_grow_with_fleet(monkeypatch):
         assert report.n_served == n
         per_request[n_replicas] = calls / n
     assert per_request[64] <= 1.5 * per_request[4], per_request
+
+
+def _count_deadline_reads(monkeypatch):
+    """Count ``Replica.next_deadline_s`` calls; read ``counter[0]``."""
+    counter = [0]
+    next_deadline_s = Replica.next_deadline_s
+
+    def counting(self):
+        counter[0] += 1
+        return next_deadline_s(self)
+
+    monkeypatch.setattr(Replica, "next_deadline_s", counting)
+    return counter
+
+
+def test_deadline_calls_per_request_do_not_grow_with_fleet(monkeypatch):
+    """One trace over 4, 16 and 64 replicas: deadline reads track requests.
+
+    Batches of one flush when they are added, so no deadline is pending
+    between events and the floor skips every scan but the first and the
+    last: one ``next_deadline_s`` read per routed request, at every
+    size.  A per-event scan reads every replica on every event, 16x
+    more often at 64 replicas than at 4.
+    """
+    reads = _count_deadline_reads(monkeypatch)
+    n = 2000
+    images = make_images(n)
+    arrival_s = poisson_arrivals(_rate(4, 0.4), n, rng=0)
+    per_request = {}
+    for n_replicas in (4, 16, 64):
+        reads[0] = 0
+        report = Cluster(
+            [SumBackend() for _ in range(n_replicas)],
+            policy="power-of-two",
+            max_batch_size=1,
+        ).serve(images, arrival_s)
+        assert report.n_served == n
+        per_request[n_replicas] = reads[0] / n
+    assert per_request[64] <= 1.5 * per_request[4], per_request
+
+
+def test_cache_hits_read_no_deadlines(monkeypatch):
+    """A cache hit cannot fire a flush, so deadline reads track misses.
+
+    Each miss reads its replica's deadline once when it joins a batcher,
+    and a scan runs only once an event reaches the floor a pending
+    deadline set: about two passes over the fleet per flushed batch, one
+    to fire it and one to reset the floor.  A per-event scan reads every
+    replica on every arrival, hits included.
+    """
+    reads = _count_deadline_reads(monkeypatch)
+    n, n_replicas = 2000, 4
+    images = make_images(48, seed=1)[np.random.default_rng(2).integers(0, 48, n)]
+    arrival_s = poisson_arrivals(_rate(n_replicas, 0.5), n, rng=0)
+    report = Cluster(
+        [SumBackend() for _ in range(n_replicas)],
+        policy="power-of-two",
+        cache_capacity=64,  # larger than the 48-image pool
+    ).serve(images, arrival_s)
+    misses = n - report.n_cached
+    assert report.n_served == n and misses < 0.1 * n, report
+    assert reads[0] <= (2 * n_replicas + 1) * (misses + 1), (reads[0], misses)
