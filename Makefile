@@ -6,9 +6,14 @@
 #                     the deadline-scan parity test (per-event scan vs the
 #                     deadline floor) and the floor invariant check, the
 #                     load-signal recount-parity test (cached in-flight
-#                     counts vs re-summed batches) and the chunked-inference
-#                     parity test (toy and live fleets; tests/cluster,
-#                     seconds once the test pipeline is disk-cached)
+#                     counts vs re-summed batches), the chunked-inference
+#                     parity test (toy and live fleets), the power-of-two
+#                     sampler parity test (rng.choice per request vs the
+#                     word block, final generator state included) and the
+#                     join-shortest-queue/queue-depth parity test (keyed
+#                     min and summed depth vs the loop and the backward
+#                     walk; tests/cluster, seconds once the test pipeline
+#                     is disk-cached)
 #   make offload-smoke  offload-layer smoke: network links and their
 #                     transports (a NetworkLink's private radio, the
 #                     session transport), partition planner, policies,
@@ -35,6 +40,9 @@
 #   make harness-smoke  self-test of the layered benchmark harness
 #                     (benchmarks/harness; `pytest tests` never collects it)
 #   make bench        full benchmark suite (regenerates benchmarks/results/)
+#   make results-check  regenerate benchmarks/results/ (the suite above,
+#                     minus the harness) and fail if any committed file
+#                     changed; host timings go to .bench_build/results/
 #   make bench-record record BENCH_<n>.json medians (substrate + serving),
 #                     plus a profiled pass storing phase shares (--profile)
 #   make bench-check  fail on >15% median regression vs last BENCH_<n>.json
@@ -49,7 +57,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test fleet-smoke offload-smoke sim-smoke tenants-smoke chaos-smoke netchaos-smoke obs-smoke prof-smoke bench-smoke harness-smoke bench bench-record bench-check bench-report docs-check docs-run lint
+.PHONY: test fleet-smoke offload-smoke sim-smoke tenants-smoke chaos-smoke netchaos-smoke obs-smoke prof-smoke bench-smoke harness-smoke bench results-check bench-record bench-check bench-report docs-check docs-run lint
 
 test:
 	$(PYTHON) -m pytest tests -x -q
@@ -115,6 +123,10 @@ harness-smoke:
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q
+
+results-check:
+	$(PYTHON) -m pytest benchmarks --ignore=benchmarks/harness -q
+	git diff --exit-code -- benchmarks/results
 
 bench-record:
 	$(PYTHON) tools/bench_compare.py record --profile

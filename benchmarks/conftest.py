@@ -21,12 +21,21 @@ import pytest
 from repro.experiments.common import FAST, lenet_for, pipeline_for
 
 RESULTS_DIR = Path(__file__).parent / "results"
+#: Host timings, which change on every run, go to this ignored directory:
+#: ``results/`` keeps only what the program and its seeds determine.
+TIMINGS_DIR = Path(__file__).parent.parent / ".bench_build" / "results"
 
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
+
+
+@pytest.fixture(scope="session")
+def timings_dir() -> Path:
+    TIMINGS_DIR.mkdir(parents=True, exist_ok=True)
+    return TIMINGS_DIR
 
 
 def emit(results_dir: Path, name: str, text: str) -> None:

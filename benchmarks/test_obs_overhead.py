@@ -26,6 +26,12 @@ A third arm plays the same game for the phase profiler
 gated at a 1.15x median paired ratio, with the phase tree checked for
 completeness (arrival bursts crossed ``ingest``, one ``serve`` root,
 self times covering the run).
+
+Each arm writes two files.  ``benchmarks/results/obs_overhead_<arm>.txt``
+holds only what the replay determines (the report, the span and alert
+counts, the phase tree's call counts), so it is byte-identical from run
+to run; the timings, ratios and the timed phase tree go to the ignored
+``.bench_build/results/obs_overhead_<arm>.txt``.
 """
 
 import statistics
@@ -78,16 +84,24 @@ def _serve(backends, ids, arrival_s, labels, max_batch, obs, prof=None):
     return cluster.serve(ids, arrival_s, labels=labels, scenario="obs-overhead")
 
 
-def test_million_request_untraced(benchmark, results_dir, mnist_artifacts):
+def _phase_calls(phases) -> str:
+    """The phase tree with its call counts only, which the replay determines."""
+    lines = [f"{'phase':<40} {'calls':>10}"]
+    for r in phases.rows:
+        lines.append(f"{'  ' * (len(r.path) - 1) + r.name:<40} {r.count:>10d}")
+    return "\n".join(lines)
+
+
+def test_million_request_untraced(benchmark, results_dir, timings_dir, mnist_artifacts):
     """The bare arm: identical trace, no observer (the denominator)."""
     args = _trace(mnist_artifacts)
 
     report = benchmark.pedantic(lambda: _serve(*args, obs=None), rounds=4, iterations=1)
     _STATS["untraced_median"] = benchmark.stats.stats.median
+    emit(results_dir, "obs_overhead_untraced", report.summary())
     emit(
-        results_dir,
+        timings_dir,
         "obs_overhead_untraced",
-        f"{report.summary()}\n"
         f"untraced median {_STATS['untraced_median']:.3f}s "
         f"(min {benchmark.stats.stats.min:.3f}s)",
     )
@@ -95,7 +109,7 @@ def test_million_request_untraced(benchmark, results_dir, mnist_artifacts):
     assert report.n_served == N_REQUESTS
 
 
-def test_million_request_traced(benchmark, results_dir, mnist_artifacts):
+def test_million_request_traced(benchmark, results_dir, timings_dir, mnist_artifacts):
     """The traced arm: full telemetry on, within 1.10x of the bare arm."""
     args = _trace(mnist_artifacts)
     observers = []
@@ -134,11 +148,15 @@ def test_million_request_traced(benchmark, results_dir, mnist_artifacts):
         results_dir,
         "obs_overhead_traced",
         f"{report.summary()}\n"
-        f"traced median {traced_med:.3f}s ({ratio:.2f}x median paired ratio vs "
-        f"interleaved untraced runs, median {statistics.median(bare):.3f}s; "
-        f"{session_ratio:.2f}x session untraced median) | "
         f"{len(obs.spans):,} spans from {obs.tracer.n_rows:,} sparse rows | "
         f"worst burn {obs.slo.worst_burn():.1f}x, {len(obs.alerts)} alerts",
+    )
+    emit(
+        timings_dir,
+        "obs_overhead_traced",
+        f"traced median {traced_med:.3f}s ({ratio:.2f}x median paired ratio vs "
+        f"interleaved untraced runs, median {statistics.median(bare):.3f}s; "
+        f"{session_ratio:.2f}x session untraced median)",
     )
 
     assert report.n_requests == N_REQUESTS
@@ -154,7 +172,7 @@ def test_million_request_traced(benchmark, results_dir, mnist_artifacts):
     assert ratio <= 1.10, f"tracing overhead {ratio:.2f}x exceeds 1.10x"
 
 
-def test_million_request_profiled(benchmark, results_dir, mnist_artifacts):
+def test_million_request_profiled(benchmark, results_dir, timings_dir, mnist_artifacts):
     """The profiled arm: phase timers on, within 1.15x of unprofiled.
 
     Scoped timers cost two clock reads per phase; ``ingest`` is scoped
@@ -185,10 +203,10 @@ def test_million_request_profiled(benchmark, results_dir, mnist_artifacts):
     ratio = statistics.median(p / b for p, b in zip(rounds, bare))
     phases = profilers[-1].report()
     by_name = phases.by_name()
+    emit(results_dir, "obs_overhead_profiled", f"{report.summary()}\n{_phase_calls(phases)}")
     emit(
-        results_dir,
+        timings_dir,
         "obs_overhead_profiled",
-        f"{report.summary()}\n"
         f"profiled median {profiled_med:.3f}s ({ratio:.2f}x median paired ratio "
         f"vs interleaved unprofiled runs, median {statistics.median(bare):.3f}s)\n"
         f"{phases.render()}",

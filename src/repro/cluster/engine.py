@@ -354,6 +354,9 @@ class Cluster:
         (freshly spawned replicas pay the autoscaler's configured cost).
     rng:
         Seed/generator for randomized policies (power-of-two-choices).
+        A generator passed in is used as is.  After ``serve*`` it is
+        where one ``rng.choice(n, 2, replace=False)`` per power-of-two
+        decision would have left it.
     classes:
         Optional :class:`~repro.serving.classes.ClassSet` enabling
         multi-tenant mode: every replica runs a worker-gated priority
@@ -790,6 +793,8 @@ class Cluster:
             prof.stop()  # ingest
         self._flush_deadlines_until(math.inf)
         self._advance(math.inf)
+        # Hand back the random words the balancer drew ahead of use.
+        self.policy.release()
         if prof is not None:
             prof.stop()  # event_loop
             prof.start("inference")

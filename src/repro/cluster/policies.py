@@ -22,6 +22,14 @@ is exactly the trade the fleet experiment measures:
 Ties break toward the lowest ``replica_id``, keeping every policy
 deterministic given the cluster's seeded RNG.
 
+Power-of-two draws its pairs from a block of 32-bit words, with the
+same steps ``Generator.choice(n, 2, replace=False)`` takes: Floyd's
+algorithm over Lemire's bounded draw (D. Lemire, "Fast Random Integer
+Generation in an Interval", ACM TOMACS 29(1), 2019).  Each pair is the
+one ``choice`` would have drawn, and :meth:`LoadBalancer.release`,
+which the cluster calls once after its event loop, leaves the
+generator where ``choice`` would have left it.
+
 :class:`ResilientBalancer` wraps any of the above with per-replica
 circuit breakers (:mod:`repro.faults.breaker`): replicas whose breakers
 are open are filtered out of the candidate set before the inner policy
@@ -50,6 +58,11 @@ __all__ = [
     "make_policy",
 ]
 
+#: Words per block the power-of-two sampler draws ahead of use.
+_BLOCK = 3072
+_WORD = 1 << 32
+_LOW = _WORD - 1
+
 
 class LoadBalancer:
     """Base policy: pick one UP replica for the request arriving ``now``."""
@@ -67,21 +80,28 @@ class LoadBalancer:
         """
         raise NotImplementedError
 
+    def release(self) -> None:
+        """Return any random words drawn ahead of use to the generator.
 
-def _least_outstanding(replicas: Sequence[Replica], now: float) -> Replica:
-    """The replica minimizing ``(outstanding(now), replica_id)``.
+        The cluster calls this once after its event loop.  The base
+        policy draws nothing ahead, so this does nothing.
+        """
+
+
+def _least(replicas: Sequence[Replica], now: float, load) -> Replica:
+    """The replica minimizing ``(load(replica, now), replica_id)``.
 
     A plain loop rather than ``min(key=...)``: the balancers run this
     on every routed request, and building a key tuple per replica would
-    cost more than the cached count it wraps.
+    cost more than the signal it wraps.
     """
     best = None
     for r in replicas:
-        load = r.outstanding(now)
-        if best is None or load < best_load or (
-            load == best_load and r.replica_id < best.replica_id
+        value = load(r, now)
+        if best is None or value < best_value or (
+            value == best_value and r.replica_id < best.replica_id
         ):
-            best, best_load = r, load
+            best, best_value = r, value
     return best
 
 
@@ -111,7 +131,7 @@ class LeastOutstanding(LoadBalancer):
         self, replicas: list[Replica], now: float, rng: np.random.Generator
     ) -> Replica:
         """Global minimum of :meth:`Replica.outstanding` at ``now``."""
-        return _least_outstanding(replicas, now)
+        return _least(replicas, now, Replica.outstanding)
 
 
 class JoinShortestQueue(LoadBalancer):
@@ -123,22 +143,111 @@ class JoinShortestQueue(LoadBalancer):
         self, replicas: list[Replica], now: float, rng: np.random.Generator
     ) -> Replica:
         """Global minimum of :meth:`Replica.queue_depth` at ``now``."""
-        return min(replicas, key=lambda r: (r.queue_depth(now), r.replica_id))
+        return _least(replicas, now, Replica.queue_depth)
 
 
 class PowerOfTwoChoices(LoadBalancer):
-    """Probe two random replicas, take the one with fewer outstanding."""
+    """Probe two random replicas, take the one with fewer outstanding.
+
+    The probes are the pair ``rng.choice(n, 2, replace=False)`` draws:
+    ``a`` from ``[0, n-2]``, then ``b`` from ``[0, n-1]``, with
+    ``b == a`` standing for ``n - 1``, then one word for the coin that
+    shuffles the pair, which the comparison does not need (ties break on
+    ``replica_id``).  Each draw is Lemire's: ``m = word * bound``, drawn
+    again while ``m``'s low 32 bits fall below ``(2**32 - bound) %
+    bound``, giving ``m >> 32``.  The words come from a block drawn
+    ahead of use; :meth:`release` rewinds the generator to just past the
+    words used.
+    """
 
     name = "power-of-two"
+
+    def __init__(self) -> None:
+        self._rng: np.random.Generator | None = None  # the block's source
+        self._state: dict | None = None  # its bit_generator.state before the block
+        self._words: list[int] = []
+        self._pos = 0
 
     def choose(
         self, replicas: list[Replica], now: float, rng: np.random.Generator
     ) -> Replica:
         """The less-loaded of two uniformly sampled distinct replicas."""
-        if len(replicas) == 1:
+        n = len(replicas)
+        if n == 1:
             return replicas[0]
-        i, j = rng.choice(len(replicas), size=2, replace=False)
-        return _least_outstanding((replicas[int(i)], replicas[int(j)]), now)
+        pos = self._pos
+        if rng is self._rng and pos <= _BLOCK - 3:
+            if n == 2:
+                # No draw for a (its range is [0, 0]); the pair is the
+                # whole fleet, and the bound-2 draws for b and the coin
+                # never redraw.
+                a, b = 0, 1
+                self._pos = pos + 2
+            else:
+                words = self._words
+                ma = words[pos] * (n - 1)
+                mb = words[pos + 1] * n
+                if ma & _LOW < n - 1 or mb & _LOW < n:
+                    # A redraw may be due: take the word-by-word path.
+                    a, b = self._pair(n, rng)
+                else:
+                    a, b = ma >> 32, mb >> 32
+                    if b == a:
+                        b = n - 1
+                    self._pos = pos + 3
+        else:
+            a, b = self._pair(n, rng)
+        ra, rb = replicas[a], replicas[b]
+        la, lb = ra.outstanding(now), rb.outstanding(now)
+        if lb < la or (lb == la and rb.replica_id < ra.replica_id):
+            return rb
+        return ra
+
+    def release(self) -> None:
+        """Rewind the generator to just past the words used, and drop the block.
+
+        Restores the state saved before the block was drawn and draws
+        again the words used, so the generator ends where the same
+        calls to ``rng.choice`` would have left it.
+        """
+        rng = self._rng
+        if rng is None:
+            return
+        rng.bit_generator.state = self._state
+        rng.integers(0, _WORD, size=self._pos, dtype=np.uint32)
+        self._rng = self._state = None
+        self._words = []
+        self._pos = 0
+
+    def _pair(self, n: int, rng: np.random.Generator) -> tuple[int, int]:
+        """One pair, drawn a word at a time (refills and redraws included)."""
+        a = self._bounded(n - 1, rng) if n > 2 else 0
+        b = self._bounded(n, rng)
+        self._bounded(2, rng)  # the shuffle coin
+        return a, (n - 1 if b == a else b)
+
+    def _bounded(self, bound: int, rng: np.random.Generator) -> int:
+        """Lemire's draw from ``[0, bound)``."""
+        m = self._word(rng) * bound
+        if m & _LOW < bound:
+            threshold = (_WORD - bound) % bound
+            while m & _LOW < threshold:
+                m = self._word(rng) * bound
+        return m >> 32
+
+    def _word(self, rng: np.random.Generator) -> int:
+        """The next word, drawing a new block when this one is spent."""
+        if rng is not self._rng:
+            self.release()
+            self._rng = rng
+            self._pos = _BLOCK
+        if self._pos == _BLOCK:
+            self._state = rng.bit_generator.state
+            self._words = rng.integers(0, _WORD, size=_BLOCK, dtype=np.uint32).tolist()
+            self._pos = 0
+        word = self._words[self._pos]
+        self._pos += 1
+        return word
 
 
 class ResilientBalancer(LoadBalancer):
@@ -179,6 +288,10 @@ class ResilientBalancer(LoadBalancer):
         chosen = self.inner.choose(admitted or replicas, now, rng)
         self.breakers[chosen.replica_id].note_probe()
         return chosen
+
+    def release(self) -> None:
+        """Forward to the inner policy."""
+        self.inner.release()
 
     def observe(
         self, replica_id: int, now: float, ok: bool, latency_s: float = 0.0

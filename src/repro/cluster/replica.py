@@ -171,10 +171,21 @@ class Replica:
         return len(self.batcher) + self.n_in_flight
 
     def queue_depth(self, now: float) -> int:
-        """Request copies waiting (pending batch + dispatched but not started)."""
-        return len(self.batcher) + sum(
-            len(b.indices) for b in self.in_flight if b.start_s > now
-        )
+        """Request copies waiting (pending batch + dispatched but not started).
+
+        Walks ``in_flight`` from the newest batch and stops at the first
+        one started by ``now``.  Start times never fall within a replica
+        (each batch starts at ``max(flush, worker_free_s)``, and the
+        worker frees no earlier than the last batch started), and purge
+        keeps a suffix, so the batches not yet started are a suffix.
+        """
+        depth = len(self.batcher)
+        in_flight = self.in_flight
+        i = len(in_flight) - 1
+        while i >= 0 and in_flight[i].start_s > now:
+            depth += len(in_flight[i].indices)
+            i -= 1
+        return depth
 
     @property
     def available(self) -> bool:

@@ -8,6 +8,8 @@ noise, averaged exactly the way a polling monitor would.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.utils.rng import as_generator
@@ -32,8 +34,8 @@ class UtilizationMonitor:
         noise_std: float = 0.02,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        if poll_hz <= 0:
-            raise ValueError(f"poll_hz must be positive, got {poll_hz}")
+        if not 0 < poll_hz < math.inf:  # false for NaN too
+            raise ValueError(f"poll_hz must be positive and finite, got {poll_hz}")
         if noise_std < 0:
             raise ValueError(f"noise_std must be non-negative, got {noise_std}")
         self.poll_hz = poll_hz

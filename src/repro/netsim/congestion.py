@@ -17,6 +17,7 @@ flight pacing, loss sampling, and RTO waits live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["AIMDConfig", "AIMDController"]
@@ -41,22 +42,28 @@ class AIMDConfig:
     rto_mult: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.init_cwnd < 1:
-            raise ValueError(f"init_cwnd must be >= 1, got {self.init_cwnd}")
-        if self.init_ssthresh < 1:
-            raise ValueError(f"init_ssthresh must be >= 1, got {self.init_ssthresh}")
-        if self.ai_segments <= 0:
-            raise ValueError(f"ai_segments must be positive, got {self.ai_segments}")
+        # Negated comparisons, so NaN fails them too.
+        if not 1 <= self.init_cwnd < math.inf:
+            raise ValueError(f"init_cwnd must be >= 1 and finite, got {self.init_cwnd}")
+        if not 1 <= self.init_ssthresh < math.inf:
+            raise ValueError(
+                f"init_ssthresh must be >= 1 and finite, got {self.init_ssthresh}"
+            )
+        if not 0 < self.ai_segments < math.inf:
+            raise ValueError(
+                f"ai_segments must be positive and finite, got {self.ai_segments}"
+            )
         if not 0.0 < self.md_factor < 1.0:
             raise ValueError(f"md_factor must be in (0, 1), got {self.md_factor}")
-        if self.min_cwnd < 1:
-            raise ValueError(f"min_cwnd must be >= 1, got {self.min_cwnd}")
-        if self.max_cwnd < self.min_cwnd:
+        if not 1 <= self.min_cwnd < math.inf:
+            raise ValueError(f"min_cwnd must be >= 1 and finite, got {self.min_cwnd}")
+        if not self.min_cwnd <= self.max_cwnd < math.inf:
             raise ValueError(
-                f"max_cwnd ({self.max_cwnd}) must be >= min_cwnd ({self.min_cwnd})"
+                f"max_cwnd must be >= min_cwnd ({self.min_cwnd}) and finite, "
+                f"got {self.max_cwnd}"
             )
-        if self.rto_mult < 1.0:
-            raise ValueError(f"rto_mult must be >= 1, got {self.rto_mult}")
+        if not 1.0 <= self.rto_mult < math.inf:
+            raise ValueError(f"rto_mult must be >= 1 and finite, got {self.rto_mult}")
 
 
 class AIMDController:

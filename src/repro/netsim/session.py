@@ -25,6 +25,7 @@ lands, which is how mid-flight renegotiation becomes visible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.utils.rng import as_generator
@@ -45,8 +46,8 @@ class SessionConfig:
     codec: str = "float32"
 
     def __post_init__(self) -> None:
-        if self.mtu_bytes < 64:
-            raise ValueError(f"mtu_bytes must be >= 64, got {self.mtu_bytes}")
+        if not 64 <= self.mtu_bytes < math.inf:  # false for NaN too
+            raise ValueError(f"mtu_bytes must be >= 64 and finite, got {self.mtu_bytes}")
 
 
 class LinkSession:

@@ -336,6 +336,8 @@ class MetricsRegistry:
     """
 
     def __init__(self, window_s: float = 0.1, t0: float = 0.0) -> None:
+        if not 0 < window_s < math.inf:  # false for NaN too
+            raise ValueError(f"window_s must be positive and finite, got {window_s}")
         self.window_s = float(window_s)
         self.t0 = float(t0)
         self._metrics: dict[str, object] = {}

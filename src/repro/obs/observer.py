@@ -75,6 +75,10 @@ class Observer:
         objective: float = 0.99,
         burn_threshold: float = 2.0,
     ) -> None:
+        # The SLO monitor is built only when telemetry is first read, so
+        # check its objective now (the registry below checks window_s).
+        if not 0 < objective < 1:  # false for NaN too
+            raise ValueError(f"objective must be in (0, 1), got {objective}")
         self.window_s = float(window_s)
         self.objective = float(objective)
         self.burn_threshold = float(burn_threshold)

@@ -38,6 +38,15 @@ class RoutedSumBackend(SumBackend):
         return RouteDecision(easy=means <= 0.5, entropy=means)
 
 
+def same_state(a, b) -> bool:
+    """``bit_generator.state`` equality through nested dicts and arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
 def make_images(n, seed=0):
     rng = np.random.default_rng(seed)
     return rng.random((n, 1, 4, 4)).astype(np.float32)

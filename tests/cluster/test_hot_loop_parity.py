@@ -29,7 +29,8 @@ reads per request must not grow with the fleet, and cache hits read no
 deadlines.
 
 The sweep covers 20 seeds of each configuration: a 16-replica
-power-of-two fleet, a 3-class priority fleet behind weighted-fair
+power-of-two fleet, an 8-replica join-shortest-queue fleet with an
+Observer attached, a 3-class priority fleet behind weighted-fair
 admission, crash/recover faults, a fault storm against the full
 resilience stack (timeouts, retries, hedges, copies dropped at flush),
 a 16-replica fleet flaky throughout (failed batches from several
@@ -46,6 +47,20 @@ batches into chunks of at most ``max_batch_size`` rows and joins their
 routing decisions; it must write the same predictions over every
 configuration above and over live LeNet, BranchyNet, CBNet and hybrid
 fleets.
+
+``_ChoicePowerOfTwo`` keeps the reference power-of-two sampler: one
+``rng.choice(n, 2, replace=False)`` per routed request.  The production
+policy draws the same pairs from a block of 32-bit words; over every
+power-of-two configuration above it must match column for column and
+leave the cluster's generator in the same state, whether the cluster
+made it from an int seed or the caller passed it in.
+
+``_KeyedJSQ`` and ``_summed_queue_depth`` keep the reference
+join-shortest-queue: ``min`` over a key tuple per replica, and a queue
+depth that sums every in-flight batch not yet started.  A
+join-shortest-queue fleet with an Observer attached, which reads the
+depth at every dispatch, must match them column for column and batch
+for batch.
 """
 
 import dataclasses
@@ -57,6 +72,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.cluster.admission import DEGRADE, AdmissionController, WeightedFairAdmission
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
+from repro.cluster.policies import JoinShortestQueue, LoadBalancer
 from repro.cluster.replica import Replica, ReplicaState
 from repro.experiments.chaos import resilience_for_fleet
 from repro.faults.plan import (
@@ -69,6 +85,7 @@ from repro.faults.plan import (
 )
 from repro.hw.devices import gci_cpu
 from repro.models import BranchyLeNet, LeNet
+from repro.obs import Observer
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.backends import (
     BranchyNetBackend,
@@ -79,7 +96,7 @@ from repro.serving.backends import (
 from repro.serving.classes import DEFAULT_CLASSES
 from repro.sim.records import RequestLog
 
-from conftest import RoutedSumBackend, SumBackend, labels_for, make_images
+from conftest import RoutedSumBackend, SumBackend, labels_for, make_images, same_state
 
 SEEDS = range(20)
 N_REQUESTS = 300
@@ -233,6 +250,33 @@ class _PerBatchCluster(Cluster):
         books.log.fill_cached_predictions()
 
 
+class _ChoicePowerOfTwo(LoadBalancer):
+    """Reference power-of-two: one ``rng.choice`` per routed request."""
+
+    name = "power-of-two"
+
+    def choose(self, replicas, now, rng):
+        if len(replicas) == 1:
+            return replicas[0]
+        i, j = rng.choice(len(replicas), size=2, replace=False)
+        pair = (replicas[int(i)], replicas[int(j)])
+        return min(pair, key=lambda r: (r.outstanding(now), r.replica_id))
+
+
+class _KeyedJSQ(JoinShortestQueue):
+    """Reference join-shortest-queue: ``min`` over a key tuple per replica."""
+
+    def choose(self, replicas, now, rng):
+        return min(replicas, key=lambda r: (r.queue_depth(now), r.replica_id))
+
+
+def _summed_queue_depth(replica, now):
+    """``Replica.queue_depth`` summing every in-flight batch not yet started."""
+    return len(replica.batcher) + sum(
+        len(b.indices) for b in replica.in_flight if b.start_s > now
+    )
+
+
 class _RouteAwareSumBackend(RoutedSumBackend):
     """Routed toy whose labels depend on the decision it is handed.
 
@@ -279,6 +323,18 @@ def _p2c16(seed):
     def build():
         fleet = _fleet(np.random.default_rng(seed), 16)
         return dict(backends=fleet, policy="power-of-two", rng=seed, **knobs)
+
+    return build, arrival_s, None
+
+
+def _jsq8(seed):
+    rng = np.random.default_rng(seed)
+    arrival_s = poisson_arrivals(_rate(8, rng.uniform(0.3, 1.1)), N_REQUESTS, rng=rng)
+    knobs = _knobs(rng)
+
+    def build():
+        fleet = _fleet(np.random.default_rng(seed), 8)
+        return dict(backends=fleet, policy="join-shortest-queue", obs=Observer(), **knobs)
 
     return build, arrival_s, None
 
@@ -508,6 +564,7 @@ def _degrade(seed):
 
 CASES = {
     "p2c16": _p2c16,
+    "jsq8": _jsq8,
     "tenants": _tenants,
     "crashes": _crashes,
     "flaky16": _flaky16,
@@ -661,6 +718,45 @@ def test_chunked_predictions_match_per_batch_fill(case):
         assert work["degraded"] > 0, work
         assert work["calls"] < work["ref_calls"], work
         assert work["rows"] < work["ref_rows"], work
+
+
+P2C_CASES = sorted(c for c in CASES if CASES[c](0)[0]()["policy"] == "power-of-two")
+
+
+@pytest.mark.parametrize("pass_generator", [False, True], ids=["int-seed", "generator"])
+@pytest.mark.parametrize("case", P2C_CASES)
+def test_block_sampler_matches_choice(case, pass_generator):
+    images, labels = _images()
+    for seed in SEEDS:
+        build, arrival_s, codes = CASES[case](seed)
+        runs = []
+        for policy in (_ChoicePowerOfTwo(), "power-of-two"):
+            kwargs = {**build(), "policy": policy}
+            if pass_generator:
+                kwargs["rng"] = np.random.default_rng(kwargs["rng"])
+            runs.append(_replay(Cluster, lambda: kwargs, arrival_s, codes, images, labels))
+            if pass_generator:
+                assert runs[-1][0].rng is kwargs["rng"]  # used as is, not copied
+        ref_run, run = runs
+        where = f"{case} seed {seed}"
+        _assert_same_run(where, run, ref_run)
+        state, ref_state = run[0].rng.bit_generator.state, ref_run[0].rng.bit_generator.state
+        assert same_state(state, ref_state), where
+
+
+def test_jsq_and_queue_depth_match_references():
+    images, labels = _images()
+    for seed in SEEDS:
+        build, arrival_s, codes = _jsq8(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Replica, "queue_depth", _summed_queue_depth)
+            keyed = lambda: {**build(), "policy": _KeyedJSQ()}
+            ref_run = _replay(Cluster, keyed, arrival_s, codes, images, labels)
+        run = _replay(Cluster, build, arrival_s, codes, images, labels)
+        _assert_same_run(f"jsq8 seed {seed}", run, ref_run)
+        meta, ref_meta = run[0].obs._batch_meta, ref_run[0].obs._batch_meta
+        assert meta == ref_meta, f"jsq8 seed {seed}"
+        assert any(row[4] > 0 for row in meta), "no batch saw a queue"
 
 
 N_LIVE = 240

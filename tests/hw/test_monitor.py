@@ -35,3 +35,8 @@ class TestUtilizationMonitor:
             mon.trace(1.0, 1.5)
         with pytest.raises(ValueError):
             UtilizationMonitor(poll_hz=0)
+
+    @pytest.mark.parametrize("poll_hz", [float("nan"), float("inf")])
+    def test_nan_and_infinite_poll_rate_rejected(self, poll_hz):
+        with pytest.raises(ValueError, match="poll_hz"):
+            UtilizationMonitor(poll_hz=poll_hz)

@@ -14,6 +14,17 @@ def test_config_validation():
         AIMDConfig(min_cwnd=8, max_cwnd=4)
 
 
+@pytest.mark.parametrize(
+    "name", ["init_cwnd", "init_ssthresh", "ai_segments", "min_cwnd", "max_cwnd", "rto_mult"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_nan_and_infinity(name, value):
+    """NaN and +inf fail at construction: ``init_cwnd=nan`` once failed
+    mid-run, and ``ai_segments=nan`` replayed silently."""
+    with pytest.raises(ValueError, match=name):
+        AIMDConfig(**{name: value})
+
+
 def test_slow_start_doubles_per_window():
     c = AIMDController(AIMDConfig(init_cwnd=1, init_ssthresh=32))
     assert c.in_slow_start

@@ -124,3 +124,9 @@ def test_config_validation():
         SessionConfig(mtu_bytes=32)
     with pytest.raises(ValueError, match="max_config_attempts"):
         LinkSession(_link(), max_config_attempts=0)
+
+
+@pytest.mark.parametrize("mtu", [float("nan"), float("inf")])
+def test_config_rejects_nan_and_infinite_mtu(mtu):
+    with pytest.raises(ValueError, match="mtu_bytes"):
+        SessionConfig(mtu_bytes=mtu)

@@ -178,3 +178,8 @@ class TestMetricsRegistry:
         reg.counter("b")
         reg.counter("a")
         assert reg.names() == ("a", "b")
+
+    @pytest.mark.parametrize("window_s", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_window_fails_at_construction(self, window_s):
+        with pytest.raises(ValueError, match="window_s"):
+            MetricsRegistry(window_s=window_s)

@@ -160,6 +160,25 @@ class TestChromeExport:
             Observer().chrome_trace(tmp_path / "x.json")
 
 
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"window_s": float("nan")}, "window_s"),
+            ({"window_s": float("inf")}, "window_s"),
+            ({"window_s": 0.0}, "window_s"),
+            ({"objective": float("nan")}, "objective"),
+            ({"objective": float("inf")}, "objective"),
+            ({"objective": 1.0}, "objective"),
+        ],
+    )
+    def test_bad_settings_fail_at_construction(self, kwargs, match):
+        """``window_s=nan`` once folded every metric into one window, and
+        ``objective=nan`` failed only at the end of the run."""
+        with pytest.raises(ValueError, match=match):
+            Observer(**kwargs)
+
+
 class TestSpanLogValidation:
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError, match="length"):
