@@ -35,7 +35,7 @@
 #                     metrics/SLO units, oracle-vs-live telemetry parity
 #   make prof-smoke   profiler smoke: phase-tree determinism + exports on
 #                     toy fleets, then a profiled experiment run writing
-#                     a sample flamegraph to benchmarks/results/
+#                     a sample flamegraph to .bench_build/results/ (ignored)
 #   make bench-smoke  fast benchmark subset, incl. the serving engine
 #   make harness-smoke  self-test of the layered benchmark harness
 #                     (benchmarks/harness; `pytest tests` never collects it)
@@ -43,12 +43,6 @@
 #   make results-check  regenerate benchmarks/results/ (the suite above,
 #                     minus the harness) and fail if any committed file
 #                     changed; host timings go to .bench_build/results/
-#   make bench-record record BENCH_<n>.json medians (substrate + serving),
-#                     plus a profiled pass storing phase shares (--profile)
-#   make bench-check  fail on >15% median regression vs last BENCH_<n>.json
-#                     (re-runs failing suites under the phase profiler)
-#   make bench-report render benchmarks/results/bench_history.md from the
-#                     full BENCH_<n>.json trajectory, changepoints marked
 #   make docs-check   README code blocks compile + docstring coverage
 #   make docs-run     additionally *execute* the README blocks (trains on
 #                     first run; disk-cached after)
@@ -57,7 +51,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test fleet-smoke offload-smoke sim-smoke tenants-smoke chaos-smoke netchaos-smoke obs-smoke prof-smoke bench-smoke harness-smoke bench results-check bench-record bench-check bench-report docs-check docs-run lint
+.PHONY: test fleet-smoke offload-smoke sim-smoke tenants-smoke chaos-smoke netchaos-smoke obs-smoke prof-smoke bench-smoke harness-smoke bench results-check docs-check docs-run lint
 
 test:
 	$(PYTHON) -m pytest tests -x -q
@@ -101,15 +95,16 @@ obs-smoke:
 	$(PYTHON) -m pytest tests/obs -q
 
 # Profiler smoke: toy-fleet tests first, then one profiled fast
-# experiment run whose speedscope/collapsed exports land under
-# benchmarks/results/ (CI uploads them as the sample flamegraph).
-# tests/tools gets its own invocation — it carries a conftest.py too
-# (see the chaos-smoke note).
+# experiment run whose speedscope/collapsed exports (host timings) land
+# under the ignored .bench_build/results/, never over a committed file;
+# CI uploads them as the sample flamegraph.  tests/tools gets its own
+# invocation — it carries a conftest.py too (see the chaos-smoke note).
 prof-smoke:
 	$(PYTHON) -m pytest tests/obs/test_prof.py tests/obs/test_exports.py -q
 	$(PYTHON) -m pytest tests/tools -q
+	mkdir -p .bench_build/results
 	$(PYTHON) -m repro.experiments.cli prof --fast \
-	    --prof-out benchmarks/results/profile.speedscope.json
+	    --prof-out .bench_build/results/profile.speedscope.json
 
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_table1_architecture.py \
@@ -127,15 +122,6 @@ bench:
 results-check:
 	$(PYTHON) -m pytest benchmarks --ignore=benchmarks/harness -q
 	git diff --exit-code -- benchmarks/results
-
-bench-record:
-	$(PYTHON) tools/bench_compare.py record --profile
-
-bench-check:
-	$(PYTHON) tools/bench_compare.py check
-
-bench-report:
-	$(PYTHON) tools/bench_history.py
 
 docs-check:
 	$(PYTHON) tools/check_docs.py

@@ -7,9 +7,8 @@ aggregates, SLO windows, the dense per-request span tree) is
 synthesized vectorized on first read.  This bench replays the same
 1M-request
 Zipf/Poisson cluster trace as ``test_million_requests`` twice — once
-bare, once with an :class:`~repro.obs.Observer` attached — records both
-medians for the ``BENCH_<n>.json`` trajectory, and asserts the traced
-run inside 1.10x of the untraced one.
+bare, once with an :class:`~repro.obs.Observer` attached — reports both
+medians, and asserts the traced run inside 1.10x of the untraced one.
 
 The in-test gate is **paired**: each traced round's pedantic ``setup``
 times one untraced run first, so the rounds alternate U,T,U,T,… in a
@@ -120,8 +119,8 @@ def test_million_request_traced(benchmark, results_dir, timings_dir, mnist_artif
         # by pytest-benchmark), so the measured rounds alternate
         # U,T,U,T,… in a single process and every traced round has an
         # untraced partner timed under the same machine-load regime.
-        # (The untraced pytest-benchmark test still provides the
-        # BENCH_<n>.json median.)
+        # (The untraced pytest-benchmark test still reports its own
+        # median.)
         t0 = time.perf_counter()
         _serve(*args, obs=None)
         bare.append(time.perf_counter() - t0)

@@ -2,13 +2,13 @@
 
 Not a paper figure — these guard the performance of the kernels every
 experiment runs on (im2col conv, GEMM dense, pooling, AE training step),
-so substrate regressions surface in benchmark history rather than as
+so substrate regressions surface in benchmark runs rather than as
 mysteriously slow experiment reruns.
 
 Inference benchmarks run through the compiled fast path
 (:mod:`repro.nn.fastpath`) — the path serving traffic takes — with
-``*_reference`` twins pinning the autograd path, so every recorded
-``BENCH_<n>.json`` carries the fastpath-vs-reference ratio.
+``*_reference`` twins pinning the autograd path, so every run measures
+the fastpath-vs-reference ratio.
 """
 
 import numpy as np

@@ -7,15 +7,19 @@ profiler attached, and prints where the *host* time went — arrival
 ingest, batch formation, dispatch, completion, report build.  The
 virtual clock and every simulated metric are untouched by profiling.
 Writes ``profile.speedscope.json`` (open at https://www.speedscope.app)
-and ``profile.speedscope.json.collapsed`` for ``flamegraph.pl``.
+and ``profile.speedscope.json.collapsed`` for ``flamegraph.pl``, then
+reruns the study under the standard library's ``cProfile`` to name the
+functions behind the hottest phase.
 
 Run:  python examples/prof_demo.py
 """
 
+import cProfile
+import pstats
+
 from repro import PipelineConfig, TrainConfig, build_cbnet_pipeline
 from repro.experiments.prof import run_prof_study
 from repro.hw import device_profiles
-from repro.obs.prof import SamplingProfiler
 from repro.serving import CBNetBackend
 
 
@@ -56,23 +60,20 @@ def main() -> None:
         f"{count} calls ({self_s / study.phases.total_s:.0%} of the run)"
     )
 
-    # 4. The statistical sampler answers the next question — which
-    #    *modules* burn the time inside that phase — with no
-    #    instrumentation at all.
-    with SamplingProfiler(interval_s=0.002) as sampler:
-        run_prof_study(
-            seed=0,
-            n_requests=2000,
-            backends=backends,
-            images=test.images,
-            labels=test.labels,
-        )
-    counts = sampler.by_module()
-    total = sum(counts.values()) or 1
-    top = sorted(counts.items(), key=lambda kv: kv[1], reverse=True)[:5]
-    print(f"\nsampled {sampler.n_samples} stacks; hottest repro modules:")
-    for module, count in top:
-        print(f"  {module:<40} {count / total:5.1%}")
+    # 4. cProfile answers the next question — which *functions* burn
+    #    the time inside that phase — with no scopes in the code.  It
+    #    charges every Python call, so read its shares, not its times.
+    profiler = cProfile.Profile()
+    profiler.runcall(
+        run_prof_study,
+        seed=0,
+        n_requests=2000,
+        backends=backends,
+        images=test.images,
+        labels=test.labels,
+    )
+    print("\nhottest functions by self time (cProfile):")
+    pstats.Stats(profiler).sort_stats("tottime").print_stats(8)
     print(
         "\nopen profile.speedscope.json at https://www.speedscope.app "
         "for the flamegraph."

@@ -55,7 +55,6 @@ from repro.eval.metrics import latency_percentiles
 from repro.faults.degrade import MODE_DEGRADE, MODE_SHED, DegradationController
 from repro.faults.plan import CRASH, FLAKY, RECOVER, SLOWDOWN, FaultPlan
 from repro.faults.resilience import ResilienceConfig
-from repro.obs.prof import current_profiler
 from repro.obs.spans import (
     EV_BATCH_FAIL,
     EV_BREAKER_TRIP,
@@ -380,9 +379,8 @@ class Cluster:
         ingest, batch_form, dispatch, complete, events, inference,
         report).  The ingest phase is scoped per burst of consecutive
         arrivals, not per arrival, so profiling stays inside the 1.15x
-        overhead gate at a million requests.  ``None`` falls back to
-        the process-global profiler (``REPRO_PROF=1``), else profiling
-        is off and each scope costs one ``is None`` test.
+        overhead gate at a million requests.  ``None`` (default)
+        profiles nothing; each scope then costs one ``is None`` test.
     """
 
     def __init__(
@@ -466,9 +464,7 @@ class Cluster:
         self.classes = classes
         self.scheduler = scheduler
         self.obs = obs
-        # Wall-clock phase attribution: an explicit profiler wins, else
-        # the process-global one (REPRO_PROF=1), else disabled.
-        self.prof = prof if prof is not None else current_profiler()
+        self.prof = prof
         self._last_trips = 0
         self.replicas = [
             Replica(i, b, max_batch_size, max_wait_s, classes=classes, scheduler=scheduler)

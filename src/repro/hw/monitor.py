@@ -36,8 +36,8 @@ class UtilizationMonitor:
     ) -> None:
         if not 0 < poll_hz < math.inf:  # false for NaN too
             raise ValueError(f"poll_hz must be positive and finite, got {poll_hz}")
-        if noise_std < 0:
-            raise ValueError(f"noise_std must be non-negative, got {noise_std}")
+        if not 0 <= noise_std < math.inf:
+            raise ValueError(f"noise_std must be non-negative and finite, got {noise_std}")
         self.poll_hz = poll_hz
         self.noise_std = noise_std
         self.rng = as_generator(rng)

@@ -16,8 +16,8 @@ simulation:
 * :mod:`repro.obs.observer` — the :class:`Observer` facade engines
   accept as an optional ``obs=`` parameter;
 * :mod:`repro.obs.prof` — wall-clock phase-attribution profiling of the
-  engine hot loops (``prof=`` parameter): hierarchical phase timers, a
-  sampling mode, and collapsed-stack/speedscope flamegraph export;
+  cluster event loop (``prof=`` parameter): hierarchical phase timers
+  with collapsed-stack/speedscope flamegraph export;
 * :mod:`repro.obs.timeline` — virtual-time resource-utilization
   timelines (busy fraction, queue depth, cache hit rate, uplink
   occupancy) derived post-hoc and exportable as Perfetto counter
@@ -39,16 +39,7 @@ from repro.obs.metrics import (
     WindowSeries,
 )
 from repro.obs.observer import Observer
-from repro.obs.prof import (
-    PhaseProfiler,
-    PhaseReport,
-    PhaseStat,
-    SamplingProfiler,
-    compare_phase_reports,
-    current_profiler,
-    enable_global_profiler,
-    top_regressing_phase,
-)
+from repro.obs.prof import PhaseProfiler, PhaseReport, PhaseStat
 from repro.obs.slo import SLOAlert, SLOMonitor
 from repro.obs.spans import SPAN_NAMES, SpanLog, Tracer
 from repro.obs.timeline import ResourceTimelines, build_timelines
@@ -69,11 +60,6 @@ __all__ = [
     "PhaseProfiler",
     "PhaseReport",
     "PhaseStat",
-    "SamplingProfiler",
-    "compare_phase_reports",
-    "top_regressing_phase",
-    "current_profiler",
-    "enable_global_profiler",
     "ResourceTimelines",
     "build_timelines",
 ]

@@ -254,8 +254,10 @@ class WindowSeries:
     """
 
     def __init__(self, window_s: float, t0: float = 0.0) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
+        if not 0 < window_s < math.inf:  # false for NaN too
+            raise ValueError(f"window_s must be positive and finite, got {window_s}")
+        if not -math.inf < t0 < math.inf:
+            raise ValueError(f"t0 must be finite, got {t0}")
         self.window_s = float(window_s)
         self.t0 = float(t0)
         self._count: dict[int, int] = {}
@@ -338,6 +340,9 @@ class MetricsRegistry:
     def __init__(self, window_s: float = 0.1, t0: float = 0.0) -> None:
         if not 0 < window_s < math.inf:  # false for NaN too
             raise ValueError(f"window_s must be positive and finite, got {window_s}")
+        # Series are built on first use, so check their origin now.
+        if not -math.inf < t0 < math.inf:
+            raise ValueError(f"t0 must be finite, got {t0}")
         self.window_s = float(window_s)
         self.t0 = float(t0)
         self._metrics: dict[str, object] = {}

@@ -33,6 +33,8 @@ field-for-field identical spans, metrics, and alerts.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
@@ -66,7 +68,8 @@ class Observer:
     objective:
         SLO attainment objective (0.99 → 1% error budget).
     burn_threshold:
-        Burn rate at/above which a window fires an :class:`SLOAlert`.
+        Burn rate at/above which a window fires an
+        :class:`~repro.obs.slo.SLOAlert`; ``math.inf`` never fires.
     """
 
     def __init__(
@@ -76,9 +79,11 @@ class Observer:
         burn_threshold: float = 2.0,
     ) -> None:
         # The SLO monitor is built only when telemetry is first read, so
-        # check its objective now (the registry below checks window_s).
+        # check its settings now (the registry below checks window_s).
         if not 0 < objective < 1:  # false for NaN too
             raise ValueError(f"objective must be in (0, 1), got {objective}")
+        if not 0 < burn_threshold <= math.inf:
+            raise ValueError(f"burn_threshold must be positive, got {burn_threshold}")
         self.window_s = float(window_s)
         self.objective = float(objective)
         self.burn_threshold = float(burn_threshold)

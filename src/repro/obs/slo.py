@@ -21,6 +21,7 @@ same inputs, same alerts, oracle or ``--live``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,10 @@ class SLOMonitor:
 
     ``objective`` is the attainment target (e.g. 0.99 → 1% error
     budget); ``threshold`` is the burn rate at or above which a window
-    fires an alert.  ``deadlines`` maps class code → deadline seconds
-    and ``names`` maps class code → class name; single-class runs pass
-    ``{0: slo_s}`` and leave names defaulted.
+    fires an alert (``math.inf`` never fires).  ``deadlines`` maps
+    class code → deadline seconds and ``names`` maps class code → class
+    name; single-class runs pass ``{0: slo_s}`` and leave names
+    defaulted.
     """
 
     def __init__(
@@ -62,10 +64,12 @@ class SLOMonitor:
     ) -> None:
         if not 0.0 < objective < 1.0:
             raise ValueError(f"objective must be in (0, 1), got {objective}")
-        if threshold <= 0:
+        if not 0 < threshold <= math.inf:  # false for NaN too
             raise ValueError(f"threshold must be positive, got {threshold}")
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
+        if not 0 < window_s < math.inf:
+            raise ValueError(f"window_s must be positive and finite, got {window_s}")
+        if not -math.inf < t0 < math.inf:
+            raise ValueError(f"t0 must be finite, got {t0}")
         if not deadlines:
             raise ValueError("SLOMonitor needs at least one class deadline")
         self.deadlines = dict(deadlines)

@@ -20,6 +20,8 @@ splices them into the same file).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.obs.metrics import WindowSeries
@@ -48,8 +50,8 @@ class ResourceTimelines:
     """
 
     def __init__(self, window_s: float) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
+        if not 0 < window_s < math.inf:  # false for NaN too
+            raise ValueError(f"window_s must be positive and finite, got {window_s}")
         self.window_s = float(window_s)
         self._series: dict[str, tuple[WindowSeries, str]] = {}
 

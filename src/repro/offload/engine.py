@@ -44,7 +44,6 @@ from repro.hw.flops import stage_cost
 from repro.hw.latency import branchynet_expected_latency
 from repro.hw.network import NetworkLink
 from repro.netsim.transport import LinkTransport, SessionTransport
-from repro.obs.prof import current_profiler
 from repro.offload.policies import OffloadPolicy, TensorCodec
 from repro.serving.backends import BatchTiming, InferenceBackend
 from repro.serving.engine import Server
@@ -305,12 +304,6 @@ class EdgeTier:
         downlink) are recorded as parent-linked spans and the finished
         run is finalized into spans and metrics.  Single-use — one per
         ``serve`` call.
-    prof:
-        Optional :class:`~repro.obs.prof.PhaseProfiler` attributing
-        **wall-clock** time to edge phases: warmup; event_loop, which
-        includes the uplink transfers; inference; cloud, which includes
-        the downlink pass; report.  ``None`` falls back to the
-        process-global profiler (``REPRO_PROF=1``), else off.
     rng:
         Seed/generator for a ``NetworkLink``'s loss and jitter sampling
         (a ``SessionTransport`` samples from its own stream).
@@ -339,7 +332,6 @@ class EdgeTier:
         cloud_est_s: float | None = None,
         oracle=None,
         obs=None,
-        prof=None,
     ) -> None:
         if not hasattr(cloud, "serve_log"):
             raise TypeError(
@@ -363,9 +355,6 @@ class EdgeTier:
         self.codec = codec or TensorCodec()
         self.oracle = oracle
         self.obs = obs
-        # Wall-clock phase attribution: an explicit profiler wins, else
-        # the process-global one (REPRO_PROF=1), else disabled.
-        self.prof = prof if prof is not None else current_profiler()
         self.rng = as_generator(rng)
         lat = branchynet_expected_latency(branchynet, edge_device, exit_rate=1.0)
         #: Edge cost of one gate pass (stem + branch + gate decision).
@@ -419,10 +408,6 @@ class EdgeTier:
         images, arrival_s = validate_trace(images, arrival_s)
         n = images.shape[0]
 
-        prof = self.prof
-        if prof is not None:
-            prof.start("serve")
-            prof.start("warmup")
         transport = self._transport()
         threshold = float(self.branchynet.entropy_threshold)
         if not self.policy.runs_gate:
@@ -446,9 +431,6 @@ class EdgeTier:
             boundary_elems = int(np.prod(images.shape[1:]))
         up_bytes = self.codec.wire_bytes(boundary_elems)
         down_bytes = int(self.branchynet.num_classes) * _FLOAT32_BYTES
-        if prof is not None:
-            prof.stop()  # warmup
-            prof.start("event_loop")
         device = _Device(
             arrival_s, entropies, entropies < threshold, self.policy, transport,
             gate_s=self.gate_s, local_s=self.trunk_extra_s, cloud_est_s=self.cloud_est_s,
@@ -457,25 +439,16 @@ class EdgeTier:
         loop = _DeviceLoop([device], obs=self.obs)
         loop.run()
         outcome, completion = loop.outcome, loop.completion_s
-        if prof is not None:
-            prof.stop()  # event_loop
-            prof.start("inference")
 
         predictions = np.full(n, -1, dtype=np.int64)
         easy = outcome == _LOCAL_EASY
         predictions[easy] = branch_preds[easy]
         self._run_local_hard(images, outcome, predictions)
-        if prof is not None:
-            prof.stop()  # inference
-            prof.start("cloud")
         net_part = np.full(n, np.nan)  # uplink + downlink, offloaded only
         cloud_part = np.full(n, np.nan)  # cloud sojourn, offloaded only
         cloud_report, down_retransmits = self._run_cloud(
             images, loop, predictions, net_part, cloud_part, scenario
         )
-        if prof is not None:
-            prof.stop()  # cloud
-            prof.start("report")
 
         edge_part = loop.ready_s - arrival_s  # queue + edge compute, per request
         edge_part[outcome == _LOCAL_HARD] += self.trunk_extra_s
@@ -489,9 +462,6 @@ class EdgeTier:
             device, loop, edge_part, net_part, cloud_part, n_retransmits, accuracy,
             cloud_report, scenario,
         )
-        if prof is not None:
-            prof.stop()  # report
-            prof.stop()  # serve
         return report
 
     # ------------------------------------------------------------------ #

@@ -149,11 +149,6 @@ class Server:
         lane 0 and the finished run is finalized into spans, metrics,
         and SLO burn rates.  Observers are single-use — pass a fresh one
         per ``serve*`` call.  ``None`` (default) records nothing.
-    prof:
-        Optional :class:`~repro.obs.prof.PhaseProfiler` attributing
-        **wall-clock** (host CPU) time to the cluster's engine phases.
-        ``None`` falls back to the process-global profiler
-        (``REPRO_PROF=1``), else profiling is off.
     """
 
     def __init__(
@@ -166,7 +161,6 @@ class Server:
         classes: ClassSet | None = None,
         scheduler: str = "priority",
         obs=None,
-        prof=None,
     ) -> None:
         self.backend = backend
         self.max_batch_size = int(max_batch_size)
@@ -176,7 +170,6 @@ class Server:
         self.classes = classes
         self.scheduler = scheduler
         self.obs = obs
-        self.prof = prof
         # Fail fast: the cluster's constructor validates every setting.
         self._cluster()
 
@@ -195,7 +188,6 @@ class Server:
             classes=self.classes,
             scheduler=self.scheduler,
             obs=self.obs,
-            prof=self.prof,
         )
 
     def serve(

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.module import Module
-from repro.obs.prof import current_profiler
 from repro.serving.backends import InferenceBackend
 from repro.serving.router import RouteDecision
 
@@ -154,14 +153,8 @@ class OracleBackend(InferenceBackend):
 
         A modified ``decision`` (e.g. admission control forcing degraded
         requests onto the easy path) selects between the easy and hard
-        columns exactly as the live backend would.  When the process-
-        global phase profiler is active (``REPRO_PROF=1``) each lookup
-        is attributed to an ``oracle_lookup`` phase, separating table
-        time from live-model time in bench attributions.
+        columns exactly as the live backend would.
         """
-        prof = current_profiler()
-        if prof is not None:
-            prof.start("oracle_lookup")
         ids = np.asarray(ids)
         if not self.table.routed:
             preds = self.table.easy_preds[ids]
@@ -171,8 +164,6 @@ class OracleBackend(InferenceBackend):
             hard = ~easy
             if hard.any():
                 preds[hard] = self.table.hard_preds[ids[hard]]
-        if prof is not None:
-            prof.stop()  # oracle_lookup
         return preds
 
 

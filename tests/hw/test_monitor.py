@@ -40,3 +40,9 @@ class TestUtilizationMonitor:
     def test_nan_and_infinite_poll_rate_rejected(self, poll_hz):
         with pytest.raises(ValueError, match="poll_hz"):
             UtilizationMonitor(poll_hz=poll_hz)
+
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf")])
+    def test_nan_and_infinite_noise_rejected(self, noise_std):
+        """``noise_std=nan`` once made ``average_utilization`` return NaN."""
+        with pytest.raises(ValueError, match="noise_std"):
+            UtilizationMonitor(noise_std=noise_std)

@@ -145,6 +145,19 @@ class TestWindowSeries:
         with pytest.raises(ValueError, match="window_s"):
             WindowSeries(0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"window_s": float("nan")}, "window_s"),
+            ({"window_s": float("inf")}, "window_s"),
+            ({"window_s": 1.0, "t0": float("nan")}, "t0"),
+            ({"window_s": 1.0, "t0": float("inf")}, "t0"),
+        ],
+    )
+    def test_nan_and_infinite_settings_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            WindowSeries(**kwargs)
+
 
 class TestMetricsRegistry:
     def test_get_or_create_returns_same_object(self):
@@ -183,3 +196,9 @@ class TestMetricsRegistry:
     def test_bad_window_fails_at_construction(self, window_s):
         with pytest.raises(ValueError, match="window_s"):
             MetricsRegistry(window_s=window_s)
+
+    @pytest.mark.parametrize("t0", [float("nan"), float("inf"), float("-inf")])
+    def test_bad_origin_fails_at_construction(self, t0):
+        """``t0=nan`` once failed only at the first ``series(...).add``."""
+        with pytest.raises(ValueError, match="t0"):
+            MetricsRegistry(t0=t0)

@@ -170,11 +170,14 @@ class TestConstruction:
             ({"objective": float("nan")}, "objective"),
             ({"objective": float("inf")}, "objective"),
             ({"objective": 1.0}, "objective"),
+            ({"burn_threshold": float("nan")}, "burn_threshold"),
+            ({"burn_threshold": 0.0}, "burn_threshold"),
         ],
     )
     def test_bad_settings_fail_at_construction(self, kwargs, match):
-        """``window_s=nan`` once folded every metric into one window, and
-        ``objective=nan`` failed only at the end of the run."""
+        """``window_s=nan`` once folded every metric into one window,
+        ``objective=nan`` failed only at the end of the run, and
+        ``burn_threshold=nan`` silenced every alert."""
         with pytest.raises(ValueError, match=match):
             Observer(**kwargs)
 

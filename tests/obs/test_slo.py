@@ -104,3 +104,25 @@ class TestValidation:
             monitor(window_s=-1.0)
         with pytest.raises(ValueError, match="at least one"):
             monitor(deadlines={})
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"threshold": float("nan")}, "threshold"),
+            ({"window_s": float("nan")}, "window_s"),
+            ({"window_s": float("inf")}, "window_s"),
+            ({"t0": float("nan")}, "t0"),
+            ({"t0": float("-inf")}, "t0"),
+        ],
+    )
+    def test_nan_and_infinite_settings_rejected(self, kwargs, match):
+        """A NaN threshold once silenced every alert: no burn rate
+        compares ``>=`` to NaN."""
+        with pytest.raises(ValueError, match=match):
+            monitor(**kwargs)
+
+    def test_infinite_threshold_is_legal_and_never_fires(self):
+        m = monitor(threshold=float("inf"))
+        m.observe_many(np.array([0.5]), np.array([1.0]))  # every request missed
+        assert m.worst_burn() == pytest.approx(100.0)
+        assert m.scan() == []

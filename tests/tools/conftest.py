@@ -1,8 +1,8 @@
 """Puts ``tools/`` on sys.path so the dev scripts import as modules.
 
 The scripts under ``tools/`` are executables, not package members; the
-tests import them directly (``import bench_history``) the same way the
-scripts import each other when run from their own directory.
+tests import them directly (``import check_docs``), as a script run from
+its own directory would.
 """
 
 import sys

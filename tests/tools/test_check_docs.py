@@ -1,9 +1,11 @@
-"""The docs-check gates: stale imports, keywords and cross-references."""
+"""The docs-check gates: stale imports, keywords, cross-references and commands."""
 
 from check_docs import (
     DOC_REFERENCE,
     ROLE_REFERENCE,
     api_violations,
+    command_violations,
+    make_targets,
     reference_violations,
     snippet_violations,
     unique_public_names,
@@ -56,3 +58,25 @@ def test_stale_keywords_in_inline_call_snippets_are_flagged_with_their_line():
     )
     (violation,) = snippet_violations(doc, names, "docs/offload.md")
     assert violation.startswith("docs/offload.md:2:") and "'transport'" in violation
+
+
+def test_stale_make_targets_and_paths_are_flagged_with_their_line():
+    """A deleted tool leaves stale commands in the docs' code."""
+    targets = make_targets()
+    assert {"docs-check", "harness-smoke", "results-check"} <= targets
+    doc = (
+        "Run `make docs-check` and `tests/tools/test_check_docs.py::test_x`.\n"
+        "```bash\n"
+        "make harness-smoke\n"
+        "make bench-check   # gone\n"
+        "python3 benchmarks/harness/run.py compare A.json B.json\n"
+        "```\n"
+        "Then `python tools/bench_history.py` over `benchmarks/results/*.txt`;\n"
+        "make bench-check and tools/bench_history.py in prose are not code.\n"
+        "`benchmarks/test_fig[678]_*.py` match, `benchmarks/test_fig6..8_*.py` not.\n"
+    )
+    assert command_violations(doc, targets, "README.md") == [
+        "README.md:4: `make bench-check`: no such Makefile target",
+        "README.md:7: `tools/bench_history.py` matches no file",
+        "README.md:9: `benchmarks/test_fig6..8_*.py` matches no file",
+    ]

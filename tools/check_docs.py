@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation health check (the `make docs-check` target).
 
-Five gates, all offline and fast:
+Six gates, all offline and fast:
 
 1. the documentation suite exists (README.md, the docs/ pages) and the
    registered example scripts exist and compile;
@@ -20,7 +20,12 @@ Five gates, all offline and fast:
    in README.md and docs/*.md, and every ``repro.…`` target of a
    ``:mod:``/``:func:``/``:class:``/``:meth:``/``:data:``/``:attr:``
    role under src/, imports or resolves as an attribute.  Unqualified
-   role targets are relative to their module and are not checked.
+   role targets are relative to their module and are not checked;
+6. commands and paths are current: in the code spans and fenced blocks
+   of README.md, docs/*.md and the verify skill, every ``make <target>``
+   names a target the Makefile defines, and every path under tools/,
+   benchmarks/, examples/, src/, tests/ or docs/ exists (a glob must
+   match at least one file).
 
 With ``--run``, the README python blocks are additionally *executed* in
 order in one shared namespace (later blocks use names from earlier
@@ -321,6 +326,64 @@ def check_cross_references() -> list[str]:
     return errors
 
 
+#: A ``make <target>`` command.
+MAKE_COMMAND = re.compile(r"\bmake\s+([A-Za-z0-9][\w.-]*)")
+#: A repo path under one of the tracked top-level directories; ``*``
+#: and ``[...]`` make it a glob.  A pytest ``::`` node suffix is not
+#: part of the path.
+REPO_PATH = re.compile(
+    r"(?<![\w./-])((?:tools|benchmarks|examples|src|tests|docs)/[\w./*\[\]-]*)"
+)
+#: Pages checked for stale commands besides README.md and docs/*.md.
+EXTRA_COMMAND_PAGES = (".claude/skills/verify/SKILL.md",)
+
+
+def make_targets() -> set[str]:
+    """The targets the Makefile defines."""
+    text = (REPO / "Makefile").read_text()
+    return set(re.findall(r"^([A-Za-z0-9][\w.-]*)\s*:(?!=)", text, re.MULTILINE))
+
+
+def _path_exists(rel: str) -> bool:
+    if any(c in rel for c in "*["):
+        return next(REPO.glob(rel), None) is not None
+    return (REPO / rel).exists()
+
+
+def command_violations(text: str, targets: set[str], where: str) -> list[str]:
+    """Unknown ``make`` targets and missing repo paths in ``text``'s code.
+
+    Only code counts: fenced blocks and inline code spans of the
+    Markdown ``text``.  ``targets`` are the Makefile's targets.
+    """
+    blocks = [(m.start(), m.group(0)) for m in FENCED_BLOCK.finditer(text)]
+    prose = FENCED_BLOCK.sub(lambda m: " " * len(m.group(0)), text)
+    spans = [(m.start(1), m.group(1)) for m in INLINE_CODE.finditer(prose)]
+    errors = []
+    for offset, code in sorted(blocks + spans):
+        found = [
+            (m.start(), f"`make {m.group(1)}`: no such Makefile target")
+            for m in MAKE_COMMAND.finditer(code)
+            if m.group(1) not in targets
+        ]
+        for m in REPO_PATH.finditer(code):
+            rel = m.group(1).rstrip(".")
+            if not _path_exists(rel):
+                found.append((m.start(), f"`{rel}` matches no file"))
+        for start, message in sorted(found):
+            errors.append(f"{where}:{text.count(chr(10), 0, offset + start) + 1}: {message}")
+    return errors
+
+
+def check_commands() -> list[str]:
+    targets, errors = make_targets(), []
+    for path in _doc_pages() + [REPO / rel for rel in EXTRA_COMMAND_PAGES]:
+        if path.exists():
+            rel = str(path.relative_to(REPO))
+            errors += command_violations(path.read_text(), targets, rel)
+    return errors
+
+
 def main() -> int:
     run = "--run" in sys.argv[1:]
     errors = (
@@ -329,6 +392,7 @@ def main() -> int:
         + check_api_usage()
         + check_docstrings()
         + check_cross_references()
+        + check_commands()
     )
     if errors:
         print(f"docs-check: {len(errors)} problem(s)")
