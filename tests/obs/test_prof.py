@@ -65,6 +65,26 @@ class TestPhaseProfiler:
         # ... and by_name() folds them back together for attribution.
         assert report.by_name()["x"][0] == 3
 
+    def test_by_name_sums_totals_and_self_across_parents(self):
+        """Attribution compares self time per name, wherever it was scoped."""
+        prof = PhaseProfiler(clock=FakeClock())
+        prof.start("a")        # t=1
+        prof.start("x")        # t=2
+        prof.stop()            # t=3 -> a;x total 1
+        prof.stop()            # t=4 -> a total 3, self 2
+        prof.start("b")        # t=5
+        prof.start("x")        # t=6
+        prof.start("y")        # t=7
+        prof.stop()            # t=8 -> b;x;y total 1
+        prof.stop()            # t=9 -> b;x total 3, self 2
+        prof.stop()            # t=10 -> b total 5, self 2
+        by_name = prof.report().by_name()
+        assert by_name["x"] == (2, 4.0, 3.0)
+        assert by_name["a"] == (1, 3.0, 2.0)
+        assert by_name["y"] == (1, 1.0, 1.0)
+        # Self times still sum to the root totals after folding.
+        assert sum(v[2] for v in by_name.values()) == prof.report().total_s
+
     def test_depth_tracks_open_scopes(self):
         prof = PhaseProfiler()
         assert prof.depth == 0
@@ -240,3 +260,47 @@ class TestProfStudy:
 
         with pytest.raises(ValueError, match="images"):
             run_prof_study(backends=[SumBackend()])
+
+
+class TestEngineHook:
+    """The cluster times its phases into the profiler it is passed, if any."""
+
+    ROOT_SCOPES = ("warmup", "event_loop", "inference", "report")
+
+    def cluster(self, sc, prof=None):
+        backends = [oracle_backend(b, sc.images) for b in sc.backends()]
+        return Cluster(
+            backends,
+            policy="least-outstanding",
+            max_batch_size=sc.max_batch,
+            max_wait_s=sc.max_wait_s,
+            cache_capacity=0,
+            rng=sc.seed,
+            prof=prof,
+        )
+
+    def test_cluster_profiles_only_when_passed_a_profiler(self):
+        sc = make_scenario(5, n_requests=40)
+        bare = self.cluster(sc)
+        assert bare.prof is None
+        bare.serve_log(sc.ids, sc.arrival_s)
+        assert bare.prof is None
+
+        prof = PhaseProfiler()
+        profiled = self.cluster(sc, prof=prof)
+        assert profiled.prof is prof
+        profiled.serve_log(sc.ids, sc.arrival_s)
+        assert prof.report().get("serve").count == 1
+
+    def test_replays_accumulate_one_serve_tree_each(self):
+        """Every ``serve_log`` opens one ``serve`` root and its four
+        top-level phases; a profiler shared by fresh clusters adds them up."""
+        sc = make_scenario(6, n_requests=40)
+        prof = PhaseProfiler()
+        for replays in (1, 2):
+            self.cluster(sc, prof=prof).serve_log(sc.ids, sc.arrival_s)
+            report = prof.report()
+            assert report.get("serve").count == replays
+            for name in self.ROOT_SCOPES:
+                assert report.get("serve", name).count == replays, name
+            assert prof.depth == 0

@@ -4,6 +4,7 @@ from check_docs import (
     DOC_REFERENCE,
     ROLE_REFERENCE,
     api_violations,
+    check_commands,
     command_violations,
     make_targets,
     reference_violations,
@@ -80,3 +81,8 @@ def test_stale_make_targets_and_paths_are_flagged_with_their_line():
         "README.md:7: `tools/bench_history.py` matches no file",
         "README.md:9: `benchmarks/test_fig6..8_*.py` matches no file",
     ]
+
+
+def test_repo_docs_name_only_live_make_targets_and_paths():
+    """README.md, docs/*.md and the verify skill pass the command gate."""
+    assert check_commands() == []
