@@ -69,13 +69,7 @@ from repro.obs.spans import (
 from repro.eval.tables import Table
 from repro.serving.backends import InferenceBackend
 from repro.serving.cache import LRUResultCache
-from repro.serving.classes import (
-    DEFAULT_CLASSES,
-    ClassReport,
-    ClassSet,
-    per_class_reports,
-)
-from repro.serving.request import Request
+from repro.serving.classes import ClassReport, ClassSet, per_class_reports
 from repro.serving.router import RouteDecision
 from repro.sim.core import request_keys, validate_trace
 from repro.sim.records import (
@@ -371,8 +365,10 @@ class Cluster:
         retry/hedge/breaker-trip/scale event an instant span row, and
         the finished run is finalized into per-request spans, windowed
         metrics, and SLO burn rates.  Observers are single-use — like
-        the cluster itself, one per trace.  ``None`` (default) records
-        nothing; the hooks cost one ``is None`` test each.
+        the cluster itself, one per trace: ``serve*`` raises
+        :class:`RuntimeError` before recording anything when the
+        observer already holds a finished run.  ``None`` (default)
+        records nothing; the hooks cost one ``is None`` test each.
     prof:
         Optional :class:`~repro.obs.prof.PhaseProfiler` attributing
         **wall-clock** time to engine phases (warmup, event_loop,
@@ -608,32 +604,13 @@ class Cluster:
 
         Mirrors :meth:`repro.serving.Server.serve`: ``images[i]`` arrives
         at ``arrival_s[i]`` (non-decreasing), ``labels`` adds genuine
-        served accuracy, ``request_classes`` (multi-tenant mode) gives
-        each request its class code.  The report additionally carries
-        fleet-only columns — shed rate, SLO attainment, replica-seconds,
-        availability, retries.
+        served accuracy, and ``request_classes`` gives each request its
+        class code (required with ``classes``, rejected without).  The
+        report additionally carries fleet-only columns — shed rate, SLO
+        attainment, replica-seconds, availability, retries.
         """
         report, _ = self.serve_log(images, arrival_s, labels, scenario, request_classes)
         return report
-
-    def serve_detailed(
-        self,
-        images: np.ndarray,
-        arrival_s: np.ndarray,
-        labels: np.ndarray | None = None,
-        scenario: str = "trace",
-        request_classes: np.ndarray | None = None,
-    ) -> tuple[ClusterReport, list[Request]]:
-        """:meth:`serve`, additionally returning per-request records.
-
-        Same contract as :meth:`repro.serving.Server.serve_detailed`:
-        the request list lets a fronting tier (the edge side of
-        :mod:`repro.offload`) continue each request's timeline after the
-        fleet answered it.  Prefer :meth:`serve_log` when the array view
-        suffices.
-        """
-        report, log = self.serve_log(images, arrival_s, labels, scenario, request_classes)
-        return report, log.to_requests()
 
     def serve_log(
         self,
@@ -643,11 +620,16 @@ class Cluster:
         scenario: str = "trace",
         request_classes: np.ndarray | None = None,
     ) -> tuple[ClusterReport, RequestLog]:
-        """:meth:`serve`, additionally returning the SoA request log."""
+        """:meth:`serve`, additionally returning the per-request
+        :class:`~repro.sim.records.RequestLog`."""
         if self._served:
             raise RuntimeError(
                 "a Cluster replays one trace (replica billing is per-run); "
                 "build a fresh Cluster for the next trace"
+            )
+        if self.obs is not None and self.obs.finalized:
+            raise RuntimeError(
+                "the observer already holds a finished run; pass a fresh Observer"
             )
         self._served = True
         images, arrival_s = validate_trace(images, arrival_s)
@@ -656,14 +638,7 @@ class Cluster:
                 "Cluster(classes=...) requires request_classes in serve*()"
             )
         if request_classes is not None and self.classes is None:
-            # Convenience: codes without an explicit ClassSet use the
-            # default interactive/standard/batch mix — replicas must be
-            # rebuilt so their batchers are class-aware.
-            self.classes = DEFAULT_CLASSES
-            for r in self.replicas:
-                r.classes = self.classes
-                r.scheduler = self.scheduler
-                r.__post_init__()
+            raise ValueError("request_classes in serve*() requires Cluster(classes=...)")
         codes = (
             self.classes.validate_codes(request_classes, arrival_s.shape[0])
             if request_classes is not None

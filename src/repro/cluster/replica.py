@@ -111,27 +111,28 @@ class Replica:
     state: str = ReplicaState.UP
     classes: ClassSet | None = None
     scheduler: str = "priority"
+    # Runtime state: set by __post_init__ and the engine, never passed.
     batcher: MicroBatcher | PriorityBatcher = field(init=False, repr=False)
     in_flight: list[InFlightBatch] = field(init=False, repr=False)
     #: Request copies across ``in_flight`` (kept in step by commit,
     #: purge and crash, so load signals need not re-sum the batches).
     n_in_flight: int = field(init=False, repr=False)
-    worker_free_s: float = 0.0
-    busy_s: float = 0.0
-    up_since_s: float | None = 0.0
-    up_seconds: float = 0.0
-    last_completion_s: float = 0.0
-    drain_started_s: float = 0.0
-    n_batches: int = 0
-    n_requests: int = 0
-    n_crashes: int = 0
+    worker_free_s: float = field(init=False)
+    busy_s: float = field(init=False)
+    up_since_s: float | None = field(init=False)
+    up_seconds: float = field(init=False)
+    last_completion_s: float = field(init=False)
+    drain_started_s: float = field(init=False)
+    n_batches: int = field(init=False)
+    n_requests: int = field(init=False)
+    n_crashes: int = field(init=False)
     #: Fault state (set by the engine's fault events): service-time
     #: multiplier (1.0 = nominal) and per-batch failure probability.
-    slow_factor: float = 1.0
-    flaky_p: float = 0.0
+    slow_factor: float = field(init=False)
+    flaky_p: float = field(init=False)
     #: Provisioning epoch: bumped on every provision() so stale
     #: warm-up-complete events from an earlier epoch can be ignored.
-    generation: int = 0
+    generation: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.classes is not None:
@@ -145,8 +146,18 @@ class Replica:
             self.batcher = MicroBatcher(self.max_batch_size, self.max_wait_s)
         self.in_flight = []
         self.n_in_flight = 0
-        if self.state == ReplicaState.DOWN:
-            self.up_since_s = None
+        self.worker_free_s = 0.0
+        self.busy_s = 0.0
+        self.up_since_s = None if self.state == ReplicaState.DOWN else 0.0
+        self.up_seconds = 0.0
+        self.last_completion_s = 0.0
+        self.drain_started_s = 0.0
+        self.n_batches = 0
+        self.n_requests = 0
+        self.n_crashes = 0
+        self.slow_factor = 1.0
+        self.flaky_p = 0.0
+        self.generation = 0
 
     # ------------------------------------------------------------------ #
     # balancer / autoscaler signals

@@ -6,7 +6,6 @@ from repro.eval.metrics import (
     per_class_accuracy,
     speedup,
     latency_percentiles,
-    LatencyStats,
 )
 from repro.eval.tables import Table, format_table
 from repro.eval.figures import ascii_line_chart, ascii_bar_chart, Series
@@ -19,7 +18,6 @@ __all__ = [
     "per_class_accuracy",
     "speedup",
     "latency_percentiles",
-    "LatencyStats",
     "Table",
     "format_table",
     "ascii_line_chart",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -12,7 +10,6 @@ __all__ = [
     "per_class_accuracy",
     "speedup",
     "latency_percentiles",
-    "LatencyStats",
 ]
 
 
@@ -22,9 +19,11 @@ def latency_percentiles(
     """Latency percentiles of a sample, as plain floats.
 
     The one place the repo computes sojourn/latency percentiles: the
-    serving engine (:mod:`repro.serving.engine`), the cluster report
-    (:mod:`repro.cluster.engine`), and :class:`LatencyStats` all call
-    this instead of repeating ``np.percentile`` triplets.
+    fleet report and the autoscaler's latency signal
+    (:mod:`repro.cluster.engine`, which :class:`repro.serving.Server`
+    re-reports), the per-class slices (:mod:`repro.serving.classes`)
+    and the offload report (:mod:`repro.offload.engine`) all call this
+    instead of repeating ``np.percentile`` triplets.
 
     Returns one float per entry of ``qs`` (default p50/p95/p99), so the
     common call site reads ``p50, p95, p99 = latency_percentiles(sojourn)``.
@@ -74,27 +73,3 @@ def speedup(baseline_latency: float, model_latency: float) -> float:
         raise ValueError(f"model latency must be positive, got {model_latency}")
     return baseline_latency / model_latency
 
-
-@dataclass(frozen=True)
-class LatencyStats:
-    """Summary of a latency sample (wall-clock benchmarking)."""
-
-    mean: float
-    p50: float
-    p95: float
-    minimum: float
-    maximum: float
-    n: int
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "LatencyStats":
-        samples = np.asarray(samples, dtype=np.float64)
-        p50, p95 = latency_percentiles(samples, (50.0, 95.0))
-        return cls(
-            mean=float(samples.mean()),
-            p50=p50,
-            p95=p95,
-            minimum=float(samples.min()),
-            maximum=float(samples.max()),
-            n=int(samples.size),
-        )

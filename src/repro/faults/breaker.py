@@ -76,14 +76,24 @@ class CircuitBreaker:
     """Rolling-window breaker for one replica (virtual-clock driven)."""
 
     config: BreakerConfig = field(default_factory=BreakerConfig)
-    state: str = CLOSED
-    opened_at_s: float = float("-inf")
-    n_trips: int = 0
-    _window: deque = field(default_factory=deque, repr=False)
+    # Runtime state: set by __post_init__ and the outcomes, never passed.
+    state: str = field(init=False)
+    opened_at_s: float = field(init=False)
+    n_trips: int = field(init=False)
+    _window: deque = field(init=False, repr=False)
     #: Failures in ``_window``, kept in step on append/evict/clear.
-    _n_err: int = field(default=0, init=False, repr=False)
-    _probes_out: int = 0
-    _probes_ok: int = 0
+    _n_err: int = field(init=False, repr=False)
+    _probes_out: int = field(init=False)
+    _probes_ok: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.state = CLOSED
+        self.opened_at_s = float("-inf")
+        self.n_trips = 0
+        self._window = deque()
+        self._n_err = 0
+        self._probes_out = 0
+        self._probes_ok = 0
 
     def _evict(self, now: float) -> None:
         horizon = now - self.config.window_s

@@ -75,10 +75,17 @@ class DegradationController:
     """Dwell-filtered mode ladder; ``update()`` then read ``mode``."""
 
     config: DegradationConfig = field(default_factory=DegradationConfig)
-    mode: str = MODE_FULL
-    n_transitions: int = 0
-    _pending: str | None = field(default=None, repr=False)
-    _pending_since_s: float = 0.0
+    # Runtime state: set by __post_init__ and update(), never passed.
+    mode: str = field(init=False)
+    n_transitions: int = field(init=False)
+    _pending: str | None = field(init=False, repr=False)
+    _pending_since_s: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.mode = MODE_FULL
+        self.n_transitions = 0
+        self._pending = None
+        self._pending_since_s = 0.0
 
     def _target(self, open_frac: float) -> str:
         if open_frac >= self.config.shed_pressure:

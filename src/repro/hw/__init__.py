@@ -44,21 +44,6 @@ from repro.hw.monitor import UtilizationMonitor
 from repro.hw.meter import EnergyMeter, MeterReading
 
 
-def __getattr__(name: str):
-    """Lazy deprecation shim: ``repro.hw.DEVICES`` resolves on demand.
-
-    The all-caps alias is no longer imported eagerly anywhere — internal
-    call sites all use :func:`device_profiles` — but external code doing
-    ``from repro.hw import DEVICES`` keeps working and gets the
-    :func:`repro.hw.devices.DEVICES` shim, which warns on call.
-    """
-    if name == "DEVICES":
-        from repro.hw.devices import DEVICES
-
-        return DEVICES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "LayerCost",
     "StageCost",
@@ -66,7 +51,6 @@ __all__ = [
     "stage_cost",
     "model_cost",
     "DeviceProfile",
-    "DEVICES",
     "device_profiles",
     "raspberry_pi4",
     "gci_cpu",

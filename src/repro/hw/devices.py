@@ -19,7 +19,6 @@ profile's ``description``.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "gci_cpu",
     "gci_gpu",
     "device_profiles",
-    "DEVICES",
 ]
 
 # Table II, MNIST rows: latency per image in milliseconds.
@@ -227,12 +225,3 @@ def device_profiles() -> dict[str, DeviceProfile]:
         "gci-k80": gci_gpu(),
     }
 
-
-def DEVICES() -> dict[str, DeviceProfile]:
-    """Deprecated alias of :func:`device_profiles` (old all-caps name)."""
-    warnings.warn(
-        "repro.hw.devices.DEVICES() is deprecated; use device_profiles()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return device_profiles()

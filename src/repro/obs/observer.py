@@ -153,7 +153,8 @@ class Observer:
         alerts, and the dense per-request span tree — is synthesized
         vectorized on first read of :attr:`metrics`, :attr:`slo`,
         :attr:`alerts`, or :attr:`spans`, so serve time pays only for
-        capture.  Single-use: later calls no-op.
+        capture.  Single-use: later calls no-op, and the engines refuse
+        to serve into an observer that is :attr:`finalized`.
         """
         if self._finalized:
             return
@@ -254,6 +255,11 @@ class Observer:
         self.finalize(cols, slo_s=slo_s)
 
     # --------------------------------------------------------------- queries
+
+    @property
+    def finalized(self) -> bool:
+        """Whether the observer holds a finished run (:meth:`finalize` ran)."""
+        return self._finalized
 
     @property
     def metrics(self) -> MetricsRegistry:

@@ -303,7 +303,9 @@ class EdgeTier:
         request's offload legs (edge gate, uplink, cloud service,
         downlink) are recorded as parent-linked spans and the finished
         run is finalized into spans and metrics.  Single-use — one per
-        ``serve`` call.
+        ``serve`` call: :meth:`serve` raises :class:`RuntimeError`
+        before recording anything when the observer already holds a
+        finished run, so assign a fresh one to ``obs`` first.
     rng:
         Seed/generator for a ``NetworkLink``'s loss and jitter sampling
         (a ``SessionTransport`` samples from its own stream).
@@ -335,9 +337,8 @@ class EdgeTier:
     ) -> None:
         if not hasattr(cloud, "serve_log"):
             raise TypeError(
-                f"cloud tier {type(cloud).__name__} lacks serve_log()/"
-                "serve_detailed(); pass a repro.serving.Server or "
-                "repro.cluster.Cluster"
+                f"cloud tier {type(cloud).__name__} lacks serve_log(); pass "
+                "a repro.serving.Server or repro.cluster.Cluster"
             )
         if oracle is not None and not _cloud_is_oracle(cloud):
             raise TypeError(
@@ -405,6 +406,10 @@ class EdgeTier:
         from repro.netsim.fleet import _Device, _DeviceLoop
         from repro.sim.core import validate_trace
 
+        if self.obs is not None and self.obs.finalized:
+            raise RuntimeError(
+                "the observer already holds a finished run; pass a fresh Observer"
+            )
         images, arrival_s = validate_trace(images, arrival_s)
         n = images.shape[0]
 

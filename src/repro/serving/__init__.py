@@ -1,10 +1,11 @@
 """`repro.serving` — batched inference serving engine.
 
 An executable serving path: arrival generators feed a request queue, a
-dynamic micro-batcher flushes on size/deadline triggers, a worker-pool
-dispatcher runs real CBNet / BranchyNet / LeNet inference with
-device-calibrated service times, an LRU cache answers repeated images,
-and an entropy router sends hard inputs down the full-exit path.
+dynamic micro-batcher flushes on size/deadline triggers, one worker
+runs real CBNet / BranchyNet / LeNet inference with device-calibrated
+service times, an LRU cache answers repeated images, and an entropy
+router sends hard inputs down the full-exit path.  A node with k
+workers is a k-replica :class:`repro.cluster.Cluster`.
 
 Quick tour::
 
@@ -47,15 +48,12 @@ from repro.serving.classes import (
 )
 from repro.serving.engine import Server, ServingReport, comparison_table
 from repro.serving.priority import PriorityBatcher
-from repro.serving.request import Request, Route
 from repro.serving.router import EntropyRouter, RouteDecision
 
 __all__ = [
     "Server",
     "ServingReport",
     "comparison_table",
-    "Request",
-    "Route",
     "RequestClass",
     "ClassSet",
     "ClassReport",

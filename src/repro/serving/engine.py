@@ -34,7 +34,6 @@ import numpy as np
 from repro.eval.tables import Table
 from repro.serving.backends import InferenceBackend
 from repro.serving.classes import ClassReport, ClassSet
-from repro.serving.request import Request
 from repro.sim.records import ROUTE_CACHED, ROUTE_EASY, ROUTE_HARD, RequestLog
 
 if TYPE_CHECKING:
@@ -147,8 +146,10 @@ class Server:
         Optional :class:`~repro.obs.observer.Observer`, handed to the
         cluster: each dispatched batch is recorded as a span on replica
         lane 0 and the finished run is finalized into spans, metrics,
-        and SLO burn rates.  Observers are single-use — pass a fresh one
-        per ``serve*`` call.  ``None`` (default) records nothing.
+        and SLO burn rates.  An observer records one run: once it holds
+        a finished run, the next ``serve*`` call raises
+        :class:`RuntimeError` before recording anything, so assign a
+        fresh one to ``obs`` first.  ``None`` (default) records nothing.
     """
 
     def __init__(
@@ -204,31 +205,12 @@ class Server:
         ``labels`` (optional) adds end-to-end accuracy to the report —
         predictions are the backend's genuine outputs (real inference,
         or the oracle table built from it), so this is a served-traffic
-        accuracy, not a placeholder.  ``request_classes`` (multi-tenant
-        mode) gives each request its class code; codes without
-        ``classes`` use :data:`~repro.serving.classes.DEFAULT_CLASSES`.
+        accuracy, not a placeholder.  ``request_classes`` gives each
+        request its class code (required with ``classes``, rejected
+        without).
         """
         report, _ = self.serve_log(images, arrival_s, labels, scenario, request_classes)
         return report
-
-    def serve_detailed(
-        self,
-        images: np.ndarray,
-        arrival_s: np.ndarray,
-        labels: np.ndarray | None = None,
-        scenario: str = "trace",
-        request_classes: np.ndarray | None = None,
-    ) -> tuple[ServingReport, list[Request]]:
-        """:meth:`serve`, additionally returning per-request records.
-
-        The request list carries completion time, route, prediction, and
-        batch size per request — what a composing tier (the edge side of
-        :mod:`repro.offload`) needs to continue each request's timeline
-        after the server answered.  Prefer :meth:`serve_log` when the
-        array view suffices — it skips materializing request objects.
-        """
-        report, log = self.serve_log(images, arrival_s, labels, scenario, request_classes)
-        return report, log.to_requests()
 
     def serve_log(
         self,
@@ -238,7 +220,8 @@ class Server:
         scenario: str = "trace",
         request_classes: np.ndarray | None = None,
     ) -> tuple[ServingReport, RequestLog]:
-        """:meth:`serve`, additionally returning the SoA request log."""
+        """:meth:`serve`, additionally returning the per-request
+        :class:`~repro.sim.records.RequestLog`."""
         fleet, log = self._cluster().serve_log(
             images, arrival_s, labels, scenario, request_classes
         )

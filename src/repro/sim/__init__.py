@@ -29,7 +29,6 @@ from repro.sim.oracle import (
 from repro.sim.records import (
     ROUTE_BATCHED,
     ROUTE_CACHED,
-    ROUTE_CODES,
     ROUTE_EASY,
     ROUTE_HARD,
     ROUTE_SHED,
@@ -43,7 +42,6 @@ __all__ = [
     "ROUTE_EASY",
     "ROUTE_HARD",
     "ROUTE_SHED",
-    "ROUTE_CODES",
     "InferenceTable",
     "OracleBackend",
     "oracle_backend",

@@ -1,26 +1,16 @@
 """Structure-of-arrays request bookkeeping for the simulation engines.
 
 The serving, cluster, and offload engines replay traces of up to millions
-of requests; keeping one Python object per request (the original
-:class:`~repro.serving.request.Request` list) makes the hot loop pay an
-attribute write per field per request and the report pay a Python loop
-per column.  :class:`RequestLog` stores the same per-request record as
-parallel NumPy arrays instead: the event loop writes batch outcomes with
-one fancy-indexed assignment, and every report column is a vectorized
-reduction.
-
-Route outcomes are stored as small-int codes (:data:`ROUTE_CODES`);
-:meth:`RequestLog.to_requests` materializes the familiar
-:class:`~repro.serving.request.Request` objects for callers that want
-the object view (``serve_detailed``), so the SoA refactor is invisible
-at the public API.
+of requests.  :class:`RequestLog` is the one per-request record they
+write: one row per request and one NumPy array per column, so the event
+loop records a batch's outcome with one fancy-indexed assignment and
+every report column is a vectorized reduction, not a Python loop.
+Route outcomes are small-int codes (``ROUTE_BATCHED`` … ``ROUTE_SHED``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.serving.request import Request, Route
 
 __all__ = [
     "ROUTE_BATCHED",
@@ -28,26 +18,71 @@ __all__ = [
     "ROUTE_EASY",
     "ROUTE_HARD",
     "ROUTE_SHED",
-    "ROUTE_CODES",
     "RequestLog",
 ]
 
-#: Integer codes for :class:`~repro.serving.request.Route` strings, in
-#: ``Route.ALL`` order.  ``BATCHED`` is 0 so a zero-initialized route
-#: column matches the ``Request`` dataclass default.
+#: Route codes, how a request was served: ran through the model inside
+#: a micro-batch; answered from the LRU result cache; batched on the
+#: early/lightweight path; batched and entropy-flagged onto the
+#: full-exit path; rejected by admission control (never served).
+#: ``ROUTE_BATCHED`` is 0, so a fresh route column holds it.
 ROUTE_BATCHED, ROUTE_CACHED, ROUTE_EASY, ROUTE_HARD, ROUTE_SHED = range(5)
-ROUTE_CODES: dict[str, int] = {name: code for code, name in enumerate(Route.ALL)}
-_ROUTE_STRS: tuple[str, ...] = Route.ALL
 
 
 class RequestLog:
     """Per-request outcome arrays for one replayed trace.
 
-    One row per request, columns mirroring
-    :class:`~repro.serving.request.Request`: arrival/completion times,
-    prediction, route code, batch size, cache source, replica, degrade
-    flag, and retry count.  Engines mutate the arrays in place while the
-    virtual clock advances; reports reduce them without leaving NumPy.
+    Row ``i`` is the ``i``-th submitted request.  Engines mutate the
+    arrays in place while the virtual clock advances; reports reduce
+    them without leaving NumPy.  Each column lists its dtype and, in
+    brackets, the value a fresh log holds; a request that is never
+    served keeps it in its time, prediction, batch and replica columns.
+
+    Attributes
+    ----------
+    arrival_s:
+        ``float64``: arrival time on the engine clock, seconds.
+    completion_s:
+        ``float64`` [NaN]: when the response left the server.
+    dispatch_s:
+        ``float64`` [NaN]: when the request left the queue for service
+        (cache hits use their arrival time; they never queue).
+    prediction:
+        ``int64`` [-1]: the predicted class label.
+    route:
+        ``int8`` [``ROUTE_BATCHED``]: how the request was served, one
+        of the ``ROUTE_*`` codes.
+    requested_route:
+        ``int8`` [``ROUTE_BATCHED``]: the route the routing/entropy gate
+        asked for, before an admission-control degrade forced the easy
+        path.  Equal to ``route`` wherever ``degraded`` is False.
+    batch_size:
+        ``int32`` [0]: size of the micro-batch the request was served
+        in (0 for cache hits, which bypass the batcher).
+    source_id:
+        ``int64`` [-1]: for a cache hit, the row whose stored result
+        answered it.
+    replica_id:
+        ``int32`` [-1]: the fleet replica that served the request
+        (:mod:`repro.cluster`; a single ``Server`` is replica 0).
+    degraded:
+        ``bool`` [False]: the admission controller forced the request
+        down the early/lightweight path under overload.
+    retries:
+        ``int32`` [0]: how many times the request was re-dispatched
+        after a crash cancelled its batch or an attempt failed or
+        timed out.
+    req_class:
+        ``int8`` [0]: request-class code, an index into the run's
+        :class:`~repro.serving.classes.ClassSet` (0 in single-class
+        runs).
+    timed_out:
+        ``int32`` [0]: how many of the request's attempts the
+        per-attempt timeout of a :class:`repro.faults.ResilienceConfig`
+        cancelled.
+    hedged:
+        ``bool`` [False]: a speculative second attempt was dispatched
+        (the first response won; the loser was cancelled).
     """
 
     __slots__ = (
@@ -110,75 +145,3 @@ class RequestLog:
         cached = np.flatnonzero(self.route == ROUTE_CACHED)
         if cached.size:
             self.prediction[cached] = self.prediction[self.source_id[cached]]
-
-    @classmethod
-    def from_requests(cls, requests: list[Request]) -> "RequestLog":
-        """Rebuild the SoA view from an object view (:meth:`to_requests` inverse).
-
-        Requests must be in row order (``req_id == index``), which is
-        how every engine emits them; the round trip
-        ``log.to_requests()`` → ``from_requests`` → columns is exact for
-        all columns, including the resilience ones.
-        """
-        log = cls(np.array([r.arrival_s for r in requests], dtype=np.float64))
-        for i, r in enumerate(requests):
-            if r.req_id != i:
-                raise ValueError(
-                    f"requests must be in row order: position {i} has req_id {r.req_id}"
-                )
-        log.completion_s[:] = [r.completion_s for r in requests]
-        log.dispatch_s[:] = [r.dispatch_s for r in requests]
-        log.prediction[:] = [r.prediction for r in requests]
-        log.route[:] = [ROUTE_CODES[r.route] for r in requests]
-        log.requested_route[:] = [ROUTE_CODES[r.requested_route] for r in requests]
-        log.batch_size[:] = [r.batch_size for r in requests]
-        log.source_id[:] = [r.source_id for r in requests]
-        log.replica_id[:] = [r.replica_id for r in requests]
-        log.degraded[:] = [r.degraded for r in requests]
-        log.retries[:] = [r.retries for r in requests]
-        log.req_class[:] = [r.req_class for r in requests]
-        log.timed_out[:] = [r.timed_out for r in requests]
-        log.hedged[:] = [r.hedged for r in requests]
-        return log
-
-    def to_requests(self) -> list[Request]:
-        """Materialize the object view (one ``Request`` per row)."""
-        routes = self.route.tolist()
-        req_routes = self.requested_route.tolist()
-        out = []
-        for i, (arr, comp, disp, pred, batch, src, rep, deg, ret, cls, t_o, hed) in enumerate(
-            zip(
-                self.arrival_s.tolist(),
-                self.completion_s.tolist(),
-                self.dispatch_s.tolist(),
-                self.prediction.tolist(),
-                self.batch_size.tolist(),
-                self.source_id.tolist(),
-                self.replica_id.tolist(),
-                self.degraded.tolist(),
-                self.retries.tolist(),
-                self.req_class.tolist(),
-                self.timed_out.tolist(),
-                self.hedged.tolist(),
-            )
-        ):
-            out.append(
-                Request(
-                    req_id=i,
-                    arrival_s=arr,
-                    completion_s=comp,
-                    dispatch_s=disp,
-                    prediction=pred,
-                    route=_ROUTE_STRS[routes[i]],
-                    requested_route=_ROUTE_STRS[req_routes[i]],
-                    batch_size=batch,
-                    source_id=src,
-                    replica_id=rep,
-                    degraded=deg,
-                    retries=ret,
-                    req_class=cls,
-                    timed_out=t_o,
-                    hedged=hed,
-                )
-            )
-        return out

@@ -24,7 +24,6 @@ from repro.serving.batcher import MicroBatcher
 from repro.serving.classes import DEFAULT_CLASSES, RequestClass
 from repro.serving.engine import Server
 from repro.serving.priority import PriorityBatcher
-from repro.sim.records import RequestLog
 
 from conftest import RoutedSumBackend, SumBackend, labels_for, make_images
 
@@ -470,39 +469,16 @@ class TestLoadSignals:
         assert seen == [(0.02, 2, [1, 1]), [1, 0]]
         assert report.n_hedged == 1 and report.n_served == 1
 
-    def test_request_classes_without_a_class_set_match_default_classes(self):
-        """``serve_log(request_classes=...)`` on a class-less cluster
-        rebuilds every replica; the run must equal one built with
-        ``classes=DEFAULT_CLASSES``.  (Weighted-fair admission needs the
-        class set at construction, so both arms use the class-blind
-        controller.)"""
-        images = make_images(400, seed=5)
-        arrivals = poisson_arrivals(6000.0, 400, rng=6)
-        codes = np.random.default_rng(7).integers(0, len(DEFAULT_CLASSES), 400)
-
-        def serve(**kwargs):
-            cluster = Cluster(
-                [SumBackend(), RoutedSumBackend(), SumBackend()],
-                policy="least-outstanding",
-                admission=AdmissionController(max_outstanding=24),
-                max_batch_size=8,
-                max_wait_s=0.002,
-                **kwargs,
-            )
-            return cluster, cluster.serve_log(
-                images, arrivals, labels=labels_for(images), request_classes=codes
-            )
-
-        implicit, (report, log) = serve()
-        _, (want_report, want_log) = serve(classes=DEFAULT_CLASSES)
-        assert implicit.classes is DEFAULT_CLASSES
-        assert all(isinstance(r.batcher, PriorityBatcher) for r in implicit.replicas)
-        assert 0 < report.n_shed < 400
-        for column in RequestLog.__slots__:
-            np.testing.assert_array_equal(
-                getattr(log, column), getattr(want_log, column), err_msg=column
-            )
-        assert report == want_report
+    def test_request_classes_without_a_class_set_rejected(self):
+        """Class codes need ``Cluster(classes=...)``, the mirror of
+        classes needing codes: the replicas' batchers are chosen at
+        construction, so codes alone cannot switch to class mode."""
+        cluster = Cluster([SumBackend(), SumBackend()], policy="least-outstanding")
+        codes = np.zeros(8, dtype=np.int8)
+        with pytest.raises(ValueError, match="requires Cluster\\(classes=...\\)"):
+            cluster.serve_log(make_images(8), np.zeros(8), request_classes=codes)
+        assert cluster.classes is None
+        assert all(isinstance(r.batcher, MicroBatcher) for r in cluster.replicas)
 
 
 class _SpySumBackend(SumBackend):

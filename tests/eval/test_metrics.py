@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.eval.metrics import (
-    LatencyStats,
     accuracy,
     confusion_matrix,
     latency_percentiles,
@@ -62,20 +61,6 @@ class TestSpeedup:
             speedup(1.0, 0.0)
 
 
-class TestLatencyStats:
-    def test_from_samples(self):
-        stats = LatencyStats.from_samples(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.p50 == pytest.approx(2.5)
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-        assert stats.n == 4
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            LatencyStats.from_samples(np.array([]))
-
-
 class TestLatencyPercentiles:
     def test_default_triplet_matches_numpy(self):
         samples = np.linspace(0.0, 1.0, 101)
@@ -95,10 +80,3 @@ class TestLatencyPercentiles:
         with pytest.raises(ValueError):
             latency_percentiles(np.array([1.0]), ())
 
-    def test_single_call_sites_agree(self):
-        # The hw queue simulation, the serving engine, and LatencyStats
-        # must all report the same percentile convention.
-        samples = np.random.default_rng(0).exponential(1.0, 500)
-        p50, p95 = latency_percentiles(samples, (50.0, 95.0))
-        stats = LatencyStats.from_samples(samples)
-        assert stats.p50 == p50 and stats.p95 == p95

@@ -166,31 +166,6 @@ class TestProfileCaching:
         assert custom is not default
         assert custom.conv_gmacs != pytest.approx(default.conv_gmacs)
 
-    def test_devices_alias_warns_but_matches(self):
-        import warnings
-
-        from repro.hw.devices import DEVICES
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            via_alias = DEVICES()
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert via_alias == device_profiles()
-
-    def test_devices_alias_reachable_lazily_from_package(self):
-        # repro.hw no longer imports the shim eagerly; attribute access
-        # resolves it on demand and calling it still warns.
-        import warnings
-
-        import repro.hw as hw
-
-        assert "DEVICES" not in vars(hw)  # not bound at import time
-        shim = hw.DEVICES
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert shim() == device_profiles()
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
     def test_unknown_package_attribute_still_raises(self):
         import repro.hw as hw
 

@@ -113,6 +113,27 @@ class TestServerIntegration:
         server = Server(SumBackend())
         assert server.obs is None
 
+    def test_reused_observer_raises_and_keeps_the_first_run(self):
+        """``Server`` hands its observer to a fresh cluster per call: a
+        second call would merge both runs' batches and spans into one
+        telemetry, so it raises before recording anything."""
+        images = np.random.default_rng(0).random((50, 1, 4, 4)).astype(np.float32)
+        arrival = poisson_arrivals(400.0, 50, rng=1)
+
+        def serve(obs):
+            server = Server(SumBackend(), max_batch_size=8, max_wait_s=0.004, obs=obs)
+            server.serve(images, arrival)
+            return server
+
+        obs, once = Observer(), Observer()
+        server = serve(obs)
+        serve(once)
+        with pytest.raises(RuntimeError, match="finished run"):
+            server.serve(images, arrival)
+        assert obs.finalized
+        assert obs.summary() == once.summary()
+        assert obs.metrics["batched_requests"].value == 50
+
 
 class TestChromeExport:
     def test_trace_is_valid_chrome_json(self, tmp_path):

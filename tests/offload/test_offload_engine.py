@@ -12,6 +12,7 @@ from repro.cluster.engine import Cluster
 from repro.hw.devices import gci_cpu, raspberry_pi4
 from repro.hw.network import BandwidthTrace, NetworkLink, wifi
 from repro.models.branchynet import BranchyLeNet
+from repro.obs import Observer
 from repro.offload.engine import (
     EdgeTier,
     RemoteTrunkBackend,
@@ -204,11 +205,24 @@ class TestCloudComposition:
         # Requests the cloud did serve still completed after the downlink.
         assert report.n_offloaded > report.n_unserved
 
-    def test_cloud_without_serve_detailed_rejected(self, branchy):
-        with pytest.raises(TypeError, match="serve_detailed"):
+    def test_cloud_without_serve_log_rejected(self, branchy):
+        with pytest.raises(TypeError, match="lacks serve_log"):
             EdgeTier(
                 branchy, raspberry_pi4(), wifi(), object(), EntropyGated()
             )
+
+    def test_reused_observer_raises_and_keeps_the_first_run(self, branchy, stream):
+        """A second ``serve`` into a finished observer would double every
+        leg counter and span, so it raises before recording anything."""
+        images, arrival_s, _ = stream
+        obs, once = Observer(), Observer()
+        tier = _tier(branchy, EntropyGated(), obs=obs)
+        tier.serve(images, arrival_s)
+        _tier(branchy, EntropyGated(), obs=once).serve(images, arrival_s)
+        with pytest.raises(RuntimeError, match="finished run"):
+            tier.serve(images, arrival_s)
+        assert obs.summary() == once.summary()
+        assert obs.metrics["legs.edge_gate"].value == len(images)
 
     def test_remote_trunk_backend_matches_trunk(self, branchy):
         rng = np.random.default_rng(7)

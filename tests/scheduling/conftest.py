@@ -137,11 +137,11 @@ def build_cluster(
 
 
 def run_scenario(sc, scheduler="priority", admission="fair", oracle=False, faults=None):
-    """Serve one scenario arm; returns (report, finished requests)."""
+    """Serve one scenario arm; returns (report, request log)."""
     cluster = build_cluster(
         sc, scheduler=scheduler, admission=admission, oracle=oracle, faults=faults
     )
     stream = sc.ids if oracle else sc.images[sc.ids]
-    return cluster.serve_detailed(
+    return cluster.serve_log(
         stream, sc.arrival_s, labels=sc.labels[sc.ids], request_classes=sc.codes
     )

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import make_scenario, run_scenario
 
-from repro.serving.request import Route
+from repro.sim.records import ROUTE_SHED
 
 SEEDS = range(20)
 
@@ -27,7 +27,7 @@ SEEDS = range(20)
 @pytest.mark.parametrize("scheduler", ["priority", "fifo"])
 def test_request_conservation(seed, scheduler):
     sc = make_scenario(seed)
-    report, requests = run_scenario(sc, scheduler=scheduler)
+    report, log = run_scenario(sc, scheduler=scheduler)
 
     assert report.n_requests == sc.n
     assert report.n_served + report.n_shed + report.n_unserved == sc.n
@@ -35,21 +35,16 @@ def test_request_conservation(seed, scheduler):
     for cr in report.class_reports:
         assert cr.n_served + cr.n_shed + cr.n_unserved == cr.n_requests
 
-    n_served = n_shed = n_unserved = 0
-    for r in requests:
-        served = r.done
-        shed = r.route == Route.SHED
-        assert not (served and shed)  # at most one terminal state
-        if served:
-            n_served += 1
-            assert np.isfinite(r.dispatch_s)
-            assert r.arrival_s <= r.dispatch_s <= r.completion_s
-        elif shed:
-            n_shed += 1
-            assert np.isnan(r.completion_s) and np.isnan(r.dispatch_s)
-        else:
-            n_unserved += 1
-    assert (n_served, n_shed, n_unserved) == (
+    served = log.done
+    shed = log.route == ROUTE_SHED
+    assert not (served & shed).any()  # at most one terminal state
+    dispatch = log.dispatch_s[served]
+    assert np.isfinite(dispatch).all()
+    assert (log.arrival_s[served] <= dispatch).all()
+    assert (dispatch <= log.completion_s[served]).all()
+    assert np.isnan(log.completion_s[shed]).all() and np.isnan(log.dispatch_s[shed]).all()
+    n_unserved = int((~served & ~shed).sum())
+    assert (int(served.sum()), int(shed.sum()), n_unserved) == (
         report.n_served,
         report.n_shed,
         report.n_unserved,
@@ -63,30 +58,29 @@ def test_priority_ordering(seed):
     request left behind must be of equal or lower priority than every
     request that boarded."""
     sc = make_scenario(seed)
-    _, requests = run_scenario(sc, scheduler="priority")
-    served = [r for r in requests if r.done and r.retries == 0]
-    priority = {c: spec.priority for c, spec in enumerate(sc.classes)}
+    _, log = run_scenario(sc, scheduler="priority")
+    served = log.done & (log.retries == 0)
+    priority = np.array([spec.priority for spec in sc.classes])[log.req_class]
 
-    by_replica = {}
-    for r in served:
-        by_replica.setdefault(r.replica_id, []).append(r)
     checked = 0
-    for replica_id, reqs in by_replica.items():
-        flush_times = sorted({r.dispatch_s for r in reqs})
-        for t in flush_times:
-            boarded = [r for r in reqs if r.dispatch_s == t]
+    for replica_id in np.unique(log.replica_id[served]):
+        on = served & (log.replica_id == replica_id)
+        arrival, dispatch = log.arrival_s[on], log.dispatch_s[on]
+        prio, req_class = priority[on], log.req_class[on]
+        for t in np.unique(dispatch):
+            boarded = dispatch == t
             # Queued on this replica strictly before the flush, not yet
             # dispatched: these are the requests the flush passed over.
-            waiting = [r for r in reqs if r.arrival_s < t and r.dispatch_s > t]
-            if not waiting:
+            waiting = (arrival < t) & (dispatch > t)
+            if not waiting.any():
                 continue
-            most_urgent_waiting = min(priority[r.req_class] for r in waiting)
-            for r in boarded:
-                assert priority[r.req_class] <= most_urgent_waiting, (
-                    f"replica {replica_id} flush @ {t}: class {r.req_class} "
-                    f"boarded while a more urgent request waited"
-                )
-                checked += 1
+            most_urgent_waiting = prio[waiting].min()
+            late = boarded & (prio > most_urgent_waiting)
+            assert not late.any(), (
+                f"replica {replica_id} flush @ {t}: class {req_class[late][0]} "
+                f"boarded while a more urgent request waited"
+            )
+            checked += int(boarded.sum())
     assert checked > 0  # overload guarantees contended flushes
 
 

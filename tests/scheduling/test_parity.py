@@ -10,9 +10,12 @@ sides).
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from conftest import make_scenario, run_scenario
+
+from repro.sim.records import RequestLog
 
 SEEDS = range(6)
 
@@ -34,8 +37,8 @@ def assert_fields_equal(live, orc, skip=()):
 @pytest.mark.parametrize("scheduler", ["priority", "fifo"])
 def test_per_class_report_parity(seed, scheduler):
     sc = make_scenario(seed)
-    live, live_reqs = run_scenario(sc, scheduler=scheduler, oracle=False)
-    orc, orc_reqs = run_scenario(sc, scheduler=scheduler, oracle=True)
+    live, live_log = run_scenario(sc, scheduler=scheduler, oracle=False)
+    orc, orc_log = run_scenario(sc, scheduler=scheduler, oracle=True)
 
     assert_fields_equal(live, orc, skip=("class_reports",))
     assert len(live.class_reports) == len(orc.class_reports) == len(sc.classes)
@@ -45,9 +48,11 @@ def test_per_class_report_parity(seed, scheduler):
     # Per-request records match too — class code, requested route,
     # dispatch time and all (NaN-valued fields only on unserved/shed
     # requests, equal-NaN on both sides).
-    assert len(live_reqs) == len(orc_reqs)
-    for lr, orr in zip(live_reqs, orc_reqs):
-        assert_fields_equal(lr, orr)
+    assert len(live_log) == len(orc_log)
+    for column in RequestLog.__slots__:
+        np.testing.assert_array_equal(
+            getattr(live_log, column), getattr(orc_log, column), err_msg=column
+        )
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -21,7 +21,7 @@ from conftest import SumBackend, make_scenario, run_scenario
 from repro.faults import FaultPlan, crash_window
 from repro.serving.classes import ClassSet, RequestClass
 from repro.serving.engine import Server
-from repro.serving.request import Route
+from repro.sim.records import ROUTE_SHED
 
 RACE_SEEDS = range(5)
 
@@ -42,7 +42,7 @@ def test_crash_on_admission_tick(seed, scheduler):
     sc = make_scenario(seed)
     if len(sc.per_item) < 2:
         sc.per_item = sc.per_item * 2  # a 1-replica fleet can't absorb a crash
-    report, requests = run_scenario(
+    report, log = run_scenario(
         sc, scheduler=scheduler, admission="fair", faults=_crash_plan(sc)
     )
     assert report.n_crashes == 1
@@ -50,12 +50,12 @@ def test_crash_on_admission_tick(seed, scheduler):
     for cr in report.class_reports:
         assert cr.n_served + cr.n_shed + cr.n_unserved == cr.n_requests
     assert report.n_unserved == 0  # every stranded request was re-dispatched
-    for r in requests:
-        if r.done:
-            assert np.isfinite(r.dispatch_s)
-            assert r.arrival_s <= r.dispatch_s <= r.completion_s
-        else:
-            assert r.route == Route.SHED
+    done = log.done
+    dispatch = log.dispatch_s[done]
+    assert np.isfinite(dispatch).all()
+    assert (log.arrival_s[done] <= dispatch).all()
+    assert (dispatch <= log.completion_s[done]).all()
+    assert (log.route[~done] == ROUTE_SHED).all()
 
 
 @pytest.mark.parametrize("seed", RACE_SEEDS)
@@ -103,12 +103,12 @@ def test_leader_batch_is_in_flight_at_arrival(scheduler):
         classes=classes,
         scheduler=scheduler,
     )
-    _, reqs = server.serve_detailed(images, arrival_s, request_classes=codes)
-    inter = reqs[10]
-    leader = reqs[:4]
+    _, log = server.serve_log(images, arrival_s, request_classes=codes)
+    inter_arrival = log.arrival_s[10]
     # Race precondition: when the interactive request arrives, the leader
-    # batch has been dispatched but not completed.
-    assert all(r.dispatch_s < inter.arrival_s < r.completion_s for r in leader)
+    # batch (requests 0-3) has been dispatched but not completed.
+    assert (log.dispatch_s[:4] < inter_arrival).all()
+    assert (inter_arrival < log.completion_s[:4]).all()
 
 
 def test_interactive_preempts_forming_batch():
@@ -122,27 +122,25 @@ def test_interactive_preempts_forming_batch():
             classes=classes,
             scheduler=scheduler,
         )
-        _, reqs = server.serve_detailed(images, arrival_s, request_classes=codes)
-        return reqs
+        _, log = server.serve_log(images, arrival_s, request_classes=codes)
+        return log
 
     prio = run("priority")
     fifo = run("fifo")
 
-    # Priority: the interactive request boards the first post-leader
-    # flush — nothing queued behind the in-flight leader dispatches
-    # before it, and some earlier-arrived batch work is pushed behind it.
-    post_leader = prio[4:]
-    inter = prio[10]
-    assert inter.dispatch_s == min(r.dispatch_s for r in post_leader)
-    overtaken = [
-        r for r in prio[4:10]
-        if r.arrival_s < inter.arrival_s and r.dispatch_s > inter.dispatch_s
-    ]
-    assert overtaken, "priority flush should defer some earlier batch work"
+    # Priority: the interactive request (row 10) boards the first
+    # post-leader flush — nothing queued behind the in-flight leader
+    # dispatches before it, and some earlier-arrived batch work (rows
+    # 4-9) is pushed behind it.
+    inter_dispatch = prio.dispatch_s[10]
+    assert inter_dispatch == prio.dispatch_s[4:].min()
+    overtaken = (prio.arrival_s[4:10] < prio.arrival_s[10]) & (
+        prio.dispatch_s[4:10] > inter_dispatch
+    )
+    assert overtaken.any(), "priority flush should defer some earlier batch work"
 
     # FIFO control arm on the identical trace: the interactive request
     # waits behind every earlier batch request instead.
-    fifo_inter = fifo[10]
-    assert all(fifo_inter.dispatch_s >= r.dispatch_s for r in fifo[4:10])
-    assert fifo_inter.dispatch_s > inter.dispatch_s
-    assert fifo_inter.completion_s > inter.completion_s
+    assert (fifo.dispatch_s[10] >= fifo.dispatch_s[4:10]).all()
+    assert fifo.dispatch_s[10] > inter_dispatch
+    assert fifo.completion_s[10] > prio.completion_s[10]

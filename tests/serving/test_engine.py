@@ -6,7 +6,6 @@ import pytest
 from repro.serving.arrivals import constant_arrivals, poisson_arrivals
 from repro.serving.backends import BatchTiming, InferenceBackend
 from repro.serving.engine import Server, comparison_table
-from repro.serving.request import Route
 from repro.serving.router import RouteDecision
 
 
@@ -176,6 +175,3 @@ class TestValidationAndRendering:
         assert "p99" in report.summary()
         text = comparison_table([report], "title").render()
         assert "sum" in text and "title" in text
-
-    def test_route_constants_cover_engine_routes(self):
-        assert {Route.BATCHED, Route.CACHED, Route.EASY, Route.HARD} <= set(Route.ALL)

@@ -23,7 +23,7 @@ from repro.offload.policies import EntropyGated, TensorCodec
 from repro.serving.arrivals import poisson_arrivals, zipf_popularity
 from repro.serving.backends import BranchyNetBackend, LeNetBackend
 from repro.serving.engine import Server
-from repro.sim import offload_oracle, oracle_backend
+from repro.sim import RequestLog, offload_oracle, oracle_backend
 
 N_POOL = 48
 N_REQUESTS = 400
@@ -96,14 +96,16 @@ class TestServingParity:
         images, _ = pool
         ids, arrival_s, labels = stream
         backend = BranchyNetBackend(branchy, raspberry_pi4())
-        _, live_reqs = Server(backend, cache_capacity=16).serve_detailed(
+        _, live_log = Server(backend, cache_capacity=16).serve_log(
             images[ids], arrival_s, labels=labels
         )
-        _, orc_reqs = Server(oracle_backend(backend, images), cache_capacity=16).serve_detailed(
+        _, orc_log = Server(oracle_backend(backend, images), cache_capacity=16).serve_log(
             ids, arrival_s, labels=labels
         )
-        for lr, orr in zip(live_reqs, orc_reqs):
-            assert lr == orr
+        for column in RequestLog.__slots__:
+            np.testing.assert_array_equal(
+                getattr(live_log, column), getattr(orc_log, column), err_msg=column
+            )
 
     def test_static_backend_report_identical(self, pool, stream):
         images, _ = pool

@@ -6,12 +6,10 @@ import pytest
 from repro.hw.devices import gci_cpu, raspberry_pi4
 from repro.models import BranchyLeNet, LeNet
 from repro.serving.backends import BranchyNetBackend, LeNetBackend
-from repro.serving.request import Route
 from repro.serving.router import RouteDecision
 from repro.sim import (
+    ROUTE_BATCHED,
     ROUTE_CACHED,
-    ROUTE_EASY,
-    ROUTE_SHED,
     InferenceTable,
     RequestLog,
     clear_oracle_cache,
@@ -22,32 +20,38 @@ from repro.sim import (
 
 
 class TestRequestLog:
-    def test_columns_match_request_defaults(self):
+    def test_fresh_log_holds_the_never_served_values(self):
+        """A request no engine writes keeps NaN times, ``ROUTE_BATCHED``,
+        -1 prediction, source and replica, and batch size 0."""
         log = RequestLog(np.array([0.0, 0.5, 1.0]))
-        (req,) = log.to_requests()[:1]
-        assert req.req_id == 0
-        assert req.route == Route.BATCHED
-        assert req.prediction == -1
-        assert req.batch_size == 0
-        assert np.isnan(req.completion_s)
-        assert not req.done
-
-    def test_to_requests_round_trip(self):
-        log = RequestLog(np.array([0.0, 0.5, 1.0]))
-        log.completion_s[:] = [0.2, np.nan, 1.4]
-        log.route[:] = [ROUTE_EASY, ROUTE_SHED, ROUTE_CACHED]
-        log.prediction[:] = [3, -1, 7]
-        log.batch_size[0] = 4
-        log.source_id[2] = 0
-        log.replica_id[0] = 2
-        log.degraded[1] = True
-        log.retries[0] = 1
-        reqs = log.to_requests()
-        assert [r.route for r in reqs] == [Route.EASY, Route.SHED, Route.CACHED]
-        assert reqs[0].sojourn_s == pytest.approx(0.2)
-        assert reqs[0].replica_id == 2 and reqs[0].retries == 1
-        assert reqs[1].degraded and not reqs[1].done
-        assert reqs[2].source_id == 0
+        assert len(log) == 3
+        assert log.arrival_s.tolist() == [0.0, 0.5, 1.0]
+        assert np.isnan(log.completion_s).all() and np.isnan(log.dispatch_s).all()
+        assert not log.done.any() and np.isnan(log.sojourn_s).all()
+        assert (log.route == ROUTE_BATCHED).all()
+        assert (log.requested_route == ROUTE_BATCHED).all()
+        for column in ("prediction", "source_id", "replica_id"):
+            assert (getattr(log, column) == -1).all(), column
+        for column in ("batch_size", "retries", "req_class", "timed_out"):
+            assert (getattr(log, column) == 0).all(), column
+        assert not log.degraded.any() and not log.hedged.any()
+        # The harness digest hashes every column in this order.
+        assert [(c, getattr(log, c).dtype.name) for c in RequestLog.__slots__] == [
+            ("arrival_s", "float64"),
+            ("completion_s", "float64"),
+            ("dispatch_s", "float64"),
+            ("prediction", "int64"),
+            ("route", "int8"),
+            ("requested_route", "int8"),
+            ("batch_size", "int32"),
+            ("source_id", "int64"),
+            ("replica_id", "int32"),
+            ("degraded", "bool"),
+            ("retries", "int32"),
+            ("req_class", "int8"),
+            ("timed_out", "int32"),
+            ("hedged", "bool"),
+        ]
 
     def test_fill_cached_predictions(self):
         log = RequestLog(np.zeros(3))

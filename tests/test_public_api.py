@@ -1,6 +1,8 @@
 """Public API surface tests: everything exported must import and work."""
 
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -63,3 +65,29 @@ def test_top_level_workflow_symbols():
     # Construction-level sanity only (training covered elsewhere).
     assert PipelineConfig(dataset="mnist").dataset == "mnist"
     assert TrainConfig().epochs > 0
+
+
+def test_constructors_take_settings_not_runtime_state():
+    """Counters, clocks and fault state start in ``__post_init__``: a
+    caller cannot pass them, and each lives on the instance, so hot
+    reads never fall through to a class attribute."""
+    from repro.cluster import Replica
+    from repro.faults import CircuitBreaker, DegradationController
+
+    def params(cls):
+        return tuple(inspect.signature(cls).parameters)
+
+    assert params(Replica) == (
+        "replica_id",
+        "backend",
+        "max_batch_size",
+        "max_wait_s",
+        "state",
+        "classes",
+        "scheduler",
+    )
+    assert params(CircuitBreaker) == ("config",)
+    assert params(DegradationController) == ("config",)
+    for obj in (Replica(0, None), CircuitBreaker(), DegradationController()):
+        state = {f.name for f in dataclasses.fields(obj) if not f.init}
+        assert state <= vars(obj).keys(), type(obj).__name__

@@ -1,6 +1,7 @@
 """The docs-check gates: stale imports, keywords, cross-references and commands."""
 
 from check_docs import (
+    DOC_MEMBER,
     DOC_REFERENCE,
     ROLE_REFERENCE,
     api_violations,
@@ -45,6 +46,21 @@ def test_stale_cross_references_are_flagged_with_their_line():
     )
     (violation,) = reference_violations(docstring, ROLE_REFERENCE, "mod.py")
     assert violation.startswith("mod.py:3:") and "FailureEvent" in violation
+
+
+def test_stale_members_of_public_names_are_flagged_with_their_line():
+    """A removed method leaves dangling `Name.member` spans in the prose docs."""
+    names = unique_public_names()
+    doc = (
+        "Live: `Cluster.serve_log`, `Replica.queue_depth`, `RequestLog.route`,\n"
+        "`Replica.busy_s` (a dataclass field), `Observer.chrome_trace(path)`.\n"
+        "Gone: `Server.serve_detailed`; `np.float64` and `self.obs` are not ours.\n"
+        "Gone too: `RequestLog.to_requests()`; `repro.sim.RequestLog` is a dotted name.\n"
+    )
+    assert reference_violations(doc, DOC_MEMBER, "docs/sim.md", names) == [
+        "docs/sim.md:3: `Server.serve_detailed` does not resolve",
+        "docs/sim.md:4: `RequestLog.to_requests` does not resolve",
+    ]
 
 
 def test_stale_keywords_in_inline_call_snippets_are_flagged_with_their_line():

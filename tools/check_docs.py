@@ -17,10 +17,13 @@ Six gates, all offline and fast:
    ``repro`` (sub)package that is a function or class carries a
    docstring, as does every module;
 5. cross-references resolve: every backticked dotted ``repro.…`` name
-   in README.md and docs/*.md, and every ``repro.…`` target of a
-   ``:mod:``/``:func:``/``:class:``/``:meth:``/``:data:``/``:attr:``
-   role under src/, imports or resolves as an attribute.  Unqualified
-   role targets are relative to their module and are not checked;
+   in README.md and docs/*.md, every backticked ``Name.member`` there,
+   alone or called, whose ``Name`` is a public ``repro`` name bound to
+   one object (`` `Cluster.serve_log` ``), and every ``repro.…``
+   target of a ``:mod:``/``:func:``/``:class:``/``:meth:``/``:data:``/
+   ``:attr:`` role under src/, imports or resolves as an attribute.
+   Unqualified role targets are relative to their module and are not
+   checked;
 6. commands and paths are current: in the code spans and fenced blocks
    of README.md, docs/*.md and the verify skill, every ``make <target>``
    names a target the Makefile defines, and every path under tools/,
@@ -298,6 +301,9 @@ def check_docstrings() -> list[str]:
 
 #: A backticked dotted name in Markdown: `repro.cluster.Cluster`.
 DOC_REFERENCE = re.compile(r"`(repro(?:\.\w+)+)`")
+#: A backticked member of a bare name in Markdown, or a call of one:
+#: `Cluster.serve_log`, `Observer.chrome_trace(path)`.
+DOC_MEMBER = re.compile(r"`([A-Za-z_]\w*(?:\.\w+)+)(?:\([^`]*\))?`")
 #: A fully qualified docstring role target, with or without a title
 #: or a ``~``: :class:`~repro.sim.OracleBackend`, :meth:`serve <repro.…>`.
 ROLE_REFERENCE = re.compile(
@@ -305,21 +311,35 @@ ROLE_REFERENCE = re.compile(
 )
 
 
-def reference_violations(text: str, pattern: re.Pattern, where: str) -> list[str]:
-    """The ``pattern`` matches in ``text`` whose dotted name does not resolve."""
-    return [
-        f"{where}:{text.count(chr(10), 0, m.start()) + 1}: "
-        f"`{m.group(1)}` does not resolve"
-        for m in pattern.finditer(text)
-        if _lookup(m.group(1)) is _MISSING
-    ]
+def reference_violations(
+    text: str, pattern: re.Pattern, where: str, names: dict[str, str] | None = None
+) -> list[str]:
+    """The ``pattern`` matches in ``text`` whose dotted name does not resolve.
+
+    With ``names`` (``name -> module``), a match is checked only when
+    its first part is one of them, and is resolved in that module.
+    """
+    errors = []
+    for m in pattern.finditer(text):
+        dotted = m.group(1)
+        if names is not None:
+            head = dotted.split(".")[0]
+            if head not in names:
+                continue
+            dotted = f"{names[head]}.{dotted}"
+        if _lookup(dotted) is _MISSING:
+            line = text.count("\n", 0, m.start()) + 1
+            errors.append(f"{where}:{line}: `{m.group(1)}` does not resolve")
+    return errors
 
 
 def check_cross_references() -> list[str]:
-    errors = []
+    errors, names = [], unique_public_names()
     for path in _doc_pages():
         rel = str(path.relative_to(REPO))
-        errors += reference_violations(path.read_text(), DOC_REFERENCE, rel)
+        text = path.read_text()
+        errors += reference_violations(text, DOC_REFERENCE, rel)
+        errors += reference_violations(text, DOC_MEMBER, rel, names)
     for path in sorted((REPO / "src").rglob("*.py")):
         rel = str(path.relative_to(REPO))
         errors += reference_violations(path.read_text(), ROLE_REFERENCE, rel)
