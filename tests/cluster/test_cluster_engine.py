@@ -24,6 +24,7 @@ from repro.serving.batcher import MicroBatcher
 from repro.serving.classes import DEFAULT_CLASSES, RequestClass
 from repro.serving.engine import Server
 from repro.serving.priority import PriorityBatcher
+from repro.sim.records import ROUTE_CACHED, ROUTE_EASY, ROUTE_HARD, ROUTE_SHED
 
 from conftest import RoutedSumBackend, SumBackend, labels_for, make_images
 
@@ -311,6 +312,54 @@ class TestClusterCache:
         assert report.n_cached == 0
         assert report.n_retried >= 1
         assert report.n_served == 2
+
+
+class TestLogColumns:
+    """The engine writes each column as ``RequestLog`` documents it."""
+
+    def test_shed_rows_keep_the_never_served_values(self):
+        images = make_images(50)
+        report, log = Cluster(
+            [SumBackend(per_item_s=0.01)],
+            admission=AdmissionController(max_outstanding=1),
+        ).serve_log(images, np.zeros(50), labels=labels_for(images))
+        shed = log.route == ROUTE_SHED
+        assert int(shed.sum()) == report.n_shed > 0
+        assert (log.requested_route[shed] == ROUTE_SHED).all()
+        assert np.isnan(log.completion_s[shed]).all()
+        assert np.isnan(log.dispatch_s[shed]).all()
+        for column in ("prediction", "source_id", "replica_id"):
+            assert (getattr(log, column)[shed] == -1).all(), column
+        assert (log.batch_size[shed] == 0).all()
+
+    def test_cache_hits_name_a_served_source(self):
+        base = make_images(6)
+        images = np.concatenate([base, base, base])
+        arrivals = np.sort(np.concatenate([np.full(6, t) for t in (0.0, 1.0, 2.0)]))
+        report, log = Cluster(
+            [SumBackend(), SumBackend()], cache_capacity=16, max_batch_size=4
+        ).serve_log(images, arrivals, labels=labels_for(images))
+        hits = np.flatnonzero(log.route == ROUTE_CACHED)
+        assert hits.size == report.n_cached == 12
+        src = log.source_id[hits]
+        assert (src < hits).all() and (log.route[src] != ROUTE_CACHED).all()
+        np.testing.assert_array_equal(log.prediction[hits], log.prediction[src])
+        np.testing.assert_array_equal(log.dispatch_s[hits], log.arrival_s[hits])
+        assert (log.batch_size[hits] == 0).all()
+        assert (log.source_id[log.route != ROUTE_CACHED] == -1).all()
+
+    def test_requested_route_differs_only_on_degraded_rows(self):
+        rng = np.random.default_rng(4)
+        hard = (0.8 + rng.random((200, 1, 4, 4)) * 0.2).astype(np.float32)
+        report, log = Cluster(
+            [RoutedSumBackend()],
+            admission=AdmissionController(max_outstanding=8, policy="degrade"),
+        ).serve_log(hard, poisson_arrivals(2000.0, 200, rng=5))
+        degraded = log.degraded
+        assert int(degraded.sum()) == report.n_degraded > 0
+        assert (log.requested_route == ROUTE_HARD).all()  # the gate's own verdict
+        assert (log.route[degraded] == ROUTE_EASY).all()
+        np.testing.assert_array_equal(log.route[~degraded], log.requested_route[~degraded])
 
 
 class TestAutoscalerIntegration:

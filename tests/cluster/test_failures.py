@@ -92,11 +92,17 @@ class TestCrashAcrossLifecycle:
     """A crash must land cleanly whatever state the replica is in."""
 
     def make_replica(self, state=ReplicaState.UP):
-        r = Replica(0, SumBackend(), max_batch_size=4, max_wait_s=0.004)
-        if state == ReplicaState.DOWN:
-            r.state = ReplicaState.DOWN
-            r.up_since_s = None
-        return r
+        return Replica(0, SumBackend(), max_batch_size=4, max_wait_s=0.004, state=state)
+
+    def test_replica_built_down_is_unbilled_until_provisioned(self):
+        down, up = self.make_replica(ReplicaState.DOWN), self.make_replica()
+        assert down.up_since_s is None and up.up_since_s == 0.0
+        down.bill_to(2.0)
+        up.bill_to(2.0)
+        assert down.up_seconds == 0.0 and up.up_seconds == pytest.approx(2.0)
+        down.provision(3.0)
+        down.crash(3.5)
+        assert down.up_seconds == pytest.approx(0.5)
 
     def test_crash_while_warming_goes_down_and_bills(self):
         r = self.make_replica(ReplicaState.DOWN)

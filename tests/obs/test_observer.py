@@ -35,6 +35,15 @@ class TestFinalize:
         assert obs.spans is first
         assert first.count(SPAN_REQUEST) == 1
 
+    def test_finalized_is_a_read_only_flag_of_a_finished_run(self):
+        obs = Observer()
+        obs.on_batch(0.0, 0.01, 0, 4)
+        assert not obs.finalized  # hooks alone do not finish a run
+        obs.finalize_arrays(np.array([0.0]), np.array([0.02]))
+        assert obs.finalized
+        with pytest.raises(AttributeError):
+            obs.finalized = False
+
     def test_spans_build_lazily_after_finalize(self):
         obs = Observer()
         assert obs.spans is None
@@ -133,6 +142,24 @@ class TestServerIntegration:
         assert obs.finalized
         assert obs.summary() == once.summary()
         assert obs.metrics["batched_requests"].value == 50
+
+    def test_finished_observer_is_refused_before_the_cluster_starts(self):
+        """The refusal comes before the cluster marks its one trace as
+        served, so the same cluster still replays it with a fresh observer."""
+        from repro.cluster import Cluster
+
+        images = np.random.default_rng(2).random((50, 1, 4, 4)).astype(np.float32)
+        arrival = poisson_arrivals(400.0, 50, rng=3)
+        obs = Observer()
+        Cluster([SumBackend()], max_batch_size=8, obs=obs).serve(images, arrival)
+        rows = obs.tracer.n_rows
+        cluster = Cluster([SumBackend()], max_batch_size=8, obs=obs)
+        with pytest.raises(RuntimeError, match="finished run"):
+            cluster.serve(images, arrival)
+        assert obs.tracer.n_rows == rows
+        cluster.obs = fresh = Observer()
+        assert cluster.serve(images, arrival).n_served == 50
+        assert fresh.summary() == obs.summary()
 
 
 class TestChromeExport:

@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.eval.metrics import latency_percentiles
 from repro.serving.arrivals import constant_arrivals, poisson_arrivals
 from repro.serving.backends import BatchTiming, InferenceBackend
+from repro.serving.classes import DEFAULT_CLASSES
 from repro.serving.engine import Server, comparison_table
 from repro.serving.router import RouteDecision
+from repro.sim.records import (
+    ROUTE_BATCHED,
+    ROUTE_CACHED,
+    ROUTE_EASY,
+    ROUTE_HARD,
+    ROUTE_SHED,
+)
 
 
 class SumBackend(InferenceBackend):
@@ -175,3 +184,41 @@ class TestValidationAndRendering:
         assert "p99" in report.summary()
         text = comparison_table([report], "title").render()
         assert "sum" in text and "title" in text
+
+    def test_route_constants_cover_engine_routes(self):
+        """Every route the engine writes is one of the ``ROUTE_*`` codes,
+        which are distinct small ints that fit the ``int8`` column."""
+        base = make_images(16)
+        images = np.concatenate([base, base])  # the second wave hits the cache
+        arrivals = np.concatenate([np.zeros(16), np.ones(16)])
+        written = set()
+        for backend in (SumBackend(), RoutedSumBackend()):
+            server = Server(backend, max_batch_size=8, max_wait_s=0.001, cache_capacity=32)
+            _, log = server.serve_log(images, arrivals)
+            written |= set(np.unique(log.route).tolist())
+        assert written == {ROUTE_BATCHED, ROUTE_CACHED, ROUTE_EASY, ROUTE_HARD}
+        codes = (ROUTE_BATCHED, ROUTE_CACHED, ROUTE_EASY, ROUTE_HARD, ROUTE_SHED)
+        assert sorted(codes) == list(range(len(codes)))
+
+    def test_report_percentiles_follow_latency_percentiles(self):
+        """The report and its per-class slices reduce the log's served
+        sojourns with one percentile convention."""
+        images = make_images(300)
+        arrivals = poisson_arrivals(800.0, 300, rng=3)
+        codes = np.random.default_rng(4).integers(0, len(DEFAULT_CLASSES), 300)
+        server = Server(SumBackend(), max_batch_size=8, classes=DEFAULT_CLASSES)
+        report, log = server.serve_log(images, arrivals, request_classes=codes)
+        got = (report.p50_s, report.p95_s, report.p99_s)
+        assert got == latency_percentiles(log.sojourn_s[log.done])
+        assert len(report.class_reports) == len(DEFAULT_CLASSES)
+        for code, cr in enumerate(report.class_reports):
+            served = log.done & (log.req_class == code)
+            got = (cr.p50_s, cr.p95_s, cr.p99_s)
+            assert got == latency_percentiles(log.sojourn_s[served]), cr.name
+
+    def test_request_classes_without_a_class_set_rejected(self):
+        server = Server(SumBackend())
+        with pytest.raises(ValueError, match="requires Cluster\\(classes=...\\)"):
+            server.serve(make_images(4), np.zeros(4), request_classes=np.zeros(4, np.int8))
+        report = server.serve(make_images(4), np.zeros(4))
+        assert report.class_reports == ()

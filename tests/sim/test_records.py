@@ -10,6 +10,9 @@ from repro.serving.router import RouteDecision
 from repro.sim import (
     ROUTE_BATCHED,
     ROUTE_CACHED,
+    ROUTE_EASY,
+    ROUTE_HARD,
+    ROUTE_SHED,
     InferenceTable,
     RequestLog,
     clear_oracle_cache,
@@ -17,6 +20,23 @@ from repro.sim import (
     request_keys,
     validate_trace,
 )
+
+ROUTES = (ROUTE_BATCHED, ROUTE_CACHED, ROUTE_EASY, ROUTE_HARD, ROUTE_SHED)
+
+
+def random_log(rng: np.random.Generator, n: int) -> RequestLog:
+    """A log with unserved rows and cache hits on earlier, non-cached sources."""
+    log = RequestLog(np.sort(rng.uniform(0.0, 2.0, n)))
+    served = rng.random(n) < 0.8
+    log.completion_s[served] = log.arrival_s[served] + rng.uniform(1e-4, 0.5, served.sum())
+    log.prediction[:] = rng.integers(0, 10, n)
+    log.route[:] = rng.choice(ROUTES, n)
+    log.route[0] = ROUTE_BATCHED  # the first request has nothing to hit
+    sources = np.flatnonzero(log.route != ROUTE_CACHED)
+    for i in np.flatnonzero(log.route == ROUTE_CACHED):
+        log.source_id[i] = rng.choice(sources[sources < i])
+        log.prediction[i] = -1  # engines leave hits for fill_cached_predictions
+    return log
 
 
 class TestRequestLog:
@@ -66,6 +86,26 @@ class TestRequestLog:
         log.completion_s[0] = 1.5
         assert log.done.tolist() == [True, False]
         assert log.sojourn_s[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_logs_reduce_consistently(self, seed):
+        """The masks, route counts and the cache-hit gather agree with
+        the raw columns on logs of any shape."""
+        rng = np.random.default_rng(seed)
+        log = random_log(rng, int(rng.integers(1, 200)))
+        finite = np.isfinite(log.completion_s)
+        np.testing.assert_array_equal(log.done, finite)
+        np.testing.assert_array_equal(
+            log.sojourn_s[finite], log.completion_s[finite] - log.arrival_s[finite]
+        )
+        assert np.isnan(log.sojourn_s[~finite]).all()
+        assert sum(log.route_count(code) for code in ROUTES) == len(log)
+        hits = log.route == ROUTE_CACHED
+        before = log.prediction.copy()
+        log.fill_cached_predictions()
+        np.testing.assert_array_equal(log.prediction[~hits], before[~hits])
+        np.testing.assert_array_equal(log.prediction[hits], before[log.source_id[hits]])
+        assert (log.prediction >= 0).all()
 
 
 class TestTraceValidation:

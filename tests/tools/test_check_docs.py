@@ -6,6 +6,7 @@ from check_docs import (
     ROLE_REFERENCE,
     api_violations,
     check_commands,
+    check_cross_references,
     command_violations,
     make_targets,
     reference_violations,
@@ -97,6 +98,12 @@ def test_stale_make_targets_and_paths_are_flagged_with_their_line():
         "README.md:7: `tools/bench_history.py` matches no file",
         "README.md:9: `benchmarks/test_fig6..8_*.py` matches no file",
     ]
+
+
+def test_repo_docs_and_docstrings_reference_only_live_names():
+    """README.md, docs/*.md and the ``src`` docstrings pass the
+    cross-reference gate, `Name.member` spans included."""
+    assert check_cross_references() == []
 
 
 def test_repo_docs_name_only_live_make_targets_and_paths():
