@@ -22,9 +22,11 @@
 #   make sim-smoke    simulation-core smoke: oracle live-vs-table parity,
 #                     SoA records, the kernel's M/G/1 analytic oracles
 #                     and Lindley differential, vectorized arrival
-#                     regressions, and served fastpath predictions
-#                     against the reference path (no arena growth across
-#                     ragged batches)
+#                     regressions, served fastpath predictions against
+#                     the reference path (no arena growth across ragged
+#                     batches), and the compiled plans themselves
+#                     (tests/nn/test_fastpath.py: both LinearStep
+#                     products bit-exact at every row count)
 #   make tenants-smoke  multi-tenant smoke: scheduler invariants, priority
 #                     batcher, FIFO-vs-priority experiment on toy fleets
 #   make chaos-smoke  robustness smoke: chaos invariants under random fault
@@ -68,7 +70,7 @@ offload-smoke:
 
 sim-smoke:
 	$(PYTHON) -m pytest tests/sim tests/serving/test_arrivals.py \
-	    tests/serving/test_fastpath_serving.py -q
+	    tests/serving/test_fastpath_serving.py tests/nn/test_fastpath.py -q
 
 tenants-smoke:
 	$(PYTHON) -m pytest tests/scheduling tests/serving/test_priority_batcher.py \

@@ -1,9 +1,10 @@
 """Microbenchmarks of the NumPy DL substrate's hot kernels.
 
 Not a paper figure — these guard the performance of the kernels every
-experiment runs on (im2col conv, GEMM dense, pooling, AE training step),
-so substrate regressions surface in benchmark runs rather than as
-mysteriously slow experiment reruns.
+experiment runs on (im2col conv, GEMM dense, pooling, AE training step,
+AE conversion at serving and at batch size), so substrate regressions
+surface in benchmark runs rather than as mysteriously slow experiment
+reruns.
 
 Inference benchmarks run through the compiled fast path
 (:mod:`repro.nn.fastpath`) — the path serving traffic takes — with
@@ -12,10 +13,11 @@ the fastpath-vs-reference ratio.
 """
 
 import numpy as np
+import pytest
 
 from repro.nn import Tensor, fastpath, functional as F, no_grad
 from repro.nn.layers import Conv2d, Linear
-from repro.models import BranchyLeNet, LeNet
+from repro.models import BranchyLeNet, ConvertingAutoencoder, LeNet
 
 rng = np.random.default_rng(0)
 
@@ -87,6 +89,27 @@ def test_lenet_batch_inference_reference(benchmark):
     images = rng.random((256, 1, 28, 28), dtype=np.float32)
     preds = benchmark(model.predict, images, fastpath=False)
     assert preds.shape == (256,)
+
+
+@pytest.mark.parametrize("rows", [32, 512])
+def test_autoencoder_convert(benchmark, rows):
+    """The paper's converting autoencoder through the compiled plan: 32
+    rows is a live fleet's full ``predict`` chunk, where the 784x784 and
+    784x384 GEMMs run weight-major; 512 is the batch experiments' and
+    oracle table's size, where every GEMM runs row-major."""
+    ae = ConvertingAutoencoder.for_dataset("mnist", rng=0)
+    flat = rng.random((rows, 784), dtype=np.float32)
+    out = benchmark(ae.convert, flat)
+    assert out.shape == (rows, 784)
+    np.testing.assert_allclose(out, ae.convert(flat, fastpath=False), atol=1e-5)
+
+
+@pytest.mark.parametrize("rows", [32, 512])
+def test_autoencoder_convert_reference(benchmark, rows):
+    ae = ConvertingAutoencoder.for_dataset("mnist", rng=0)
+    flat = rng.random((rows, 784), dtype=np.float32)
+    out = benchmark(ae.convert, flat, fastpath=False)
+    assert out.shape == (rows, 784)
 
 
 def test_branchynet_gated_inference(benchmark):

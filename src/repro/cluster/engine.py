@@ -29,9 +29,11 @@ when the fleet is built from :class:`repro.sim.OracleBackend` wrappers —
 so the :class:`ClusterReport` carries genuine served accuracy next to
 the latency, shedding, availability, and replica-seconds columns.
 Each backend's finished batches are packed, in finish order, into
-``predict`` calls of at most ``max_batch_size`` rows with their routing
-decisions joined; predictions are per sample and never feed back into
-the timeline, so the packing changes host time only.
+``predict`` calls of exactly ``max_batch_size`` rows (the last call per
+backend may hold fewer) with their routing decisions joined; a batch
+that straddles two calls is split between them.  Predictions are per
+sample and never feed back into the timeline, so the packing changes
+host time only.
 
 Per-request bookkeeping is the structure-of-arrays
 :class:`~repro.sim.records.RequestLog`; arrivals are consumed from a
@@ -248,7 +250,9 @@ class _Chunk:
     ``rows`` are request indices in finish order and ``decisions`` the
     member batches' routing decisions.  ``picks`` are the positions of
     ``rows`` within the joined decisions; it stays ``None`` until a
-    member drops rows, and ``width`` counts the joined positions.
+    member adds only some of its rows (dropped ones, or one side of a
+    split), and ``width`` counts the joined positions.  Both index the
+    decisions only, so a static backend's chunk keeps neither.
     """
 
     __slots__ = ("backend", "rows", "decisions", "picks", "width")
@@ -260,20 +264,30 @@ class _Chunk:
         self.picks: list[int] | None = None
         self.width = 0
 
-    def add(self, batch: InFlightBatch, keep: list[int] | None) -> None:
-        """Append ``batch``'s rows at positions ``keep`` (``None``: all)."""
-        indices, width = batch.indices, self.width
+    def add(self, batch: InFlightBatch, keep: list[int] | range | None) -> None:
+        """Append ``batch``'s rows at positions ``keep`` (``None``: all).
+
+        A ``range`` (one side of a split batch that dropped no rows) is
+        copied as a slice, without a per-row loop.
+        """
+        indices = batch.indices
         if keep is None:
             self.rows.extend(indices)
-            if self.picks is not None:
-                self.picks.extend(range(width, width + len(indices)))
+        elif isinstance(keep, range):
+            self.rows.extend(indices[keep.start : keep.stop])
         else:
-            if self.picks is None:
-                self.picks = list(range(width))
             self.rows.extend([indices[p] for p in keep])
-            self.picks.extend([width + p for p in keep])
-        if batch.decision is not None:
-            self.decisions.append(batch.decision)
+        if batch.decision is None:
+            return
+        width, picks = self.width, self.picks
+        if keep is not None and picks is None:
+            picks = self.picks = list(range(width))
+        if picks is not None:
+            if keep is None:
+                picks.extend(range(width, width + len(indices)))
+            else:
+                picks.extend([width + p for p in keep])
+        self.decisions.append(batch.decision)
         self.width = width + len(indices)
 
     def predict(self, images: np.ndarray, prediction: np.ndarray) -> None:
@@ -1384,13 +1398,19 @@ class Cluster:
         """Run the surviving batches through their backends, in chunks.
 
         Each backend object's finished batches are packed, in the order
-        they finished, into chunks of at most ``max_batch_size`` rows —
+        they finished, into chunks of exactly ``max_batch_size`` rows —
         the size ``serve_log`` warmed every live backend for, so no plan
         recompiles — and each chunk is one ``predict`` call with its
-        members' routing decisions joined.  Predictions never feed back
-        into the timeline (service time came from ``BatchTiming`` at
-        dispatch) and every backend predicts per sample, so the chunking
-        changes only the host time inference takes.
+        members' routing decisions joined.  A full batch is a call of
+        its own.  Any other batch that does not fit the open chunk is
+        split: its first kept rows fill that chunk and the rest open the
+        next, so one micro-batch's rows may reach two calls.  Each
+        backend thus makes ``ceil(rows / max_batch_size)`` calls, every
+        one but its last at full size.  Predictions never
+        feed back into the timeline (service time came from
+        ``BatchTiming`` at dispatch) and every backend predicts per
+        sample, so the chunking changes only the host time inference
+        takes.
 
         Crash-cancelled batches never reach ``books.finished``.  In a
         resilient fleet a finished batch may still carry a cancelled
@@ -1408,6 +1428,7 @@ class Cluster:
         if guarded:
             final_replica = log.replica_id.tolist()
             final_done = log.completion_s.tolist()
+        images, prediction = books.images, log.prediction
         chunks: dict[int, _Chunk] = {}
         for replica, batch in books.finished:
             n, keep = len(batch.indices), None
@@ -1424,14 +1445,31 @@ class Cluster:
                     keep = None
                 else:
                     n = len(keep)
-            chunk = chunks.get(id(replica.backend))
-            if chunk is None or len(chunk.rows) + n > cap:
-                if chunk is not None:
-                    chunk.predict(books.images, log.prediction)
-                chunk = chunks[id(replica.backend)] = _Chunk(replica.backend)
+            backend = replica.backend
+            if n == cap:
+                # A full batch is a call of its own; the open chunk stays open.
+                whole = _Chunk(backend)
+                whole.add(batch, None)
+                whole.predict(images, prediction)
+                continue
+            chunk = chunks.get(id(backend))
+            if chunk is None:
+                chunk = chunks[id(backend)] = _Chunk(backend)
+            room = cap - len(chunk.rows)
+            if n > room:
+                # The first ``room`` kept rows fill this chunk; the rest
+                # (fewer than ``cap``) open the next one.
+                keep = range(n) if keep is None else keep
+                chunk.add(batch, keep[:room])
+                chunk.predict(images, prediction)
+                chunk = chunks[id(backend)] = _Chunk(backend)
+                keep = keep[room:]
             chunk.add(batch, keep)
+            if len(chunk.rows) == cap:
+                chunk.predict(images, prediction)
+                del chunks[id(backend)]
         for chunk in chunks.values():
-            chunk.predict(books.images, log.prediction)
+            chunk.predict(images, prediction)
         log.fill_cached_predictions()
 
     def _report(

@@ -374,7 +374,6 @@ def run_fleet_net(
     rng=None,
     aimd: AIMDConfig | None = None,
     max_attempts: int = 8,
-    obs=None,
 ) -> FleetNetReport:
     """Replay a device fleet through one shared link; return the ledger.
 
@@ -387,7 +386,6 @@ def run_fleet_net(
     previous one finished locally or its uplink was acked: a
     :class:`~repro.netsim.transport.SessionTransport` carries one
     transfer at a time.  Cloud service and the downlink overlap.
-    ``obs`` receives the transports' session and window events.
     """
     devices = tuple(devices)
     if not devices:
@@ -406,7 +404,6 @@ def run_fleet_net(
             rng=as_generator(derive_seed(fleet_seed, f"transport-{dev_id}")),
             aimd=aimd,
             max_attempts=max_attempts,
-            obs=obs,
             device_id=dev_id,
         )
         policy = policy_for if isinstance(policy_for, OffloadPolicy) else policy_for(dev_id)

@@ -152,7 +152,8 @@ class InferenceBackend:
         instead of repeating the shared-stem forward pass.  One call may
         carry several dispatched micro-batches (at most the fleet's
         ``max_batch_size`` rows in all) with their decisions joined row
-        for row, so a prediction must depend only on its own row.
+        for row, and one micro-batch's rows may be split across two
+        calls, so a prediction must depend only on its own row.
         """
         raise NotImplementedError
 

@@ -533,9 +533,9 @@ class TestLoadSignals:
 class _SpySumBackend(SumBackend):
     """SumBackend recording the row count of every ``predict`` call."""
 
-    def __init__(self, calls, per_item_s=0.001):
+    def __init__(self, per_item_s=0.001):
         super().__init__(per_item_s=per_item_s)
-        self.calls = calls
+        self.calls = []
 
     def predict(self, images, decision=None):
         self.calls.append(images.shape[0])
@@ -544,12 +544,11 @@ class _SpySumBackend(SumBackend):
 
 def _warm_spies(images, *per_item_s):
     """Spy backends warmed at batch size 16, the warmup's calls dropped."""
-    calls = []
-    backends = [_SpySumBackend(calls, p) for p in per_item_s]
+    backends = [_SpySumBackend(p) for p in per_item_s]
     for backend in backends:
         backend.warmup(16, sample_shape=images.shape[1:])
-    calls.clear()
-    return backends, calls
+        backend.calls.clear()
+    return backends
 
 
 def _plan_state(cbnet):
@@ -563,27 +562,31 @@ def _plan_state(cbnet):
 
 class TestPredictChunks:
     """Inference after the timeline: one ``predict`` per chunk of each
-    backend's finished batches, never more than ``max_batch_size`` rows."""
+    backend's finished batches, every chunk but a backend's last filled
+    to exactly ``max_batch_size`` rows."""
 
     def test_small_batches_share_bounded_predict_calls(self):
+        """Each backend makes ``ceil(rows / 16)`` calls, all of 16 rows
+        but its last, so batches straddle calls."""
         images = make_images(600)
-        backends, calls = _warm_spies(images, 0.001, 0.001)
+        backends = _warm_spies(images, 0.001, 0.001)
         cluster = Cluster(backends, policy="round-robin", max_batch_size=16)
         report = cluster.serve(
             images, poisson_arrivals(150.0, 600, rng=3), labels=labels_for(images)
         )
-        batches = sum(r.n_batches for r in cluster.replicas)
         assert report.mean_batch_size < 2
-        assert max(calls) <= 16
-        assert len(calls) <= batches / 4, (len(calls), batches)
-        assert sum(calls) == report.n_served == 600  # each request predicted once
-        assert report.accuracy == 1.0
+        for backend, replica in zip(backends, cluster.replicas):
+            rows = replica.n_requests  # each request predicted once
+            full, rest = divmod(rows, 16)
+            assert backend.calls == [16] * full + ([rest] if rest else []), rows
+        assert sum(replica.n_requests for replica in cluster.replicas) == 600
+        assert report.n_served == 600 and report.accuracy == 1.0
 
     def test_cancelled_copies_are_never_predicted(self):
         """A hedge's losing copy still finishes its batch on the slow
         replica; only the winning copy's row reaches ``predict``."""
         images = make_images(40)
-        backends, calls = _warm_spies(images, 0.02, 0.001)
+        backends = _warm_spies(images, 0.02, 0.001)
         report = Cluster(
             backends,
             policy="round-robin",
@@ -591,7 +594,7 @@ class TestPredictChunks:
         ).serve(images, constant_arrivals(20.0, 40), labels=labels_for(images))
         assert report.n_hedged > 0
         assert report.n_served == 40 and report.accuracy == 1.0
-        assert sum(calls) == 40
+        assert sum(sum(backend.calls) for backend in backends) == 40
 
     def test_live_chunks_reuse_the_warmed_plans(self, trained_pipeline):
         """Chunks fit the plans ``serve`` warms at ``max_batch_size``:

@@ -37,16 +37,21 @@ a 16-replica fleet flaky throughout (failed batches from several
 replicas judged in one advance), an autoscaler that scales down until a replica drains to DOWN — alone,
 and on a 3-class fleet under a fault storm, where a draining replica's
 worker-gated queue can hold only cancelled copies and flush to nothing —
-a 16-entry result cache, and a fleet sharing one routed backend behind
-admission that degrades (forced early exits).
+a 16-entry result cache, a fleet sharing one routed backend behind
+admission that degrades (forced early exits), a fleet of decision-checking
+backends each shared by two replicas, and the same backends one per
+replica under a fault storm with the full resilience stack.
 
 ``_PerBatchCluster`` keeps the reference inference fill: one ``predict``
 per finished batch, with a resilient fleet's cancelled rows masked out
 of the write.  The production fill packs each backend's finished
-batches into chunks of at most ``max_batch_size`` rows and joins their
-routing decisions; it must write the same predictions over every
-configuration above and over live LeNet, BranchyNet, CBNet and hybrid
-fleets.
+batches into chunks of exactly ``max_batch_size`` rows, splitting a
+batch that does not fit between two chunks, and joins their routing
+decisions; it must write the same predictions over every configuration
+above and over live LeNet, BranchyNet, CBNet and hybrid fleets.  The
+sweep counts the batches it splits: every configuration with ragged
+batches splits some, and the two decision-carrying resilient fleets
+split some whose cancelled rows were dropped.
 
 ``_ChoicePowerOfTwo`` keeps the reference power-of-two sampler: one
 ``rng.choice(n, 2, replace=False)`` per routed request.  The production
@@ -72,6 +77,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.cluster.admission import DEGRADE, AdmissionController, WeightedFairAdmission
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
+from repro.cluster.engine import _Chunk
 from repro.cluster.policies import JoinShortestQueue, LoadBalancer
 from repro.cluster.replica import Replica, ReplicaState
 from repro.experiments.chaos import resilience_for_fleet
@@ -562,6 +568,51 @@ def _degrade(seed):
     return build, arrival_s, None
 
 
+def _split_knobs(rng):
+    """Batches of 3-16 and a wait cap: ragged batches that cross chunk
+    boundaries."""
+    return dict(
+        max_batch_size=int(rng.integers(3, 17)), max_wait_s=float(rng.uniform(0.0, 0.004))
+    )
+
+
+def _routed(seed):
+    """Decision-carrying backends only, each object shared by two
+    replicas: chunks join decisions across batches, and a batch split
+    between two chunks hands each its own slice of the decision."""
+    rng = np.random.default_rng(seed)
+    arrival_s = poisson_arrivals(_rate(6, rng.uniform(0.4, 1.1)), N_REQUESTS, rng=rng)
+    knobs = _split_knobs(rng)
+
+    def build():
+        shared = [_RouteAwareSumBackend() for _ in range(3)]
+        return dict(backends=shared * 2, policy="power-of-two", rng=seed, **knobs)
+
+    return build, arrival_s, None
+
+
+def _hedged(seed):
+    """Decision-carrying backends, one per replica, under a fault storm
+    with the full resilience stack: finished batches carry timed-out and
+    lost copies whose rows are dropped, and the kept rows straddle
+    chunks."""
+    rng = np.random.default_rng(seed)
+    arrival_s = poisson_arrivals(_rate(4, rng.uniform(0.4, 0.8)), N_REQUESTS, rng=rng)
+    knobs = _split_knobs(rng)
+    plan, resilience = _storm_kwargs(rng, arrival_s, 4, knobs)
+
+    def build():
+        return dict(
+            backends=[_RouteAwareSumBackend() for _ in range(4)],
+            policy="least-outstanding",
+            faults=plan,
+            resilience=resilience,
+            **knobs,
+        )
+
+    return build, arrival_s, None
+
+
 CASES = {
     "p2c16": _p2c16,
     "jsq8": _jsq8,
@@ -573,6 +624,8 @@ CASES = {
     "autoscale_storm": _autoscale_storm,
     "cache16": _cache16,
     "degrade": _degrade,
+    "routed": _routed,
+    "hedged": _hedged,
 }
 
 
@@ -696,15 +749,45 @@ def test_cached_load_signals_match_recount(case):
         assert checks["total"] > 0, checks
 
 
+def _spy_chunk_adds(monkeypatch):
+    """Record every ``_Chunk.add`` as (batch id, rows added, batch width)."""
+    adds = []
+    add = _Chunk.add
+
+    def spying_add(self, batch, keep):
+        width = len(batch.indices)
+        adds.append((id(batch), width if keep is None else len(keep), width))
+        add(self, batch, keep)
+
+    monkeypatch.setattr(_Chunk, "add", spying_add)
+    return adds
+
+
+def _count_splits(adds):
+    """(batches split between two chunks, those of them with dropped rows)."""
+    parts = {}
+    for batch, rows, width in adds:
+        n, kept, _ = parts.get(batch, (0, 0, width))
+        parts[batch] = (n + 1, kept + rows, width)
+    split = [(kept, width) for n, kept, width in parts.values() if n > 1]
+    return len(split), sum(kept < width for kept, width in split)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_chunked_predictions_match_per_batch_fill(case):
+def test_chunked_predictions_match_per_batch_fill(case, monkeypatch):
     images, labels = _images()
+    adds = _spy_chunk_adds(monkeypatch)
     work = {"calls": 0, "rows": 0, "ref_calls": 0, "ref_rows": 0, "degraded": 0}
+    splits = dropped_splits = 0
     for seed in SEEDS:
         build, arrival_s, codes = CASES[case](seed)
         ref_run = _replay(_PerBatchCluster, build, arrival_s, codes, images, labels)
+        adds.clear()  # batch ids are unique within one run only
         run = _replay(Cluster, build, arrival_s, codes, images, labels)
         _assert_same_run(f"{case} seed {seed}", run, ref_run)
+        n_split, n_dropped = _count_splits(adds)
+        splits += n_split
+        dropped_splits += n_dropped
         if case == "degrade":
             backend, ref_backend = run[0].replicas[0].backend, ref_run[0].replicas[0].backend
             work["calls"] += backend.calls
@@ -718,6 +801,12 @@ def test_chunked_predictions_match_per_batch_fill(case):
         assert work["degraded"] > 0, work
         assert work["calls"] < work["ref_calls"], work
         assert work["rows"] < work["ref_rows"], work
+    # Chunks fill to max_batch_size, so ragged batches straddle them; only
+    # flaky16's zero-wait batches of one cannot.
+    assert (splits > 0) == (case != "flaky16"), splits
+    if case in ("degrade", "hedged"):
+        # A split batch that also dropped cancelled rows, with decisions.
+        assert dropped_splits > 0, (splits, dropped_splits)
 
 
 P2C_CASES = sorted(c for c in CASES if CASES[c](0)[0]()["policy"] == "power-of-two")

@@ -12,6 +12,7 @@ from repro.nn.fastpath import (
     BufferArena,
     ConvStep,
     FallbackStep,
+    LinearStep,
     cached_plan,
     clear_plans,
     compile_plan,
@@ -135,6 +136,106 @@ def test_full_lenet_plan_odd_batches(batch):
     with no_grad():
         ref = model(Tensor(x)).data
     np.testing.assert_allclose(plan.run(x), ref, atol=ATOL)
+
+
+# --------------------------------------------------------------------- #
+# LinearStep: weight-major and row-major products
+# --------------------------------------------------------------------- #
+# Every Linear shape of the repo's models: the MNIST autoencoder (Table I),
+# the LeNet/BranchyNet trunk, and the branch head the lightweight
+# classifier reuses.
+MODEL_LINEAR_SHAPES = [
+    (784, 784), (784, 384), (384, 32), (32, 784), (1280, 120), (120, 10), (144, 10)
+]
+LO, HI = LinearStep.WEIGHT_MAJOR_ROWS
+CAPACITY = HI + 16  # rows past the window run row-major
+
+
+def _linear(shape, bias):
+    layer = Linear(*shape, bias=bias, rng=np.random.default_rng(sum(shape)))
+    if bias:  # a fresh layer's bias is zero; make it count
+        layer.bias.data[:] = np.random.default_rng(1).standard_normal(shape[1]) * 0.1
+    return layer
+
+
+def _row_major(layer, x, fuse_relu):
+    """``x @ W.T (+ b) (+ReLU)``, the product the step must equal."""
+    out = x @ layer.weight.data.T
+    if layer.bias is not None:
+        out += layer.bias.data
+    return np.maximum(out, 0.0) if fuse_relu else out
+
+
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("fuse_relu", [True, False], ids=["relu", "linear"])
+@pytest.mark.parametrize("shape", MODEL_LINEAR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_linear_step_is_bit_exact_at_every_row_count(shape, fuse_relu, bias):
+    """Both products equal ``x @ W.T (+ b) (+ReLU)`` exactly at every row
+    count up to capacity, and a call runs weight-major exactly when its
+    rows are within the window on a layer of enough weights."""
+    layer = _linear(shape, bias)
+    arena = BufferArena()
+    step = LinearStep(layer, CAPACITY, arena, "s0", fuse_relu)
+    big = shape[0] * shape[1] >= LinearStep.WEIGHT_MAJOR_WEIGHTS
+    allocs = arena.allocation_count
+    x_all = np.random.default_rng(2).standard_normal((CAPACITY, shape[0])).astype(np.float32)
+    for n in range(1, CAPACITY + 1):
+        x = x_all[:n]
+        if big:
+            step.fm[:] = np.nan  # the weight-major product overwrites it
+        got = step.run(x)
+        assert got.shape == (n, shape[1]) and got.flags.c_contiguous
+        assert np.array_equal(got, _row_major(layer, x, fuse_relu)), n
+        took_weight_major = big and not np.isnan(step.fm).all()
+        assert took_weight_major == (big and LO <= n <= HI), n
+        if took_weight_major:  # the pre-activation sum, feature-major
+            fm = step.fm[: n * shape[1]].reshape(shape[1], n)
+            assert np.array_equal(fm.T, _row_major(layer, x, False)), n
+    assert arena.allocation_count == allocs
+    # The AE's two large GEMMs and the LeNet trunk's first take it; the rest never.
+    assert big == (shape in [(784, 784), (784, 384), (1280, 120)])
+
+
+@pytest.mark.parametrize("shape", [(784, 784), (784, 384), (144, 10)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_linear_weight_updates_visible_on_both_products(shape):
+    """The optimizers' in-place ``p.data -= ...`` and ``load_state_dict``
+    (which swaps in a new array) show on the next run of either product."""
+    layer = _linear(shape, bias=True)
+    stack = Sequential(layer, ReLU())
+    plan = compile_plan(stack, (CAPACITY, shape[0]))
+    x = np.random.default_rng(3).standard_normal((CAPACITY, shape[0])).astype(np.float32)
+    sizes = (1, LO, 32, HI, CAPACITY)
+
+    def check():
+        for n in sizes:
+            assert np.array_equal(plan.run(x[:n]), _row_major(layer, x[:n], True)), n
+
+    check()
+    before = {n: plan.run(x[:n]).copy() for n in sizes}
+    layer.weight.data -= 0.05 * np.sign(layer.weight.data)
+    layer.bias.data -= 0.01
+    check()
+    for n in sizes:
+        assert not np.array_equal(plan.run(x[:n]), before[n]), n
+    stack.load_state_dict({k: v * 1.5 for k, v in stack.state_dict().items()})
+    check()
+
+
+@pytest.mark.parametrize("capacity", [1, LO, HI - 1, HI, 512])
+def test_autoencoder_plan_never_allocates_at_run_time(capacity):
+    """No row count grows the arena, and the weight-major scratch is
+    bounded by the row window, not by the plan's capacity."""
+    ae = ConvertingAutoencoder.for_dataset("mnist", rng=0)
+    plan = compile_plan((ae.encoder, ae.decoder), (capacity, 784))
+    allocs = plan.arena.allocation_count
+    x = rng.random((capacity, 784), dtype=np.float32)
+    for n in sorted({1, 2, LO - 1, LO, 32, HI - 1, HI, HI + 1, 88, capacity}):
+        if n <= capacity:
+            plan.run(x[:n])
+            assert plan.arena.allocation_count == allocs, n
+    scratch = [s.fm.size for s in plan.steps if isinstance(s, LinearStep) and s.fm is not None]
+    assert scratch == ([784 * min(capacity, HI), 384 * min(capacity, HI)] if capacity >= LO else [])
 
 
 # --------------------------------------------------------------------- #

@@ -91,3 +91,19 @@ def test_constructors_take_settings_not_runtime_state():
     for obj in (Replica(0, None), CircuitBreaker(), DegradationController()):
         state = {f.name for f in dataclasses.fields(obj) if not f.init}
         assert state <= vars(obj).keys(), type(obj).__name__
+
+
+def test_run_fleet_net_takes_no_observer():
+    """``run_fleet_net`` records no telemetry.  ``EdgeTier`` takes the
+    observer on the shared device loop, and finalizes and guards it."""
+    from repro.netsim import run_fleet_net
+
+    assert tuple(inspect.signature(run_fleet_net).parameters) == (
+        "link",
+        "devices",
+        "policy_for",
+        "deadline_s",
+        "rng",
+        "aimd",
+        "max_attempts",
+    )
