@@ -9,18 +9,12 @@
   (Lee & Nirjon, 2020).
 """
 
-from repro.baselines.pruning import (
-    magnitude_prune_tensor,
-    prune_model_unstructured,
-    channel_pruned_lenet,
-)
+from repro.baselines.pruning import channel_pruned_lenet
 from repro.baselines.quantization import kmeans_quantize, quantize_model
 from repro.baselines.adadeep import AdaDeepCompressor, AdaDeepResult
 from repro.baselines.subflow import SubFlowExecutor
 
 __all__ = [
-    "magnitude_prune_tensor",
-    "prune_model_unstructured",
     "channel_pruned_lenet",
     "kmeans_quantize",
     "quantize_model",

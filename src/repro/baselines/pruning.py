@@ -1,14 +1,8 @@
-"""Network pruning primitives.
+"""Structured channel pruning, AdaDeep's pruning axis.
 
-Two flavors:
-
-* **Unstructured magnitude pruning** — zero the smallest-magnitude
-  weights.  Reduces model size, not (dense) compute; used by the Deep
-  Compression recipe inside AdaDeep's search space.
-* **Structured channel pruning** — rebuild the LeNet with only the
-  highest-importance conv channels, which *does* cut MACs and therefore
-  simulated latency.  Channel importance is the filter's L1 norm (Li et
-  al., 2017), the standard criterion.
+It rebuilds the LeNet with only the highest-importance conv channels,
+which cuts MACs and therefore simulated latency.  Channel importance is
+the filter's L1 norm (Li et al., 2017), the standard criterion.
 """
 
 from __future__ import annotations
@@ -17,41 +11,8 @@ import numpy as np
 
 from repro.models.lenet import LeNet
 from repro.nn.layers import Conv2d, Linear
-from repro.nn.module import Module
 
-__all__ = ["magnitude_prune_tensor", "prune_model_unstructured", "channel_pruned_lenet"]
-
-
-def magnitude_prune_tensor(weights: np.ndarray, sparsity: float) -> np.ndarray:
-    """Zero out the ``sparsity`` fraction of smallest-|w| entries (copy)."""
-    if not 0.0 <= sparsity < 1.0:
-        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    if sparsity == 0.0:
-        return weights.copy()
-    flat = np.abs(weights).ravel()
-    k = int(sparsity * flat.size)
-    if k == 0:
-        return weights.copy()
-    threshold = np.partition(flat, k - 1)[k - 1]
-    out = weights.copy()
-    out[np.abs(out) <= threshold] = 0.0
-    return out
-
-
-def prune_model_unstructured(model: Module, sparsity: float) -> int:
-    """Magnitude-prune every weight matrix in place; returns zeroed count.
-
-    Biases are left untouched (standard practice — negligible size, large
-    accuracy impact).
-    """
-    zeroed = 0
-    for name, param in model.named_parameters():
-        if name.endswith("bias"):
-            continue
-        before = np.count_nonzero(param.data)
-        param.data = magnitude_prune_tensor(param.data, sparsity)
-        zeroed += before - np.count_nonzero(param.data)
-    return zeroed
+__all__ = ["channel_pruned_lenet"]
 
 
 def _top_channels(weight: np.ndarray, keep: int) -> np.ndarray:

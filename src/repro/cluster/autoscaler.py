@@ -26,8 +26,10 @@ side so "as good at lower cost" is a readable claim.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 from repro.serving.backends import InferenceBackend
@@ -56,11 +58,6 @@ class AutoscalerConfig:
         (see :func:`measured_warmup_s`).
     cooldown_s:
         Minimum spacing between consecutive scaling actions.
-    signal_class:
-        Multi-tenant fleets only: name of the request class whose
-        recent p95 drives the latency signal (e.g. ``"interactive"``),
-        scored against that class's own deadline instead of ``slo_s``.
-        ``None`` keeps the class-blind fleet-wide signal.
     """
 
     slo_s: float
@@ -72,22 +69,32 @@ class AutoscalerConfig:
     max_replicas: int = 8
     warmup_s: float = 0.25
     cooldown_s: float = 0.5
-    signal_class: str | None = None
 
     def __post_init__(self) -> None:
-        if self.slo_s <= 0:
-            raise ValueError(f"slo_s must be positive, got {self.slo_s}")
-        if self.interval_s <= 0 or self.window_s <= 0:
-            raise ValueError("interval_s and window_s must be positive")
+        # Negated comparisons: NaN fails every comparison, so it is
+        # rejected too; every setting is finite.
+        for name in ("slo_s", "interval_s", "window_s"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("min_replicas", "max_replicas"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value}")
         if not 1 <= self.min_replicas <= self.max_replicas:
             raise ValueError(
                 f"need 1 <= min_replicas <= max_replicas, got "
                 f"{self.min_replicas}..{self.max_replicas}"
             )
-        if self.scale_down_queue >= self.scale_up_queue:
-            raise ValueError("scale_down_queue must be below scale_up_queue")
-        if self.warmup_s < 0 or self.cooldown_s < 0:
-            raise ValueError("warmup_s and cooldown_s must be non-negative")
+        if not -math.inf < self.scale_down_queue < self.scale_up_queue < math.inf:
+            raise ValueError(
+                "scale_down_queue must be below scale_up_queue, both finite, got "
+                f"{self.scale_down_queue} and {self.scale_up_queue}"
+            )
+        for name in ("warmup_s", "cooldown_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 class Autoscaler:
@@ -128,19 +135,12 @@ class Autoscaler:
         # crashes) — stranded work must register as pressure, or an
         # outage could look idle.
         queue_per = cluster.outstanding_total(now) / n_live
-        slo_s = cfg.slo_s
-        cls = None
-        if cfg.signal_class is not None and cluster.classes is not None:
-            # Per-class signal: watch one tenant class's tail against
-            # its own deadline (the fleet scales for its tightest SLO).
-            cls = cluster.classes.code(cfg.signal_class)
-            slo_s = cluster.classes[cls].deadline_s
-        p95 = cluster.recent_p95(now, cfg.window_s, cls=cls)
+        p95 = cluster.recent_p95(now, cfg.window_s)
         if now - self.last_action_s < cfg.cooldown_s:
             return None
 
         overloaded = queue_per > cfg.scale_up_queue or (
-            p95 is not None and p95 > slo_s
+            p95 is not None and p95 > cfg.slo_s
         )
         if overloaded and n_live < cfg.max_replicas:
             cluster.spawn_replica(self.spawn_backend(), now, cfg.warmup_s)
@@ -149,7 +149,7 @@ class Autoscaler:
             return "up"
 
         relaxed = queue_per < cfg.scale_down_queue and (
-            p95 is None or p95 < 0.5 * slo_s
+            p95 is None or p95 < 0.5 * cfg.slo_s
         )
         if relaxed and n_live > cfg.min_replicas:
             # Never drain the last UP replica: WARMING/DRAINING peers

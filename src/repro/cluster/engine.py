@@ -89,6 +89,10 @@ __all__ = ["Cluster", "ClusterReport", "fleet_comparison_table"]
 
 logger = get_logger("cluster.engine")
 
+# Virtual cost of answering a request from the result cache (hash +
+# dictionary hit): a cache hit completes this long after its arrival.
+_CACHE_LOOKUP_S = 2e-5
+
 # Event kinds, in tie-breaking order at equal timestamps: a replica that
 # finishes warming at t may serve the arrival at t; crashes hit before
 # the work that would have ridden the doomed replica; fault-state
@@ -354,8 +358,10 @@ class Cluster:
         by the autoscaler's latency signal if one is attached).
     max_batch_size, max_wait_s:
         Micro-batcher triggers applied to every replica.
-    cache_capacity, cache_lookup_s:
-        Cluster-wide LRU result cache (``0`` disables).
+    cache_capacity:
+        Cluster-wide LRU result cache (``0`` disables).  A hit is
+        answered on arrival and completes a fixed 20 µs later (hash +
+        dictionary hit).
     recover_warmup_s:
         Warm-up a *recovering* replica pays before taking traffic
         (freshly spawned replicas pay the autoscaler's configured cost).
@@ -405,7 +411,6 @@ class Cluster:
         max_batch_size: int = 16,
         max_wait_s: float = 0.004,
         cache_capacity: int = 0,
-        cache_lookup_s: float = 2e-5,
         recover_warmup_s: float = 0.0,
         rng: np.random.Generator | int | None = 0,
         classes: ClassSet | None = None,
@@ -415,14 +420,12 @@ class Cluster:
     ) -> None:
         if not backends:
             raise ValueError("a cluster needs at least one replica backend")
-        if not slo_s > 0:  # false for NaN too
-            raise ValueError(f"slo_s must be positive, got {slo_s}")
-        if not recover_warmup_s >= 0:
-            raise ValueError(f"recover_warmup_s must be >= 0, got {recover_warmup_s}")
+        if not 0 < slo_s < math.inf:  # false for NaN too
+            raise ValueError(f"slo_s must be positive and finite, got {slo_s}")
+        if not 0 <= recover_warmup_s < math.inf:
+            raise ValueError(f"recover_warmup_s must be finite and >= 0, got {recover_warmup_s}")
         if cache_capacity < 0:
             raise ValueError(f"cache_capacity must be >= 0, got {cache_capacity}")
-        if not cache_lookup_s >= 0:
-            raise ValueError(f"cache_lookup_s must be >= 0, got {cache_lookup_s}")
         if len({bool(b.oracle) for b in backends}) > 1:
             raise ValueError(
                 "cannot mix oracle and live backends in one fleet: the request "
@@ -468,7 +471,6 @@ class Cluster:
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_s)
         self.cache_capacity = int(cache_capacity)
-        self.cache_lookup_s = float(cache_lookup_s)
         self.recover_warmup_s = float(recover_warmup_s)
         self.rng = as_generator(rng)
         self.classes = classes
@@ -537,9 +539,7 @@ class Cluster:
             total += len(r.batcher) + r.n_in_flight
         return total
 
-    def recent_p95(
-        self, now: float, window_s: float, cls: int | None = None
-    ) -> float | None:
+    def recent_p95(self, now: float, window_s: float) -> float | None:
         """p95 sojourn of completions in ``(now - window_s, now]``.
 
         This is the autoscaler's latency signal: the per-completion
@@ -548,22 +548,18 @@ class Cluster:
         reads), so without one this returns ``None`` — as it does when
         the window is genuinely empty.  Completions cancelled by a
         later crash are skipped (the request's final record no longer
-        matches the one logged at dispatch).  ``cls`` restricts the
-        window to one request class — the autoscaler's per-class signal
-        (:attr:`~repro.cluster.autoscaler.AutoscalerConfig.signal_class`).
+        matches the one logged at dispatch).  Every request class
+        counts.
         """
         books = self._books
         if books is None:
             return None
         arrival = books.log.arrival_s
         final = books.log.completion_s
-        req_class = books.log.req_class
         sojourn = [
             t - arrival[idx]
             for t, idx in books.completions
-            if now - window_s < t <= now
-            and final[idx] == t
-            and (cls is None or req_class[idx] == cls)
+            if now - window_s < t <= now and final[idx] == t
         ]
         if not sojourn:
             return None
@@ -928,7 +924,7 @@ class Cluster:
                 log.requested_route[i] = ROUTE_CACHED
                 log.source_id[i] = int(hit)
                 log.dispatch_s[i] = now  # answered on arrival — never queued
-                done = now + self.cache_lookup_s
+                done = now + _CACHE_LOOKUP_S
                 completion[i] = done
                 if books.track_completions:
                     books.completions.append((done, i))

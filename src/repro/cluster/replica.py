@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from repro.serving.backends import InferenceBackend
 from repro.serving.batcher import MicroBatcher
@@ -135,6 +136,8 @@ class Replica:
     generation: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.replica_id, Integral) and self.replica_id >= 0):
+            raise ValueError(f"replica_id must be an integer >= 0, got {self.replica_id}")
         if self.classes is not None:
             self.batcher = PriorityBatcher(
                 self.classes,

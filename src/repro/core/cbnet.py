@@ -52,14 +52,6 @@ class CBNet:
         converted = self.convert(images, batch_size=batch_size)
         return self.classifier.predict(converted, batch_size=batch_size)
 
-    def predict_with_images(
-        self, images: np.ndarray, batch_size: int = 512
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Return (converted_images, predictions) — used by the examples
-        to visualize the hard→easy transformation."""
-        converted = self.convert(images, batch_size=batch_size)
-        return converted, self.classifier.predict(converted, batch_size=batch_size)
-
     def accuracy(self, images: np.ndarray, labels: np.ndarray) -> float:
         """Top-1 accuracy of the full pipeline."""
         return float((self.predict(images) == np.asarray(labels)).mean())

@@ -4,11 +4,14 @@
 BranchyNet, label easy/hard, train the converting autoencoder, truncate
 the lightweight classifier — and returns every artifact the experiments
 need.  Results are cached by configuration hash so the benchmark suite
-trains each pipeline once.
+trains each pipeline once.  The hash also covers the BLAS thread
+setting: a model trained on one thread differs in the last digits from
+one trained on several, and those digits reach the committed results.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,10 +77,20 @@ def build_cbnet_pipeline(
             "config": config.to_dict(),
             "ae_spec": None if ae_spec is None else vars(ae_spec),
             "dataset_spec": _dataset_fingerprint(config.dataset),
+            "threads": _thread_setting(),
             "version": 4,
         }
         return ArtifactCache().get_or_compute(key, lambda: _build(config, None, ae_spec))
     return _build(config, datasets, ae_spec)
+
+
+def _thread_setting() -> dict:
+    """The environment that picks the BLAS thread count at start-up; the
+    CPU count is the default when none of the variables is set."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    setting = {name: os.environ.get(name) for name in names}
+    setting["cpu_count"] = os.cpu_count()
+    return setting
 
 
 def _dataset_fingerprint(name: str) -> dict:
@@ -221,6 +234,7 @@ def train_baseline_lenet(
             "n_train": n_train,
             "n_test": n_test,
             "dataset_spec": _dataset_fingerprint(dataset_name),
+            "threads": _thread_setting(),
             "version": 3,
         }
         return ArtifactCache().get_or_compute(key, build)

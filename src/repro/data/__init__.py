@@ -7,18 +7,16 @@ controlled fraction of *hard* samples (blur/noise/occlusion/warp) tuned so
 BranchyNet's early-exit rates match the paper (see DESIGN.md §2).
 """
 
-from repro.data.dataset import Dataset, ArrayDataset, Subset, ConcatDataset
+from repro.data.dataset import Dataset, ArrayDataset, Subset
 from repro.data.dataloader import DataLoader
-from repro.data.splits import train_test_split, stratified_subset
+from repro.data.splits import stratified_subset
 from repro.data.synth.registry import load_dataset, DATASET_SPECS, SyntheticSpec
 
 __all__ = [
     "Dataset",
     "ArrayDataset",
     "Subset",
-    "ConcatDataset",
     "DataLoader",
-    "train_test_split",
     "stratified_subset",
     "load_dataset",
     "DATASET_SPECS",

@@ -7,11 +7,11 @@ flag, or the BranchyNet-assigned easy/hard label).
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["Dataset", "ArrayDataset", "Subset", "ConcatDataset"]
+__all__ = ["Dataset", "ArrayDataset", "Subset"]
 
 
 class Dataset:
@@ -87,12 +87,6 @@ class ArrayDataset(Dataset):
     def num_classes(self) -> int:
         return int(self._labels.max()) + 1 if len(self) else 0
 
-    def with_meta(self, **extra: np.ndarray) -> "ArrayDataset":
-        """Return a copy of this dataset with additional metadata columns."""
-        merged = dict(self.meta)
-        merged.update(extra)
-        return ArrayDataset(self._images, self._labels, merged)
-
     def select(self, indices: np.ndarray | Sequence[int]) -> "ArrayDataset":
         """Row-subset by index array (meta columns follow along)."""
         indices = np.asarray(indices)
@@ -130,30 +124,3 @@ class Subset(Dataset):
     @property
     def labels(self) -> np.ndarray:
         return self.parent.labels[self.indices]
-
-
-class ConcatDataset(Dataset):
-    """Concatenation of several datasets (used to mix easy/hard pools)."""
-
-    def __init__(self, parts: Sequence[Dataset]) -> None:
-        if not parts:
-            raise ValueError("ConcatDataset needs at least one part")
-        self.parts = list(parts)
-        self._offsets = np.cumsum([0] + [len(p) for p in self.parts])
-
-    def __len__(self) -> int:
-        return int(self._offsets[-1])
-
-    def __getitem__(self, index: int) -> tuple[np.ndarray, int]:
-        if index < 0:
-            index += len(self)
-        part = int(np.searchsorted(self._offsets, index, side="right")) - 1
-        return self.parts[part][index - int(self._offsets[part])]
-
-    @property
-    def images(self) -> np.ndarray:
-        return np.concatenate([p.images for p in self.parts], axis=0)
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.concatenate([p.labels for p in self.parts], axis=0)

@@ -1,4 +1,4 @@
-"""Train/test splitting and stratified subsetting."""
+"""Stratified subsetting."""
 
 from __future__ import annotations
 
@@ -7,27 +7,7 @@ import numpy as np
 from repro.data.dataset import ArrayDataset
 from repro.utils.rng import as_generator, stratified_indices
 
-__all__ = ["train_test_split", "stratified_subset"]
-
-
-def train_test_split(
-    dataset: ArrayDataset,
-    test_fraction: float = 0.2,
-    rng: np.random.Generator | int | None = None,
-    stratify: bool = True,
-) -> tuple[ArrayDataset, ArrayDataset]:
-    """Split into (train, test), optionally stratified by class label."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = as_generator(rng)
-    n = len(dataset)
-    if stratify:
-        test_idx = stratified_indices(dataset.labels, test_fraction, rng)
-    else:
-        test_idx = rng.choice(n, size=int(round(test_fraction * n)), replace=False)
-    mask = np.ones(n, dtype=bool)
-    mask[test_idx] = False
-    return dataset.select(np.flatnonzero(mask)), dataset.select(test_idx)
+__all__ = ["stratified_subset"]
 
 
 def stratified_subset(

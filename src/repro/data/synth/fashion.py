@@ -12,21 +12,9 @@ import numpy as np
 
 from repro.data.synth import render
 
-__all__ = ["render_fashion", "CLASS_NAMES", "NUM_CLASSES"]
+__all__ = ["render_fashion", "NUM_CLASSES"]
 
 NUM_CLASSES = 10
-CLASS_NAMES = (
-    "t-shirt",
-    "trouser",
-    "pullover",
-    "dress",
-    "coat",
-    "sandal",
-    "shirt",
-    "sneaker",
-    "bag",
-    "ankle-boot",
-)
 
 
 def _poly(*points: tuple[float, float]) -> np.ndarray:

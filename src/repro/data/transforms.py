@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["normalize", "flatten", "unflatten", "to_unit_sum", "from_unit_sum", "clip01"]
+__all__ = ["normalize", "flatten", "unflatten", "to_unit_sum", "from_unit_sum"]
 
 
 def normalize(images: np.ndarray, mean: float, std: float) -> np.ndarray:
@@ -46,8 +46,3 @@ def from_unit_sum(images: np.ndarray) -> np.ndarray:
     peak = flat.max(axis=1, keepdims=True)
     scaled = flat / np.maximum(peak, 1e-8)
     return scaled.reshape(images.shape).astype(np.float32)
-
-
-def clip01(images: np.ndarray) -> np.ndarray:
-    """Clamp to the valid pixel range in place-friendly fashion."""
-    return np.clip(images, 0.0, 1.0).astype(np.float32)

@@ -2,8 +2,6 @@
 
 from repro.eval.metrics import (
     accuracy,
-    confusion_matrix,
-    per_class_accuracy,
     speedup,
     latency_percentiles,
 )
@@ -14,8 +12,6 @@ from repro.eval.report import collect_report
 
 __all__ = [
     "accuracy",
-    "confusion_matrix",
-    "per_class_accuracy",
     "speedup",
     "latency_percentiles",
     "Table",

@@ -6,8 +6,6 @@ import numpy as np
 
 __all__ = [
     "accuracy",
-    "confusion_matrix",
-    "per_class_accuracy",
     "speedup",
     "latency_percentiles",
 ]
@@ -47,29 +45,8 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float((predictions == labels).mean())
 
 
-def confusion_matrix(
-    predictions: np.ndarray, labels: np.ndarray, num_classes: int | None = None
-) -> np.ndarray:
-    """(K, K) counts, rows = true class, columns = predicted class."""
-    predictions = np.asarray(predictions, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    k = num_classes or int(max(predictions.max(initial=0), labels.max(initial=0))) + 1
-    out = np.zeros((k, k), dtype=np.int64)
-    np.add.at(out, (labels, predictions), 1)
-    return out
-
-
-def per_class_accuracy(predictions: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Accuracy per true class (NaN for classes absent from labels)."""
-    cm = confusion_matrix(predictions, labels)
-    totals = cm.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(totals > 0, np.diag(cm) / totals, np.nan)
-
-
 def speedup(baseline_latency: float, model_latency: float) -> float:
     """How many times faster than the baseline (paper's "N.NNx" numbers)."""
     if model_latency <= 0:
         raise ValueError(f"model latency must be positive, got {model_latency}")
     return baseline_latency / model_latency
-

@@ -35,7 +35,7 @@ from repro.cluster.policies import POLICY_NAMES
 from repro.experiments.common import pipeline_for, scale_for
 from repro.faults import FaultPlan, crash_window
 from repro.hw.devices import device_profiles
-from repro.parallel.sweep import run_sweep
+from repro.parallel.pool import parallel_map
 from repro.serving.arrivals import (
     diurnal_arrivals,
     flash_crowd_arrivals,
@@ -233,7 +233,7 @@ def run_fleet_comparison(
     policy, and replica (``live=True`` restores in-loop inference — the
     equivalence tests' reference path).  ``jobs > 1`` fans the
     scenario × policy grid over a process pool via
-    :func:`repro.parallel.sweep.run_sweep`; results are identical to the
+    :func:`repro.parallel.pool.parallel_map`; results are identical to the
     serial order (each cell derives its own seed).
     """
     unknown = set(scenarios) - set(FLEET_SCENARIOS)
@@ -313,10 +313,9 @@ def run_fleet_comparison(
         for scenario in scenarios
         for policy in policies
     ]
-    results = run_sweep(_run_policy_cell, cells, n_workers=jobs, parallel=jobs > 1)
     policy_reports: dict[str, list[ClusterReport]] = {s: [] for s in scenarios}
-    for result in results:
-        policy_reports[result.value.scenario].append(result.value)
+    for report in parallel_map(_run_policy_cell, cells, n_workers=jobs):
+        policy_reports[report.scenario].append(report)
 
     autoscaler_reports = _autoscaler_study(
         fleet, req_images, req_labels, n_requests, cache_capacity, seed, dataset

@@ -50,7 +50,7 @@ from repro.offload.policies import (
     OffloadPolicy,
     TensorCodec,
 )
-from repro.parallel.sweep import run_sweep
+from repro.parallel.pool import parallel_map
 from repro.serving.arrivals import poisson_arrivals, zipf_popularity
 from repro.utils.rng import as_generator, derive_seed
 
@@ -191,7 +191,7 @@ def run_offload_study(
     images (one pass shared by every policy and codec run, including the
     codec-decoded cloud predictions); ``live=True`` keeps real in-loop
     inference.  ``jobs > 1`` fans the policy/codec grid over a process
-    pool via :func:`repro.parallel.sweep.run_sweep` with identical
+    pool via :func:`repro.parallel.pool.parallel_map` with identical
     results (each cell derives its own seed).
     """
     scale = scale_for(fast)
@@ -290,14 +290,12 @@ def run_offload_study(
         for policy, codec_name in distinct.values():
             cloud_server_for(policy, branchy, cloud_dev, oracle=oracle,
                              codec=TensorCodec(codec_name))
-    results = run_sweep(
-        functools.partial(_run_offload_cell, ctx), cells, n_workers=jobs,
-        parallel=jobs > 1,
+    cell_values = parallel_map(
+        functools.partial(_run_offload_cell, ctx), cells, n_workers=jobs
     )
-    # run_sweep keeps cell order, so the first len(policies) results ARE
-    # the policy grid (positional — robust to duplicate policy names);
+    # parallel_map keeps cell order, so the first len(policies) results
+    # ARE the policy grid (positional — robust to duplicate policy names);
     # the remaining codec cells have unique tags by construction.
-    cell_values = [r.value for r in results]
     policy_reports = cell_values[: len(policies)]
     codec_by_tag = {
         cells[i][2]: cell_values[i] for i in range(len(policies), len(cells))

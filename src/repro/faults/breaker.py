@@ -20,8 +20,10 @@ replicas get ejected; liveness: healthy ones are eventually re-admitted).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral
 
 __all__ = ["BreakerConfig", "CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
 
@@ -38,7 +40,9 @@ class BreakerConfig:
     least ``min_samples`` outcomes), either the error fraction exceeds
     ``error_threshold`` or — when ``latency_threshold_s`` is set — the
     mean success latency exceeds it.  It then ejects for ``cooldown_s``
-    and re-admits via ``half_open_probes`` trial requests.
+    and re-admits via ``half_open_probes`` trial requests.  Durations
+    are finite (an endless cooldown would never re-admit a healed
+    replica) and counts are integers.
     """
 
     window_s: float = 0.5
@@ -51,10 +55,10 @@ class BreakerConfig:
     def __post_init__(self) -> None:
         # Negated comparisons: NaN fails every comparison, so it is
         # rejected too.
-        if not self.window_s > 0:
-            raise ValueError(f"window_s must be positive, got {self.window_s}")
-        if not self.min_samples >= 1:
-            raise ValueError(f"min_samples must be >= 1, got {self.min_samples}")
+        if not 0 < self.window_s < math.inf:
+            raise ValueError(f"window_s must be positive and finite, got {self.window_s}")
+        if not (isinstance(self.min_samples, Integral) and self.min_samples >= 1):
+            raise ValueError(f"min_samples must be an integer >= 1, got {self.min_samples}")
         if not 0.0 < self.error_threshold <= 1.0:
             raise ValueError(
                 f"error_threshold must be in (0, 1], got {self.error_threshold}"
@@ -63,11 +67,11 @@ class BreakerConfig:
             raise ValueError(
                 f"latency_threshold_s must be positive, got {self.latency_threshold_s}"
             )
-        if not self.cooldown_s > 0:
-            raise ValueError(f"cooldown_s must be positive, got {self.cooldown_s}")
-        if not self.half_open_probes >= 1:
+        if not 0 < self.cooldown_s < math.inf:
+            raise ValueError(f"cooldown_s must be positive and finite, got {self.cooldown_s}")
+        if not (isinstance(self.half_open_probes, Integral) and self.half_open_probes >= 1):
             raise ValueError(
-                f"half_open_probes must be >= 1, got {self.half_open_probes}"
+                f"half_open_probes must be an integer >= 1, got {self.half_open_probes}"
             )
 
 

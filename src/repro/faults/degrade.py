@@ -18,6 +18,7 @@ quality modes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.utils.logging import get_logger
@@ -47,7 +48,8 @@ class DegradationConfig:
     with open (or half-open) breakers; the controller steps *down* the
     ladder when pressure sits above the next rung's threshold for
     ``dwell_s``, and steps back *up* when it sits below the current
-    rung's threshold for the same dwell.
+    rung's threshold for the same dwell.  A ``shed_pressure`` above 1
+    (``math.inf`` included) never sheds.
     """
 
     degrade_pressure: float = 0.25
@@ -66,8 +68,8 @@ class DegradationConfig:
                 f"shed_pressure ({self.shed_pressure}) must be >= "
                 f"degrade_pressure ({self.degrade_pressure})"
             )
-        if not self.dwell_s >= 0:
-            raise ValueError(f"dwell_s must be >= 0, got {self.dwell_s}")
+        if not 0 <= self.dwell_s < math.inf:
+            raise ValueError(f"dwell_s must be finite and >= 0, got {self.dwell_s}")
 
 
 @dataclass

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.utils.rng import as_generator
 
@@ -105,7 +106,8 @@ class Fault:
     ``magnitude`` is the service-time multiplier for ``slowdown``
     (>= 1 degrades, 1.0 restores) and the per-batch failure probability
     for ``flaky`` (0.0 restores); the other kinds ignore it.  A NaN
-    time or magnitude is rejected here, not halfway through a replay.
+    or infinite time or magnitude is rejected here, not halfway through
+    a replay.
     """
 
     time_s: float
@@ -114,16 +116,16 @@ class Fault:
     magnitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.time_s >= 0:  # false for NaN too
-            raise ValueError(f"fault time must be >= 0, got {self.time_s}")
-        if self.replica_id < 0:
-            raise ValueError(f"replica_id must be >= 0, got {self.replica_id}")
+        if not 0 <= self.time_s < math.inf:  # false for NaN too
+            raise ValueError(f"fault time must be finite and >= 0, got {self.time_s}")
+        if not (isinstance(self.replica_id, Integral) and self.replica_id >= 0):
+            raise ValueError(f"replica_id must be an integer >= 0, got {self.replica_id}")
         if self.kind not in KIND_RANK:
             raise ValueError(
                 f"kind must be one of {tuple(KIND_RANK)}, got {self.kind!r}"
             )
-        if math.isnan(self.magnitude):
-            raise ValueError(f"fault magnitude must be a number, got {self.magnitude}")
+        if not math.isfinite(self.magnitude):
+            raise ValueError(f"fault magnitude must be finite, got {self.magnitude}")
         if self.kind == SLOWDOWN and self.magnitude < 1.0:
             raise ValueError(
                 f"slowdown magnitude is a service multiplier >= 1, got {self.magnitude}"
@@ -229,13 +231,15 @@ class FaultPlan:
     *dedicated* RNG the cluster engine samples flaky batch failures and
     retry jitter from — independent of the balancer's stream, so adding
     a fault plan never perturbs policy decisions, and identical in
-    oracle and ``--live`` modes.
+    oracle and ``--live`` modes.  It must be a non-negative integer.
     """
 
     faults: tuple[Fault, ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ValueError(f"fault plan seed must be an integer >= 0, got {self.seed}")
         object.__setattr__(self, "faults", tuple(sorted(self.faults)))
 
     def __bool__(self) -> bool:

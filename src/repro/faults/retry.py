@@ -11,7 +11,9 @@ runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 __all__ = ["RetryPolicy"]
 
@@ -25,6 +27,7 @@ class RetryPolicy:
     ``k`` (1-based) backs off ``base_backoff_s * backoff_mult**(k-1)``,
     capped at ``max_backoff_s``, then jittered uniformly within
     ``±jitter_frac`` of itself so synchronized timeout storms decorrelate.
+    ``max_backoff_s=math.inf`` leaves the backoff uncapped.
     """
 
     max_retries: int = 2
@@ -36,14 +39,14 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         # Negated comparisons: NaN fails every comparison, so it is
         # rejected too.
-        if not self.max_retries >= 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not (isinstance(self.max_retries, Integral) and self.max_retries >= 0):
+            raise ValueError(f"max_retries must be an integer >= 0, got {self.max_retries}")
         if not self.base_backoff_s >= 0:
             raise ValueError(
                 f"base_backoff_s must be >= 0, got {self.base_backoff_s}"
             )
-        if not self.backoff_mult >= 1.0:
-            raise ValueError(f"backoff_mult must be >= 1, got {self.backoff_mult}")
+        if not 1.0 <= self.backoff_mult < math.inf:
+            raise ValueError(f"backoff_mult must be finite and >= 1, got {self.backoff_mult}")
         if not self.max_backoff_s >= self.base_backoff_s:
             raise ValueError(
                 f"max_backoff_s ({self.max_backoff_s}) must be >= "

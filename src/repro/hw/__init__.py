@@ -12,6 +12,8 @@ Tesla K80) are unavailable offline, so latency and energy are *modelled*:
   Eq. 1 (GCI CPU), Eq. 2 (PowerPi) and the reported constant GPU/CPU
   draw for the K80 instance (:mod:`repro.hw.power`).
 * energy — E = P · Δt (:mod:`repro.hw.energy`), as in §IV-C.
+* network — the edge-to-cloud link presets (wifi / LTE / ethernet) the
+  offload layer ships tensors over (:mod:`repro.hw.network`).
 """
 
 from repro.hw.flops import LayerCost, StageCost, layer_cost, stage_cost, model_cost
@@ -40,8 +42,6 @@ from repro.hw.latency import (
 )
 from repro.hw.power import gci_cpu_power, raspberry_pi_power, PowerModel
 from repro.hw.energy import energy_joules, energy_savings_percent
-from repro.hw.monitor import UtilizationMonitor
-from repro.hw.meter import EnergyMeter, MeterReading
 
 
 __all__ = [
@@ -72,7 +72,4 @@ __all__ = [
     "PowerModel",
     "energy_joules",
     "energy_savings_percent",
-    "UtilizationMonitor",
-    "EnergyMeter",
-    "MeterReading",
 ]

@@ -19,6 +19,7 @@ to the paper's Table II in :mod:`repro.hw.devices`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.hw.flops import LayerCost, StageCost
@@ -69,11 +70,16 @@ class DeviceProfile:
     description: str = ""
 
     def __post_init__(self) -> None:
+        # Negated comparisons: NaN fails every comparison, so it is
+        # rejected too.
         for attr in ("conv_gmacs", "dense_gmacs", "mem_bandwidth_gbs"):
-            if getattr(self, attr) <= 0:
-                raise ValueError(f"{self.name}: {attr} must be positive")
-        if self.layer_overhead_s < 0 or self.inference_overhead_s < 0:
-            raise ValueError(f"{self.name}: overheads must be non-negative")
+            if not 0 < getattr(self, attr) < math.inf:
+                raise ValueError(f"{self.name}: {attr} must be positive and finite")
+        for attr in ("layer_overhead_s", "inference_overhead_s", "sync_overhead_s"):
+            if not 0 <= getattr(self, attr) < math.inf:
+                raise ValueError(f"{self.name}: {attr} must be finite and non-negative")
+        if not 0 < self.utilization <= 1:
+            raise ValueError(f"{self.name}: utilization must be in (0, 1]")
 
     # ------------------------------------------------------------------ #
     # latency model

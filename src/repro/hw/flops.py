@@ -156,27 +156,6 @@ def layer_cost(layer: Module, in_shape: tuple[int, ...]) -> LayerCost:
         return LayerCost(name, "none", 0, 0, 0, 0, 0, tuple(in_shape))
     if isinstance(layer, Sequential):
         raise TypeError("pass Sequential to stage_cost(), not layer_cost()")
-    # Composite blocks (e.g. ResidualBlock) expose their internals via
-    # child modules; aggregate conv costs plus the skip-add traffic.
-    from repro.models.resnet import ResidualBlock
-
-    if isinstance(layer, ResidualBlock):
-        c1 = layer_cost(layer.conv1, in_shape)
-        c2 = layer_cost(layer.conv2, c1.out_shape)
-        parts = [c1, c2]
-        if layer.projection is not None:
-            parts.append(layer_cost(layer.projection, in_shape))
-        skip_elems = _numel(c2.out_shape)
-        return LayerCost(
-            name,
-            "conv",  # dominated by its convolutions
-            sum(p.macs for p in parts),
-            sum(p.flops for p in parts) + 3 * skip_elems,  # add + 2 relus
-            sum(p.bytes_read for p in parts) + skip_elems * _BYTES,
-            sum(p.bytes_written for p in parts),
-            sum(p.params for p in parts),
-            c2.out_shape,
-        )
     raise TypeError(f"no cost model for layer type {name}")
 
 

@@ -35,7 +35,9 @@ by name, mirroring :func:`repro.hw.devices.device_profiles`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -163,23 +165,23 @@ class NetworkLink:
     outages: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.uplink_mbps <= 0 or self.downlink_mbps <= 0:
+        if not (0 < self.uplink_mbps < math.inf and 0 < self.downlink_mbps < math.inf):
             raise ValueError(
-                f"{self.name}: bandwidth must be positive "
+                f"{self.name}: bandwidth must be positive and finite "
                 f"(got up={self.uplink_mbps}, down={self.downlink_mbps} Mbps); "
                 "model an outage with a small BandwidthTrace scale instead"
             )
-        if self.rtt_s < 0 or self.jitter_s < 0 or self.tx_power_w < 0:
-            raise ValueError(f"{self.name}: rtt/jitter/tx_power must be non-negative")
+        if not all(0 <= v < math.inf for v in (self.rtt_s, self.jitter_s, self.tx_power_w)):
+            raise ValueError(f"{self.name}: rtt/jitter/tx_power must be finite and non-negative")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"{self.name}: loss_rate must be in [0, 1), got {self.loss_rate}")
-        if self.max_attempts < 1:
+        if not (isinstance(self.max_attempts, Integral) and self.max_attempts >= 1):
             raise ValueError(
-                f"{self.name}: max_attempts must be >= 1, got {self.max_attempts}"
+                f"{self.name}: max_attempts must be an integer >= 1, got {self.max_attempts}"
             )
-        if self.retry_backoff_mult < 1.0:
+        if not 1.0 <= self.retry_backoff_mult < math.inf:
             raise ValueError(
-                f"{self.name}: retry_backoff_mult must be >= 1, "
+                f"{self.name}: retry_backoff_mult must be finite and >= 1, "
                 f"got {self.retry_backoff_mult}"
             )
         object.__setattr__(
@@ -271,14 +273,6 @@ class NetworkLink:
             + self.rtt_s / 2.0
             + self.jitter_s
         )
-
-    def expected_round_trip_s(
-        self, up_bytes: int, down_bytes: int, time_s: float = 0.0
-    ) -> float:
-        """Planning estimate of request-up + response-down."""
-        return self.expected_one_way_s(
-            up_bytes, time_s, "up"
-        ) + self.expected_one_way_s(down_bytes, time_s, "down")
 
     # ------------------------------------------------------------------ #
     # sampled transfers (seed-deterministic)

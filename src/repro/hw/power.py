@@ -12,6 +12,7 @@ instance the paper reports a measured average of 79 W GPU draw plus
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -64,6 +65,10 @@ class PowerModel:
 
     kind: str  # "gci" | "pi" | "gpu"
     gpu_watts: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.gpu_watts < math.inf:  # false for NaN too
+            raise ValueError(f"gpu_watts must be finite and >= 0, got {self.gpu_watts}")
 
     def __call__(self, utilization: float) -> float:
         if self.kind == "pi":

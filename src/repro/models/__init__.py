@@ -16,8 +16,6 @@ from repro.models.autoencoder import (
     TABLE1_SPECS,
 )
 from repro.models.lightweight import LightweightClassifier
-from repro.models.resnet import MiniResNet, ResidualBlock
-from repro.models.registry import build_model, MODEL_BUILDERS
 
 __all__ = [
     "LeNet",
@@ -27,8 +25,4 @@ __all__ = [
     "AutoencoderSpec",
     "TABLE1_SPECS",
     "LightweightClassifier",
-    "MiniResNet",
-    "ResidualBlock",
-    "build_model",
-    "MODEL_BUILDERS",
 ]

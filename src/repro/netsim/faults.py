@@ -29,6 +29,7 @@ generator the netchaos harness replays across ≥10 seeds.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -73,8 +74,10 @@ class LinkFault:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.start_s < 0:
-            raise ValueError(f"fault start must be >= 0, got {self.start_s}")
+        if not 0 <= self.start_s < math.inf:  # false for NaN too
+            raise ValueError(f"fault start must be finite and >= 0, got {self.start_s}")
+        if not math.isfinite(self.end_s):
+            raise ValueError(f"fault end must be finite, got {self.end_s}")
         if self.kind == FLAP:
             if self.end_s != self.start_s:
                 raise ValueError(

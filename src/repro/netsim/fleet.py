@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -70,10 +71,10 @@ class FleetDevice:
     def __post_init__(self) -> None:
         if not 0 < self.rate_hz < math.inf:
             raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
-        if self.n_requests <= 0:
-            raise ValueError(f"n_requests must be positive, got {self.n_requests}")
-        if self.up_bytes <= 0 or self.down_bytes <= 0:
-            raise ValueError("payload sizes must be positive")
+        for name in ("n_requests", "up_bytes", "down_bytes"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value > 0):
+                raise ValueError(f"{name} must be a positive integer, got {value}")
         for name in ("gate_s", "local_s", "cloud_s"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # false for NaN too

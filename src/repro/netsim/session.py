@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.utils.rng import as_generator
 
@@ -69,9 +70,9 @@ class LinkSession:
         rng=None,
         max_config_attempts: int = 5,
     ) -> None:
-        if max_config_attempts < 1:
+        if not (isinstance(max_config_attempts, Integral) and max_config_attempts >= 1):
             raise ValueError(
-                f"max_config_attempts must be >= 1, got {max_config_attempts}"
+                f"max_config_attempts must be an integer >= 1, got {max_config_attempts}"
             )
         self.link = link
         self.wanted = wanted or SessionConfig()

@@ -20,6 +20,7 @@ transports ask it for loss, scale, and carrier drops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.faults.plan import validate_windows
@@ -58,20 +59,20 @@ class SharedLink:
     down_free_s: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        if self.uplink_mbps <= 0 or self.downlink_mbps <= 0:
+        if not (0 < self.uplink_mbps < math.inf and 0 < self.downlink_mbps < math.inf):
             raise ValueError(
-                f"{self.name}: bandwidth must be positive "
+                f"{self.name}: bandwidth must be positive and finite "
                 f"(got up={self.uplink_mbps}, down={self.downlink_mbps} Mbps)"
             )
-        if self.rtt_s < 0 or self.jitter_s < 0 or self.tx_power_w < 0:
-            raise ValueError(f"{self.name}: rtt/jitter/tx_power must be non-negative")
+        if not all(0 <= v < math.inf for v in (self.rtt_s, self.jitter_s, self.tx_power_w)):
+            raise ValueError(f"{self.name}: rtt/jitter/tx_power must be finite and non-negative")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(
                 f"{self.name}: loss_rate must be in [0, 1), got {self.loss_rate}"
             )
-        if self.max_mtu_bytes < 64:
+        if not 64 <= self.max_mtu_bytes < math.inf:
             raise ValueError(
-                f"{self.name}: max_mtu_bytes must be >= 64, got {self.max_mtu_bytes}"
+                f"{self.name}: max_mtu_bytes must be >= 64 and finite, got {self.max_mtu_bytes}"
             )
         if not self.codecs:
             raise ValueError(f"{self.name}: codecs must be non-empty")

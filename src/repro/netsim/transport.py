@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.hw.network import NetworkLink
 from repro.netsim.congestion import AIMDConfig, AIMDController
@@ -113,8 +114,10 @@ class SessionTransport:
         obs=None,
         device_id: int = -1,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        if not (isinstance(max_attempts, Integral) and max_attempts >= 1):
+            raise ValueError(f"max_attempts must be an integer >= 1, got {max_attempts}")
+        if not isinstance(device_id, Integral):
+            raise ValueError(f"device_id must be an integer, got {device_id}")
         self.link = link
         self.rng = as_generator(rng)
         self.session = LinkSession(link, wanted=wanted, rng=self.rng)

@@ -2,20 +2,19 @@
 
 This is substrate #1 from DESIGN.md: the paper's models were built on
 Keras/BranchyNet; this package provides the equivalent capability
-(autograd tensors, conv/dense layers, losses, optimizers, checkpoints)
-with no dependencies beyond NumPy.
+(autograd tensors, conv/dense layers, losses, optimizers, compiled
+inference plans) with no dependencies beyond NumPy.
 """
 
-from repro.nn.autograd import no_grad, enable_grad, grad_enabled, gradcheck
+from repro.nn.autograd import no_grad, grad_enabled, gradcheck
 from repro.nn.tensor import Tensor, as_tensor
-from repro.nn.module import Module, Parameter, Sequential, ModuleList
-from repro.nn.losses import MSELoss, CrossEntropyLoss, JointExitLoss
+from repro.nn.module import Module, Parameter, Sequential
+from repro.nn.losses import JointExitLoss
 from repro.nn import functional
 from repro.nn import init
 from repro.nn import layers
 from repro.nn import optim
 from repro.nn import fastpath
-from repro.nn.serialization import save_model, load_into, save_state, load_state
 
 __all__ = [
     "Tensor",
@@ -23,9 +22,6 @@ __all__ = [
     "Module",
     "Parameter",
     "Sequential",
-    "ModuleList",
-    "MSELoss",
-    "CrossEntropyLoss",
     "JointExitLoss",
     "functional",
     "init",
@@ -33,11 +29,6 @@ __all__ = [
     "optim",
     "fastpath",
     "no_grad",
-    "enable_grad",
     "grad_enabled",
     "gradcheck",
-    "save_model",
-    "load_into",
-    "save_state",
-    "load_state",
 ]

@@ -13,7 +13,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["grad_enabled", "no_grad", "enable_grad", "numerical_gradient", "gradcheck"]
+__all__ = ["grad_enabled", "no_grad", "numerical_gradient", "gradcheck"]
 
 _state = threading.local()
 
@@ -24,23 +24,14 @@ def grad_enabled() -> bool:
 
 
 @contextlib.contextmanager
-def _set_grad(mode: bool) -> Iterator[None]:
+def no_grad() -> Iterator[None]:
+    """Context manager disabling autograd (inference mode)."""
     previous = grad_enabled()
-    _state.enabled = mode
+    _state.enabled = False
     try:
         yield
     finally:
         _state.enabled = previous
-
-
-def no_grad() -> contextlib.AbstractContextManager:
-    """Context manager disabling autograd (inference mode)."""
-    return _set_grad(False)
-
-
-def enable_grad() -> contextlib.AbstractContextManager:
-    """Context manager (re-)enabling autograd inside a ``no_grad`` block."""
-    return _set_grad(True)
 
 
 def numerical_gradient(

@@ -24,12 +24,9 @@ __all__ = [
     "avg_pool2d",
     "linear",
     "softmax",
-    "log_softmax",
     "cross_entropy",
     "mse_loss",
-    "one_hot",
     "entropy",
-    "normalized_entropy",
 ]
 
 
@@ -228,21 +225,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable log-softmax along ``axis`` (differentiable)."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-    soft = np.exp(out_data)
-
-    def backward(g: Array) -> None:
-        if not x.requires_grad:
-            return
-        x._accumulate(g - soft * g.sum(axis=axis, keepdims=True), fresh=True)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
 def cross_entropy(logits: Tensor, targets: Array | Tensor) -> Tensor:
     """Mean cross-entropy between ``logits`` (N, K) and integer labels (N,).
 
@@ -280,16 +262,6 @@ def mse_loss(prediction: Tensor, target: Tensor | Array) -> Tensor:
     return (diff * diff).mean()
 
 
-def one_hot(labels: Array, num_classes: int) -> Array:
-    """Integer labels (N,) → one-hot float32 matrix (N, num_classes)."""
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"label out of range [0, {num_classes})")
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float32)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 # ---------------------------------------------------------------------- #
 # entropy (BranchyNet's exit confidence measure) — non-differentiable
 # ---------------------------------------------------------------------- #
@@ -302,10 +274,3 @@ def entropy(probs: Array, axis: int = -1, eps: float = 1e-12) -> Array:
     """
     p = np.asarray(probs)
     return -(p * np.log(np.clip(p, eps, None))).sum(axis=axis)
-
-
-def normalized_entropy(probs: Array, axis: int = -1) -> Array:
-    """Entropy scaled to [0, 1] by log(K) — threshold comparisons become
-    architecture-independent (useful when sweeping exit points)."""
-    k = np.asarray(probs).shape[axis]
-    return entropy(probs, axis=axis) / np.log(k)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["glorot_uniform", "he_normal", "lecun_normal", "zeros", "fan_in_out"]
+__all__ = ["glorot_uniform", "he_normal", "zeros", "fan_in_out"]
 
 
 def fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -32,12 +32,6 @@ def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He normal — preferred for ReLU stacks (conv trunks)."""
     fan_in, _ = fan_in_out(shape)
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
-
-
-def lecun_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """LeCun normal — variance 1/fan_in."""
-    fan_in, _ = fan_in_out(shape)
-    return (rng.standard_normal(shape) * np.sqrt(1.0 / fan_in)).astype(np.float32)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

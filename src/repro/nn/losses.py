@@ -10,27 +10,7 @@ from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
-__all__ = ["MSELoss", "CrossEntropyLoss", "JointExitLoss"]
-
-
-class MSELoss(Module):
-    """Mean squared error — the converting autoencoder's reconstruction loss."""
-
-    def forward(self, prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-        return F.mse_loss(prediction, target)
-
-    def __repr__(self) -> str:
-        return "MSELoss()"
-
-
-class CrossEntropyLoss(Module):
-    """Softmax cross-entropy over integer class labels."""
-
-    def forward(self, logits: Tensor, targets: np.ndarray | Tensor) -> Tensor:
-        return F.cross_entropy(logits, targets)
-
-    def __repr__(self) -> str:
-        return "CrossEntropyLoss()"
+__all__ = ["JointExitLoss"]
 
 
 class JointExitLoss(Module):

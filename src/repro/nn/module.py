@@ -2,8 +2,7 @@
 
 A deliberately small mirror of the torch.nn.Module contract — enough to
 express every architecture in the paper and to let the optimizers,
-serialization, FLOPs counter, and compression baselines treat models
-uniformly.
+FLOPs counter, and compression baselines treat models uniformly.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Sequential", "ModuleList"]
+__all__ = ["Parameter", "Module", "Sequential"]
 
 
 class Parameter(Tensor):
@@ -65,11 +64,6 @@ class Module:
         yield self
         for child in self._modules.values():
             yield from child.modules()
-
-    def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
-        yield prefix.rstrip("."), self
-        for name, child in self._modules.items():
-            yield from child.named_modules(prefix=f"{prefix}{name}.")
 
     def children(self) -> Iterator["Module"]:
         yield from self._modules.values()
@@ -197,31 +191,3 @@ class Sequential(Module):
         self.register_module(name, module)
         self._order.append(name)
         return self
-
-
-class ModuleList(Module):
-    """An indexable list of sub-modules (used for BranchyNet's exits)."""
-
-    def __init__(self, modules: list[Module] | None = None) -> None:
-        super().__init__()
-        self._order: list[str] = []
-        for module in modules or []:
-            self.append(module)
-
-    def append(self, module: Module) -> "ModuleList":
-        name = str(len(self._order))
-        self.register_module(name, module)
-        self._order.append(name)
-        return self
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules[name] for name in self._order)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._modules[self._order[index]]
-
-    def forward(self, *args, **kwargs):
-        raise RuntimeError("ModuleList is a container; call its items individually")

@@ -1,17 +1,12 @@
-"""Optimizers and learning-rate schedules."""
+"""Optimizers and gradient clipping."""
 
 from repro.nn.optim.base import Optimizer, clip_grad_norm
 from repro.nn.optim.sgd import SGD
 from repro.nn.optim.adam import Adam
-from repro.nn.optim.schedules import ConstantLR, StepLR, CosineLR, WarmupLR
 
 __all__ = [
     "Optimizer",
     "clip_grad_norm",
     "SGD",
     "Adam",
-    "ConstantLR",
-    "StepLR",
-    "CosineLR",
-    "WarmupLR",
 ]

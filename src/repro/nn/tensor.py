@@ -437,24 +437,6 @@ class Tensor:
 
         return Tensor._make(self.data.transpose(axes), (self,), backward)
 
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two (spatial) axes symmetrically."""
-        if padding == 0:
-            return self
-        if padding < 0:
-            raise ValueError(f"padding must be non-negative, got {padding}")
-        pad_width = [(0, 0)] * (self.data.ndim - 2) + [(padding, padding)] * 2
-
-        def backward(g: Array) -> None:
-            if self.requires_grad:
-                sl = [slice(None)] * (self.data.ndim - 2) + [
-                    slice(padding, -padding),
-                    slice(padding, -padding),
-                ]
-                self._accumulate(g[tuple(sl)])
-
-        return Tensor._make(np.pad(self.data, pad_width), (self,), backward)
-
 
 def as_tensor(value, dtype: np.dtype | type | None = None) -> Tensor:
     """Coerce arrays/scalars to :class:`Tensor` (passthrough for tensors)."""

@@ -32,25 +32,6 @@ __all__ = [
     "PhaseReport",
 ]
 
-#: Engine phase names the cluster event loop scopes.  Kept in one place
-#: so tests and docs agree.
-ENGINE_PHASES = (
-    "serve",       # root: one serve_log()/serve() call
-    "warmup",      # fastpath plan compilation before dispatch
-    "event_loop",  # the virtual-clock loop (self time = queue scans)
-    "ingest",      # arrival work: cache probe, admission, routing,
-                   # scoped per *burst* of consecutive arrivals
-                   # (count = bursts, not arrivals).
-    "batch_form",  # deadline-triggered batch formation
-    "dispatch",    # batch dispatch: routing pass + timing model + log writes
-    "complete",    # completion handling: purge, response judging
-    "events",      # heap events: crash/recover/fault/timeout/retry/hedge/tick
-    "inference",   # oracle lookup / live model inference: one predict
-                   # per chunk of finished batches (<= max_batch_size rows)
-    "report",      # report build: vectorized reductions over the log
-)
-
-
 class _Node:
     """One phase in the tree: aggregate count/total under one scope path."""
 

@@ -171,10 +171,6 @@ class SpanLog:
         """Number of rows of one kind."""
         return int(np.count_nonzero(self.kind == kind))
 
-    def children_of(self, row: int) -> np.ndarray:
-        """Row indices whose ``parent`` is ``row``."""
-        return np.nonzero(self.parent == row)[0]
-
     def to_chrome(self, path, max_requests: int = 2000, counters: list | None = None) -> int:
         """Write Chrome trace-event JSON; returns the number of events.
 

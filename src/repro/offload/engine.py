@@ -32,6 +32,7 @@ show up here, not in a side formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -365,8 +366,8 @@ class EdgeTier:
         self.cloud_est_s = (
             self._infer_cloud_est(cloud) if cloud_est_s is None else float(cloud_est_s)
         )
-        if not self.cloud_est_s >= 0:  # false for NaN too
-            raise ValueError(f"cloud_est_s must be >= 0, got {self.cloud_est_s}")
+        if not 0 <= self.cloud_est_s < math.inf:  # false for NaN too
+            raise ValueError(f"cloud_est_s must be finite and >= 0, got {self.cloud_est_s}")
 
     @staticmethod
     def _infer_cloud_est(cloud) -> float:

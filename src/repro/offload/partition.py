@@ -276,9 +276,3 @@ def partition_table(
         ship = "-" if first.cut.is_all_edge else str(first.uplink_bytes)
         table.add_row(f"{first.cut.index:2d} {first.cut.after}", ship, *cells)
     return table
-
-
-# Re-exported for tests/examples that build toy paths by hand.
-def path_of_sequential(name: str, stage, in_shape: tuple[int, ...]) -> list[LayerCost]:
-    """Layer costs of one ``Sequential`` (a convenience over stage_cost)."""
-    return list(stage_cost(name, stage, in_shape).layers)

@@ -1,41 +1,10 @@
-"""Work partitioning helpers (chunking, balanced splits, batch planning)."""
+"""Offline batch planning: the micro-batcher's trace-level mirror."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["chunk_slices", "even_split", "plan_batches"]
-
-
-def chunk_slices(n: int, chunk_size: int) -> list[slice]:
-    """Slices covering range(n) in chunks of at most ``chunk_size``."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    return [slice(start, min(start + chunk_size, n)) for start in range(0, n, chunk_size)]
-
-
-def even_split(n: int, k: int) -> list[slice]:
-    """Split range(n) into ``k`` contiguous, maximally balanced slices.
-
-    The first ``n % k`` slices get one extra element (MPI-style block
-    distribution); empty slices are dropped when ``k > n``.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    base, extra = divmod(n, k)
-    out: list[slice] = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        if size == 0:
-            continue
-        out.append(slice(start, start + size))
-        start += size
-    return out
+__all__ = ["plan_batches"]
 
 
 def plan_batches(

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["worker_count", "parallel_map", "ProcessPool"]
+__all__ = ["worker_count", "parallel_map"]
 
 _FORK_AVAILABLE = "fork" in mp.get_all_start_methods()
 
@@ -61,28 +61,3 @@ def parallel_map(
     ctx = mp.get_context("fork")
     with ctx.Pool(processes=n) as pool:
         return pool.map(fn, items, chunksize=max(1, chunksize))
-
-
-class ProcessPool:
-    """Reusable pool wrapper for several maps over the same worker set."""
-
-    def __init__(self, n_workers: int | None = None) -> None:
-        self.n_workers = worker_count(n_workers)
-        self._pool = None
-
-    def __enter__(self) -> "ProcessPool":
-        if self.n_workers > 1 and _FORK_AVAILABLE:
-            self._pool = mp.get_context("fork").Pool(processes=self.n_workers)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T], chunksize: int = 1) -> list[R]:
-        items = list(items)
-        if self._pool is None or len(items) <= 1:
-            return [fn(item) for item in items]
-        return self._pool.map(fn, items, chunksize=max(1, chunksize))

@@ -24,7 +24,6 @@ from repro.serving.arrivals import (
     diurnal_class_mix,
     flash_crowd_arrivals,
     poisson_arrivals,
-    trace_arrivals,
     zipf_popularity,
 )
 from repro.serving.backends import (
@@ -78,7 +77,6 @@ __all__ = [
     "bursty_arrivals",
     "diurnal_arrivals",
     "flash_crowd_arrivals",
-    "trace_arrivals",
     "zipf_popularity",
     "class_mix",
     "diurnal_class_mix",

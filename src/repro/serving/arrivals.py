@@ -23,7 +23,6 @@ __all__ = [
     "bursty_arrivals",
     "diurnal_arrivals",
     "flash_crowd_arrivals",
-    "trace_arrivals",
     "zipf_popularity",
     "class_mix",
     "diurnal_class_mix",
@@ -215,25 +214,6 @@ def flash_crowd_arrivals(
         )
 
     return _thinned_poisson(rng, peak_rate_hz, rate, n, chunk)
-
-
-def trace_arrivals(times_s) -> np.ndarray:
-    """Validate and normalize a recorded arrival-time trace.
-
-    Accepts any sequence of finite, non-negative, non-decreasing timestamps
-    (seconds) — e.g. parsed from an access log — and returns it as a
-    float64 array ready for :meth:`repro.serving.Server.serve`.
-    """
-    times = np.asarray(times_s, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("trace must be a non-empty 1-D sequence of timestamps")
-    if not np.isfinite(times).all():
-        raise ValueError("trace timestamps must be finite numbers")
-    if times[0] < 0:
-        raise ValueError(f"timestamps must be non-negative, got {times[0]}")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("trace timestamps must be non-decreasing")
-    return times
 
 
 def zipf_popularity(

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -86,10 +87,12 @@ class RequestClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("request class needs a non-empty name")
-        if not self.deadline_s > 0:  # false for NaN too
-            raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
-        if not self.weight > 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
+        if not isinstance(self.priority, Integral):
+            raise ValueError(f"priority must be an integer, got {self.priority}")
+        if not 0 < self.deadline_s < math.inf:  # false for NaN too
+            raise ValueError(f"deadline_s must be positive and finite, got {self.deadline_s}")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"weight must be positive and finite, got {self.weight}")
         if self.max_wait_s is not None and not 0 <= self.max_wait_s < math.inf:
             raise ValueError(f"max_wait_s must be finite and >= 0, got {self.max_wait_s}")
 

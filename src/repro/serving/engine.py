@@ -128,9 +128,9 @@ class Server:
         Micro-batcher triggers (see :class:`~repro.serving.batcher.MicroBatcher`).
         ``max_wait_s=0`` disables batching (pure FIFO).
     cache_capacity:
-        LRU result-cache entries; ``0`` disables caching.
-    cache_lookup_s:
-        Virtual cost of answering from the cache (hash + dictionary hit).
+        LRU result-cache entries; ``0`` disables caching.  A hit
+        completes a fixed 20 µs after its arrival (hash + dictionary
+        hit).
     classes:
         Optional :class:`~repro.serving.classes.ClassSet` enabling
         multi-tenant mode: ``serve*`` then requires per-request class
@@ -158,7 +158,6 @@ class Server:
         max_batch_size: int = 32,
         max_wait_s: float = 0.005,
         cache_capacity: int = 0,
-        cache_lookup_s: float = 2e-5,
         classes: ClassSet | None = None,
         scheduler: str = "priority",
         obs=None,
@@ -167,7 +166,6 @@ class Server:
         self.max_batch_size = int(max_batch_size)
         self.max_wait_s = float(max_wait_s)
         self.cache_capacity = int(cache_capacity)
-        self.cache_lookup_s = float(cache_lookup_s)
         self.classes = classes
         self.scheduler = scheduler
         self.obs = obs
@@ -185,7 +183,6 @@ class Server:
             max_batch_size=self.max_batch_size,
             max_wait_s=self.max_wait_s,
             cache_capacity=self.cache_capacity,
-            cache_lookup_s=self.cache_lookup_s,
             classes=self.classes,
             scheduler=self.scheduler,
             obs=self.obs,

@@ -58,7 +58,8 @@ class EntropyRouter:
         stem + branch produce the gate statistic.
     threshold:
         Entropy threshold; ``None`` uses the model's own
-        ``entropy_threshold`` (set during pipeline construction).
+        ``entropy_threshold`` (set during pipeline construction), and
+        ``math.inf`` routes every sample to the branch exit.
     """
 
     def __init__(self, branchynet, threshold: float | None = None) -> None:
@@ -66,7 +67,7 @@ class EntropyRouter:
         self.threshold = float(
             branchynet.entropy_threshold if threshold is None else threshold
         )
-        if self.threshold < 0:
+        if not self.threshold >= 0:  # false for NaN too
             raise ValueError(f"entropy threshold must be >= 0, got {self.threshold}")
 
     def split(self, images: np.ndarray) -> RouteDecision:

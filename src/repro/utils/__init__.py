@@ -1,17 +1,11 @@
-"""Shared utilities: deterministic RNG plumbing, timing, logging, caching."""
+"""Shared utilities: deterministic RNG plumbing, logging, the artifact cache."""
 
-from repro.utils.rng import SeedSequence, spawn_rng, as_generator
-from repro.utils.timing import Timer, timed
+from repro.utils.rng import as_generator
 from repro.utils.logging import get_logger
-from repro.utils.cache import memoize_to_disk, ArtifactCache
+from repro.utils.cache import ArtifactCache
 
 __all__ = [
-    "SeedSequence",
-    "spawn_rng",
     "as_generator",
-    "Timer",
-    "timed",
     "get_logger",
-    "memoize_to_disk",
     "ArtifactCache",
 ]

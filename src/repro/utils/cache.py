@@ -8,18 +8,15 @@ trains each pipeline exactly once.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable
 
-F = TypeVar("F", bound=Callable[..., Any])
-
-__all__ = ["stable_hash", "ArtifactCache", "memoize_to_disk", "default_cache_dir"]
+__all__ = ["stable_hash", "ArtifactCache", "default_cache_dir"]
 
 
 def default_cache_dir() -> Path:
@@ -85,19 +82,3 @@ class ArtifactCache:
         value = compute()
         self.put(key, value)
         return value
-
-
-def memoize_to_disk(fn: F) -> F:
-    """Decorator: cache ``fn(*args, **kwargs)`` results on disk.
-
-    Arguments must be JSON-serializable (configs/seeds), which is true for
-    every experiment entry point in :mod:`repro.experiments`.
-    """
-    cache = ArtifactCache()
-
-    @functools.wraps(fn)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        key = {"fn": f"{fn.__module__}.{fn.__qualname__}", "args": args, "kwargs": kwargs}
-        return cache.get_or_compute(key, lambda: fn(*args, **kwargs))
-
-    return wrapper  # type: ignore[return-value]

@@ -6,7 +6,7 @@ import logging
 import os
 import sys
 
-__all__ = ["get_logger", "set_verbosity"]
+__all__ = ["get_logger"]
 
 _ROOT_NAME = "repro"
 _configured = False
@@ -34,21 +34,3 @@ def get_logger(name: str) -> logging.Logger:
     if name.startswith(_ROOT_NAME):
         return logging.getLogger(name)
     return logging.getLogger(f"{_ROOT_NAME}.{name}")
-
-
-def set_verbosity(level: int | str) -> None:
-    """Set library-wide log level (e.g. ``"INFO"`` or ``logging.DEBUG``).
-
-    String levels must name a standard logging level (case-insensitive);
-    unknown names raise :class:`ValueError` listing the valid choices.
-    """
-    _configure_root()
-    if isinstance(level, str):
-        resolved = getattr(logging, level.upper(), None)
-        if not isinstance(resolved, int):
-            valid = ", ".join(
-                name for name in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
-            )
-            raise ValueError(f"unknown log level {level!r}; expected one of: {valid}")
-        level = resolved
-    logging.getLogger(_ROOT_NAME).setLevel(level)

@@ -5,19 +5,16 @@ initialization, shuffling, target pairing) receives an explicit
 :class:`numpy.random.Generator`.  Nothing touches the legacy global NumPy
 RNG, so experiments are reproducible bit-for-bit from a single seed and
 remain reproducible when stages run in parallel worker processes (each
-worker gets an independently spawned child generator).
+work item derives its own seed with :func:`derive_seed`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["SeedSequence", "as_generator", "spawn_rng", "derive_seed"]
-
-# Re-exported so callers do not need to import numpy.random directly.
-SeedSequence = np.random.SeedSequence
+__all__ = ["as_generator", "derive_seed"]
 
 
 def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -31,18 +28,6 @@ def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` statistically independent child generators from ``rng``.
-
-    Used when fanning work out to parallel workers: the parent stream stays
-    untouched and each worker's stream is independent, so results do not
-    depend on scheduling order.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of generators: {n}")
-    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
 
 
 def derive_seed(base_seed: int, *components: int | str) -> int:

@@ -3,55 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines.pruning import (
-    channel_pruned_lenet,
-    magnitude_prune_tensor,
-    prune_model_unstructured,
-)
+from repro.baselines.pruning import channel_pruned_lenet
 from repro.models import LeNet
 from repro.nn import Tensor
-
-
-class TestMagnitudePrune:
-    def test_sparsity_achieved(self):
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((20, 20))
-        out = magnitude_prune_tensor(w, 0.5)
-        assert (out == 0).mean() >= 0.5
-
-    def test_keeps_largest(self):
-        w = np.array([0.1, -5.0, 0.2, 4.0])
-        out = magnitude_prune_tensor(w, 0.5)
-        assert out[1] == -5.0 and out[3] == 4.0
-        assert out[0] == 0.0 and out[2] == 0.0
-
-    def test_zero_sparsity_is_copy(self):
-        w = np.ones((3, 3))
-        out = magnitude_prune_tensor(w, 0.0)
-        assert np.allclose(out, w)
-        out[0, 0] = 9.0
-        assert w[0, 0] == 1.0  # original untouched
-
-    def test_invalid_sparsity_raises(self):
-        with pytest.raises(ValueError):
-            magnitude_prune_tensor(np.ones(4), 1.0)
-
-
-class TestUnstructuredModelPrune:
-    def test_zeroes_weights_not_biases(self):
-        model = LeNet(rng=0)
-        zeroed = prune_model_unstructured(model, 0.8)
-        assert zeroed > 0
-        for name, p in model.named_parameters():
-            if name.endswith("bias"):
-                continue
-            assert (p.data == 0).mean() >= 0.5
-
-    def test_model_still_runs(self):
-        model = LeNet(rng=0)
-        prune_model_unstructured(model, 0.9)
-        out = model(Tensor(np.zeros((1, 1, 28, 28), dtype=np.float32)))
-        assert np.isfinite(out.data).all()
 
 
 class TestChannelPrune:

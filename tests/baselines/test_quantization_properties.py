@@ -1,10 +1,9 @@
-"""Property-based tests for the compression primitives."""
+"""Property-based tests for k-means weight quantization."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.baselines.pruning import magnitude_prune_tensor
 from repro.baselines.quantization import kmeans_quantize
 
 _weights = hnp.arrays(
@@ -33,24 +32,3 @@ def test_quantize_deterministic(w, bits):
     q2, c2 = kmeans_quantize(w, bits=bits, rng=99)  # rng unused by Lloyd init
     assert np.array_equal(q1, q2)
     assert np.array_equal(c1, c2)
-
-
-@settings(max_examples=25, deadline=None)
-@given(_weights, st.floats(min_value=0.0, max_value=0.95))
-def test_prune_sparsity_monotone(w, sparsity):
-    out = magnitude_prune_tensor(w, sparsity)
-    assert out.shape == w.shape
-    # Surviving entries are unchanged.
-    survivors = out != 0
-    assert np.allclose(out[survivors], w[survivors])
-    # Zero count at least the requested fraction (ties can exceed it).
-    if sparsity > 0:
-        assert (out == 0).sum() >= int(sparsity * w.size)
-
-
-@settings(max_examples=25, deadline=None)
-@given(_weights, st.floats(min_value=0.1, max_value=0.4), st.floats(min_value=0.5, max_value=0.9))
-def test_prune_more_sparsity_zeroes_more(w, low, high):
-    n_low = (magnitude_prune_tensor(w, low) == 0).sum()
-    n_high = (magnitude_prune_tensor(w, high) == 0).sum()
-    assert n_high >= n_low

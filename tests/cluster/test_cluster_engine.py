@@ -74,14 +74,11 @@ class TestBasics:
         # Bad cache settings fail at construction, before any serving.
         with pytest.raises(ValueError, match="cache_capacity"):
             Cluster([SumBackend()], cache_capacity=-1)
-        with pytest.raises(ValueError, match="cache_lookup_s"):
-            Cluster([SumBackend()], cache_lookup_s=-1.0)
 
     @pytest.mark.parametrize(
         "build",
         [
             lambda: Cluster([SumBackend()], slo_s=np.nan),
-            lambda: Cluster([SumBackend()], cache_lookup_s=np.nan),
             lambda: Cluster([SumBackend()], recover_warmup_s=np.nan),
             lambda: Cluster([SumBackend()], max_wait_s=np.nan),
             lambda: MicroBatcher(max_wait_s=np.nan),
@@ -92,7 +89,6 @@ class TestBasics:
         ],
         ids=[
             "cluster-slo_s",
-            "cluster-cache_lookup_s",
             "cluster-recover_warmup_s",
             "cluster-max_wait_s",
             "microbatcher-max_wait_s",

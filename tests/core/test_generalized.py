@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import TrainConfig
 from repro.core.generalized import (
-    EncoderOnlyCBNet,
     build_encoder_only_cbnet,
     build_generalized_cbnet,
     classifier_entropy,
@@ -79,38 +78,6 @@ class TestGeneralizedCBNet:
         assert 0.0 < generalized.labeling.easy_fraction < 1.0
 
 
-class TestGeneralizedOnResNet:
-    def test_full_recipe_on_miniresnet(self, trained_pipeline):
-        """End-to-end §V story: CBNet from a ResNet, no BranchyNet."""
-        from repro.core.trainer import fit_classifier
-        from repro.models import MiniResNet
-
-        train = trained_pipeline.datasets["train"]
-        test = trained_pipeline.datasets["test"]
-        resnet = MiniResNet(rng=0)
-        fit_classifier(resnet, train, TrainConfig(epochs=3, batch_size=128), rng=0)
-
-        artifacts = build_generalized_cbnet(
-            resnet,
-            train,
-            "mnist",
-            keep_layers=3,
-            seed=0,
-            head_train=TrainConfig(epochs=3, batch_size=128),
-            ae_train=TrainConfig(epochs=5, batch_size=128),
-        )
-        acc = artifacts.cbnet.accuracy(test.images, test.labels)
-        assert acc > 0.9
-
-        from repro.hw import cbnet_latency, raspberry_pi4
-        from repro.hw.latency import model_latency
-
-        device = raspberry_pi4()
-        assert cbnet_latency(artifacts.cbnet, device).total < model_latency(
-            resnet, device
-        )
-
-
 class TestEncoderOnly:
     @pytest.fixture(scope="class")
     def encoder_only(self, trained_pipeline):
@@ -150,8 +117,6 @@ class TestEncoderOnly:
         """Building the encoder-only variant must not corrupt the donor AE
         (regression: the head training used to backprop into the shared
         encoder, collapsing full-CBNet accuracy)."""
-        import copy
-
         ae = trained_pipeline.cbnet.autoencoder
         before = {name: p.copy() for name, p in ae.state_dict().items()}
         train = trained_pipeline.datasets["train"]

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import PipelineConfig, TrainConfig, build_cbnet_pipeline
+from repro.core import (
+    PipelineConfig,
+    TrainConfig,
+    build_cbnet_pipeline,
+    pipeline,
+    train_baseline_lenet,
+)
 from repro.core.trainer import evaluate_accuracy
 
 
@@ -154,3 +160,27 @@ class TestPipelineConfigHandling:
         second = time.perf_counter() - t0
         assert second < first / 2
         assert a.entropy_threshold == b.entropy_threshold
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_cbnet_pipeline(PipelineConfig(dataset="mnist")),
+        lambda: train_baseline_lenet("mnist"),
+    ],
+    ids=["cbnet-pipeline", "baseline-lenet"],
+)
+def test_model_cache_keys_on_blas_threads(build, tmp_path, monkeypatch):
+    """A model trained under another BLAS thread setting is a different
+    cache entry: one setting reuses one file, two settings make two."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    # Stand-ins for training: only the cache keys are under test.
+    monkeypatch.setattr(pipeline, "_build", lambda config, datasets, ae_spec: "cbnet")
+    monkeypatch.setattr(pipeline, "load_dataset", lambda *a, **k: {"train": None, "test": None})
+    monkeypatch.setattr(pipeline, "fit_classifier", lambda *a, **k: "history")
+    counts = []
+    for threads in ("1", "1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        build()
+        counts.append(len(list(tmp_path.glob("*.pkl"))))
+    assert counts == [1, 1, 2]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import ArrayDataset, ConcatDataset, Subset
+from repro.data import ArrayDataset, Subset
 
 
 def make_dataset(n=10, seed=0):
@@ -39,12 +39,6 @@ class TestArrayDataset:
         assert len(sub) == 3
         assert np.array_equal(sub.meta["is_hard"], ds.meta["is_hard"][[0, 2, 4]])
 
-    def test_with_meta_adds_column(self):
-        ds = make_dataset(5)
-        ds2 = ds.with_meta(extra=np.arange(5))
-        assert "extra" in ds2.meta and "is_hard" in ds2.meta
-        assert "extra" not in ds.meta  # original untouched
-
     def test_class_indices(self):
         ds = make_dataset(30)
         for c in range(3):
@@ -73,27 +67,3 @@ class TestSubset:
         sub = Subset(ds, [0, 9])
         assert sub.images.shape == (2, 1, 4, 4)
         assert sub.labels.shape == (2,)
-
-
-class TestConcatDataset:
-    def test_concat_indexing_crosses_parts(self):
-        a, b = make_dataset(4, seed=1), make_dataset(6, seed=2)
-        cat = ConcatDataset([a, b])
-        assert len(cat) == 10
-        assert np.allclose(cat[4][0], b[0][0])
-        assert np.allclose(cat[3][0], a[3][0])
-
-    def test_negative_index(self):
-        a, b = make_dataset(4, seed=1), make_dataset(6, seed=2)
-        cat = ConcatDataset([a, b])
-        assert np.allclose(cat[-1][0], b[5][0])
-
-    def test_empty_parts_raise(self):
-        with pytest.raises(ValueError):
-            ConcatDataset([])
-
-    def test_concatenated_arrays(self):
-        a, b = make_dataset(4, seed=1), make_dataset(6, seed=2)
-        cat = ConcatDataset([a, b])
-        assert cat.images.shape == (10, 1, 4, 4)
-        assert cat.labels.shape == (10,)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import ArrayDataset, stratified_subset, train_test_split
+from repro.data import ArrayDataset, stratified_subset
 
 
 def make_dataset(n=100, num_classes=4, hard_frac=0.3, seed=0):
@@ -13,32 +13,6 @@ def make_dataset(n=100, num_classes=4, hard_frac=0.3, seed=0):
     return ArrayDataset(
         rng.random((n, 1, 2, 2), dtype=np.float32), labels, meta={"is_hard": is_hard}
     )
-
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        train, test = train_test_split(make_dataset(100), test_fraction=0.2, rng=0)
-        assert len(train) + len(test) == 100
-        assert len(test) == pytest.approx(20, abs=2)
-
-    def test_stratified_class_balance(self):
-        _, test = train_test_split(make_dataset(100), test_fraction=0.2, rng=0)
-        counts = np.bincount(test.labels, minlength=4)
-        assert counts.min() >= 4  # every class represented
-
-    def test_disjoint(self):
-        ds = make_dataset(40)
-        # tag each sample by a unique pixel value so overlap is detectable
-        ds._images[:, 0, 0, 0] = np.arange(40)
-        train, test = train_test_split(ds, 0.25, rng=1)
-        train_ids = set(train.images[:, 0, 0, 0].astype(int))
-        test_ids = set(test.images[:, 0, 0, 0].astype(int))
-        assert not train_ids & test_ids
-        assert len(train_ids | test_ids) == 40
-
-    def test_invalid_fraction_raises(self):
-        with pytest.raises(ValueError):
-            train_test_split(make_dataset(), 0.0)
 
 
 class TestStratifiedSubset:

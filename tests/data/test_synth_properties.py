@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.data.synth.corruption import CORRUPTIONS, corrupt_batch
 from repro.data.synth.digits import render_digits
 from repro.data.synth.registry import DATASET_SPECS, generate_split
-from repro.parallel.batcher import chunk_slices, even_split
 from repro.utils.rng import derive_seed, stratified_indices
 
 
@@ -42,25 +41,6 @@ def test_corrupt_batch_never_escapes_unit_interval(seed, n):
     images = rng.random((n, 28, 28)).astype(np.float32)
     out = corrupt_batch(images, rng)
     assert out.min() >= 0.0 and out.max() <= 1.0
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 500), st.integers(1, 40))
-def test_chunk_slices_partition(n, chunk):
-    slices = chunk_slices(n, chunk)
-    covered = [i for s in slices for i in range(s.start, s.stop)]
-    assert covered == list(range(n))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 500), st.integers(1, 40))
-def test_even_split_partition_and_balance(n, k):
-    slices = even_split(n, k)
-    covered = [i for s in slices for i in range(s.start, s.stop)]
-    assert covered == list(range(n))
-    if slices:
-        sizes = [s.stop - s.start for s in slices]
-        assert max(sizes) - min(sizes) <= 1
 
 
 @settings(max_examples=15, deadline=None)

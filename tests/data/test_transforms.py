@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data.transforms import (
-    clip01,
     flatten,
     from_unit_sum,
     normalize,
@@ -64,10 +63,3 @@ class TestUnitSum:
         ratio = flat_x / flat_o
         # Per-sample the ratio must be a constant (pure rescale).
         assert np.allclose(ratio, ratio[:, :1], rtol=1e-4)
-
-
-class TestClip:
-    def test_clip01(self):
-        out = clip01(np.array([[-1.0, 0.5, 2.0]], dtype=np.float32))
-        assert np.allclose(out, [[0.0, 0.5, 1.0]])
-        assert out.dtype == np.float32

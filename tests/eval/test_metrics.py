@@ -5,9 +5,7 @@ import pytest
 
 from repro.eval.metrics import (
     accuracy,
-    confusion_matrix,
     latency_percentiles,
-    per_class_accuracy,
     speedup,
 )
 
@@ -26,29 +24,6 @@ class TestAccuracy:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             accuracy(np.array([]), np.array([]))
-
-
-class TestConfusion:
-    def test_matrix_counts(self):
-        preds = np.array([0, 1, 1, 2])
-        labels = np.array([0, 1, 2, 2])
-        cm = confusion_matrix(preds, labels, num_classes=3)
-        assert cm[0, 0] == 1
-        assert cm[1, 1] == 1
-        assert cm[2, 1] == 1
-        assert cm[2, 2] == 1
-        assert cm.sum() == 4
-
-    def test_per_class_accuracy(self):
-        preds = np.array([0, 0, 1, 1])
-        labels = np.array([0, 0, 1, 0])
-        pca = per_class_accuracy(preds, labels)
-        assert pca[0] == pytest.approx(2 / 3)
-        assert pca[1] == pytest.approx(1.0)
-
-    def test_absent_class_is_nan(self):
-        pca = per_class_accuracy(np.array([0, 2]), np.array([0, 2]))
-        assert np.isnan(pca[1])
 
 
 class TestSpeedup:
@@ -79,4 +54,3 @@ class TestLatencyPercentiles:
             latency_percentiles(np.array([]))
         with pytest.raises(ValueError):
             latency_percentiles(np.array([1.0]), ())
-

@@ -6,13 +6,20 @@ study container run on untrained models so the experiment path stays
 covered by the tier-1 suite.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.core.cbnet import CBNet
+from repro.data.dataset import ArrayDataset
+from repro.experiments import offload as offload_experiment
 from repro.experiments.offload import OFFLOAD_CODECS, OffloadStudy, _split_sweep
 from repro.hw.devices import gci_cpu, raspberry_pi4
+from repro.models.autoencoder import ConvertingAutoencoder
 from repro.models.branchynet import BranchyLeNet
 from repro.models.lenet import LeNet
+from repro.models.lightweight import LightweightClassifier
 from repro.offload.engine import OffloadReport
 
 
@@ -106,3 +113,32 @@ class TestStudyContainer:
         assert r.total_energy_j == pytest.approx(0.15)
         assert np.isfinite(r.energy_mj_per_request)
         assert r.summary().startswith("[always-local/lte/steady]")
+
+
+def test_jobs_grid_matches_serial(monkeypatch):
+    """``jobs=2`` fans the policy/codec grid over a process pool; each
+    cell derives its own seed, so the reports equal the serial run's."""
+    rng = np.random.default_rng(0)
+    images = rng.random((64, 1, 28, 28)).astype(np.float32)
+    labels = rng.integers(0, 10, 64)
+    branchy = BranchyLeNet(rng=0, entropy_threshold=1.0)
+    artifacts = SimpleNamespace(
+        branchynet=branchy,
+        cbnet=CBNet(
+            autoencoder=ConvertingAutoencoder.for_dataset("mnist", rng=0),
+            classifier=LightweightClassifier.from_branchynet(branchy),
+        ),
+        datasets={"test": ArrayDataset(images, labels)},
+    )
+    # Untrained stand-ins for the cached trained models.
+    monkeypatch.setattr(offload_experiment, "pipeline_for", lambda *a, **k: artifacts)
+    monkeypatch.setattr(offload_experiment, "lenet_for", lambda *a, **k: LeNet(rng=0))
+
+    def study(jobs):
+        return offload_experiment.run_offload_study(n_requests=200, codecs=("uint8",), jobs=jobs)
+
+    serial, parallel = study(1), study(2)
+    assert len(serial.policy_reports) == 4 and len(serial.codec_reports) == 1
+    # repr compares every float exactly, NaN columns included.
+    for field in ("policy_reports", "codec_reports"):
+        assert repr(getattr(parallel, field)) == repr(getattr(serial, field))

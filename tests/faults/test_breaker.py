@@ -39,6 +39,12 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 BreakerConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["min_samples", "half_open_probes"])
+    @pytest.mark.parametrize("count", [np.inf, 2.5], ids=["inf", "fraction"])
+    def test_counts_must_be_integers(self, field, count):
+        with pytest.raises(ValueError, match=field):
+            BreakerConfig(**{field: count})
+
 
 class TestTripping:
     def test_stays_closed_below_min_samples(self):

@@ -137,6 +137,16 @@ class TestFaultPlan:
         plan = FaultPlan(faults=(Fault(1.0, 0, HEAL),))
         assert plan.partition_intervals() == {}
 
+    @pytest.mark.parametrize("seed", [math.nan, math.inf, -1, 2.5], ids=str)
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        """The seed feeds ``np.random.default_rng`` when a cluster runs
+        the plan; a bad one used to fail there, in NumPy's words."""
+        with pytest.raises(ValueError, match="seed"):
+            FaultPlan(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert FaultPlan(seed=np.int64(7)).seed == 7
+
 
 class TestFaultStorm:
     def test_seed_determinism(self):

@@ -114,14 +114,6 @@ class TestLossAndDeterminism:
         lossy = _link(loss_rate=0.5)
         assert lossy.expected_one_way_s(1000) > _link().expected_one_way_s(1000)
 
-    def test_round_trip_sums_directions(self):
-        link = _link()
-        assert link.expected_round_trip_s(1000, 500) == pytest.approx(
-            link.expected_one_way_s(1000, direction="up")
-            + link.expected_one_way_s(500, direction="down")
-        )
-
-
 class TestDegradation:
     def test_trace_scales_serialization(self):
         trace = BandwidthTrace(times_s=(1.0, 2.0), scales=(0.5, 2.0))

@@ -109,12 +109,6 @@ class TestSoftmaxAndLosses:
         probs = F.softmax(logits).data
         assert np.allclose(probs, 0.5)
 
-    def test_log_softmax_matches_log_of_softmax(self):
-        x = np.random.default_rng(1).standard_normal((3, 7))
-        a = F.log_softmax(Tensor(x)).data
-        b = np.log(F.softmax(Tensor(x)).data)
-        assert np.allclose(a, b, atol=1e-6)
-
     def test_cross_entropy_perfect_prediction_near_zero(self):
         logits = np.full((2, 3), -50.0, dtype=np.float32)
         logits[0, 1] = 50.0
@@ -163,16 +157,7 @@ class TestSoftmaxAndLosses:
         assert np.allclose(out, x @ w.T + b, atol=1e-5)
 
 
-class TestOneHotAndEntropy:
-    def test_one_hot_shape_and_values(self):
-        out = F.one_hot(np.array([0, 2, 1]), 3)
-        assert out.shape == (3, 3)
-        assert np.allclose(out, np.eye(3)[[0, 2, 1]])
-
-    def test_one_hot_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([3]), 3)
-
+class TestEntropy:
     def test_entropy_uniform_is_log_k(self):
         p = np.full((2, 10), 0.1)
         assert np.allclose(F.entropy(p), np.log(10), atol=1e-6)
@@ -180,14 +165,6 @@ class TestOneHotAndEntropy:
     def test_entropy_onehot_is_zero(self):
         p = np.eye(4)
         assert np.allclose(F.entropy(p), 0.0, atol=1e-9)
-
-    def test_normalized_entropy_in_unit_interval(self):
-        rng = np.random.default_rng(5)
-        logits = rng.standard_normal((20, 10))
-        p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        ne = F.normalized_entropy(p)
-        assert (ne >= 0).all() and (ne <= 1.0 + 1e-9).all()
-
 
 class TestCol2ImDirectScatter:
     """The padding-aware _col2im scatters straight into the unpadded

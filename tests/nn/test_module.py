@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Module, Parameter, Sequential, ModuleList, Tensor
+from repro.nn import Module, Parameter, Sequential, Tensor
 from repro.nn.layers import Linear, ReLU
 
 
@@ -134,19 +134,3 @@ class TestSequential:
         seq = Sequential(Linear(4, 8, rng=rng), ReLU())
         head = seq[:1]
         assert head[0] is seq[0]
-
-
-class TestModuleList:
-    def test_append_and_iterate(self):
-        ml = ModuleList([ReLU()])
-        ml.append(ReLU())
-        assert len(ml) == 2
-        assert all(isinstance(m, ReLU) for m in ml)
-
-    def test_forward_raises(self):
-        with pytest.raises(RuntimeError):
-            ModuleList([ReLU()])(1)
-
-    def test_parameters_visible_through_list(self):
-        ml = ModuleList([Linear(2, 2, rng=np.random.default_rng(0))])
-        assert sum(1 for _ in ml.parameters()) == 2

@@ -1,10 +1,10 @@
-"""Unit tests for optimizers and LR schedules."""
+"""Unit tests for optimizers and gradient clipping."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Parameter, Tensor
-from repro.nn.optim import SGD, Adam, ConstantLR, CosineLR, StepLR, WarmupLR, clip_grad_norm
+from repro.nn import Parameter
+from repro.nn.optim import SGD, Adam, clip_grad_norm
 
 
 def quadratic_param(value=5.0):
@@ -109,45 +109,3 @@ class TestClipGradNorm:
     def test_invalid_max_norm(self):
         with pytest.raises(ValueError):
             clip_grad_norm([], 0.0)
-
-
-class TestSchedules:
-    def _opt(self):
-        p = quadratic_param()
-        return SGD([p], lr=1.0)
-
-    def test_constant(self):
-        sched = ConstantLR(self._opt())
-        assert sched.step() == 1.0
-        assert sched.step() == 1.0
-
-    def test_step_lr_decays(self):
-        sched = StepLR(self._opt(), step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_cosine_monotone_to_min(self):
-        sched = CosineLR(self._opt(), total_epochs=10, min_lr=0.0)
-        lrs = [sched.step() for _ in range(10)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-        assert lrs[-1] == pytest.approx(0.0, abs=1e-9)
-
-    def test_warmup_ramps(self):
-        sched = WarmupLR(self._opt(), warmup_epochs=4)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs == pytest.approx([0.25, 0.5, 0.75, 1.0])
-
-    def test_warmup_hands_off(self):
-        opt = self._opt()
-        sched = WarmupLR(opt, warmup_epochs=2, after=StepLR(opt, step_size=1, gamma=0.5))
-        for _ in range(2):
-            sched.step()
-        assert sched.step() == pytest.approx(0.5)
-
-    def test_invalid_schedule_params(self):
-        with pytest.raises(ValueError):
-            StepLR(self._opt(), step_size=0)
-        with pytest.raises(ValueError):
-            CosineLR(self._opt(), total_epochs=0)
-        with pytest.raises(ValueError):
-            WarmupLR(self._opt(), warmup_epochs=0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, as_tensor, no_grad, enable_grad, grad_enabled
+from repro.nn import Tensor, as_tensor, no_grad
 
 
 class TestConstruction:
@@ -126,12 +126,6 @@ class TestReductionsAndShapes:
         out.sum().backward()
         assert a.grad.shape == (2, 3)
 
-    def test_pad2d_shape_and_negative_raises(self):
-        a = Tensor(np.ones((1, 1, 4, 4)))
-        assert a.pad2d(2).shape == (1, 1, 8, 8)
-        with pytest.raises(ValueError):
-            a.pad2d(-1)
-
     def test_flatten_batch(self):
         a = Tensor(np.ones((5, 2, 3)))
         assert a.flatten_batch().shape == (5, 6)
@@ -192,15 +186,6 @@ class TestGradMode:
         with no_grad():
             out = a * 2
         assert not out.requires_grad
-
-    def test_enable_grad_inside_no_grad(self):
-        assert grad_enabled()
-        with no_grad():
-            assert not grad_enabled()
-            with enable_grad():
-                assert grad_enabled()
-            assert not grad_enabled()
-        assert grad_enabled()
 
     def test_as_tensor_passthrough(self):
         t = Tensor([1.0])

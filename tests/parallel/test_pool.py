@@ -1,18 +1,8 @@
-"""Unit tests for the process pool and work partitioning."""
+"""Unit tests for the process pool."""
 
-import os
-
-import numpy as np
 import pytest
 
-from repro.parallel import (
-    ProcessPool,
-    chunk_slices,
-    even_split,
-    parallel_map,
-    run_sweep,
-    worker_count,
-)
+from repro.parallel import parallel_map, worker_count
 
 
 def square(x):
@@ -56,56 +46,3 @@ class TestParallelMap:
     def test_matches_serial(self):
         items = list(range(37))
         assert parallel_map(square, items, n_workers=4) == [square(i) for i in items]
-
-
-class TestProcessPool:
-    def test_reusable_pool(self):
-        with ProcessPool(n_workers=2) as pool:
-            a = pool.map(square, [1, 2, 3])
-            b = pool.map(square, [4, 5])
-        assert a == [1, 4, 9]
-        assert b == [16, 25]
-
-    def test_serial_outside_context(self):
-        pool = ProcessPool(n_workers=2)
-        assert pool.map(square, [2, 3]) == [4, 9]
-
-
-class TestChunking:
-    def test_chunk_slices_cover(self):
-        slices = chunk_slices(10, 3)
-        covered = [i for s in slices for i in range(s.start, s.stop)]
-        assert covered == list(range(10))
-        assert [s.stop - s.start for s in slices] == [3, 3, 3, 1]
-
-    def test_chunk_invalid(self):
-        with pytest.raises(ValueError):
-            chunk_slices(10, 0)
-        with pytest.raises(ValueError):
-            chunk_slices(-1, 2)
-
-    def test_even_split_balanced(self):
-        slices = even_split(10, 3)
-        sizes = [s.stop - s.start for s in slices]
-        assert sizes == [4, 3, 3]
-        covered = [i for s in slices for i in range(s.start, s.stop)]
-        assert covered == list(range(10))
-
-    def test_even_split_more_workers_than_items(self):
-        slices = even_split(2, 5)
-        assert len(slices) == 2
-
-    def test_even_split_invalid(self):
-        with pytest.raises(ValueError):
-            even_split(4, 0)
-
-
-class TestSweep:
-    def test_results_ordered_and_tagged(self):
-        results = run_sweep(square, [3, 1, 2], n_workers=2)
-        assert [r.param for r in results] == [3, 1, 2]
-        assert [r.value for r in results] == [9, 1, 4]
-
-    def test_serial_mode(self):
-        results = run_sweep(square, [2, 4], parallel=False)
-        assert [r.value for r in results] == [4, 16]

@@ -12,12 +12,11 @@ from repro.serving.arrivals import (
     diurnal_class_mix,
     flash_crowd_arrivals,
     poisson_arrivals,
-    trace_arrivals,
     zipf_popularity,
 )
 
 
-#: One generator call per rate, period, phase or timestamp argument,
+#: One generator call per rate, period or phase argument,
 #: with the argument under test left as ``x``.
 _NON_FINITE_CALLS = {
     "poisson-rate": lambda x: poisson_arrivals(x, 3),
@@ -31,7 +30,6 @@ _NON_FINITE_CALLS = {
     "flash-peak": lambda x: flash_crowd_arrivals(10.0, x, 3, 1.0, 1.0),
     "flash-start": lambda x: flash_crowd_arrivals(10.0, 50.0, 3, x, 1.0),
     "flash-duration": lambda x: flash_crowd_arrivals(10.0, 50.0, 3, 1.0, x),
-    "trace-timestamp": lambda x: trace_arrivals([0.0, x]),
     "class-mix-period": lambda x: diurnal_class_mix([0.0, 1.0], x, [1, 1], [1, 1]),
 }
 
@@ -165,25 +163,6 @@ class TestFlashCrowdArrivals:
 
 
 class TestTraceArrivals:
-    def test_valid_trace_passes_through(self):
-        times = trace_arrivals([0.0, 0.5, 0.5, 2.0])
-        assert times.dtype == np.float64
-        np.testing.assert_allclose(times, [0.0, 0.5, 0.5, 2.0])
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            trace_arrivals([0.0, 2.0, 1.0])
-
-    def test_rejects_negative_start(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            trace_arrivals([-0.1, 0.5])
-
-    def test_rejects_empty_and_2d(self):
-        with pytest.raises(ValueError):
-            trace_arrivals([])
-        with pytest.raises(ValueError):
-            trace_arrivals([[0.0, 1.0]])
-
     def test_feeds_the_server(self):
         """A hand-written trace drives Server.serve end to end."""
         from repro.serving.backends import BatchTiming, InferenceBackend
@@ -200,7 +179,7 @@ class TestTraceArrivals:
 
         images = np.zeros((4, 1, 2, 2), dtype=np.float32)
         report = Server(Flat(), max_batch_size=2, max_wait_s=0.01).serve(
-            images, trace_arrivals([0.0, 0.0, 0.5, 0.9])
+            images, np.array([0.0, 0.0, 0.5, 0.9])
         )
         assert report.n_requests == 4
         assert report.batch_histogram == {1: 2, 2: 1}

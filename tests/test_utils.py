@@ -1,14 +1,11 @@
-"""Unit tests for shared utilities (rng, timing, cache, logging)."""
-
-import time
+"""Unit tests for shared utilities (rng, cache, logging)."""
 
 import numpy as np
 import pytest
 
-from repro.utils.cache import ArtifactCache, memoize_to_disk, stable_hash
-from repro.utils.logging import get_logger, set_verbosity
-from repro.utils.rng import as_generator, derive_seed, hash_string, spawn_rng, stratified_indices
-from repro.utils.timing import Timer, repeat_timed, timed
+from repro.utils.cache import ArtifactCache, stable_hash
+from repro.utils.logging import get_logger
+from repro.utils.rng import as_generator, derive_seed, hash_string, stratified_indices
 
 
 class TestRng:
@@ -20,17 +17,6 @@ class TestRng:
     def test_as_generator_passthrough(self):
         gen = np.random.default_rng(0)
         assert as_generator(gen) is gen
-
-    def test_spawn_independent(self):
-        parent = as_generator(0)
-        children = spawn_rng(parent, 3)
-        draws = [c.random(5) for c in children]
-        assert not np.allclose(draws[0], draws[1])
-        assert not np.allclose(draws[1], draws[2])
-
-    def test_spawn_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rng(as_generator(0), -1)
 
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed(1, "a", "b") == derive_seed(1, "a", "b")
@@ -50,40 +36,6 @@ class TestRng:
     def test_stratified_invalid_fraction(self):
         with pytest.raises(ValueError):
             stratified_indices(np.zeros(4), 0.0, as_generator(0))
-
-
-class TestTiming:
-    def test_timer_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.02
-        assert len(t.laps) == 2
-        assert t.mean == pytest.approx(t.elapsed / 2)
-
-    def test_timer_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0 and not t.laps
-
-    def test_timed_sink(self):
-        out = []
-        with timed(out.append):
-            time.sleep(0.005)
-        assert out and out[0] >= 0.005
-
-    def test_repeat_timed(self):
-        result, mean = repeat_timed(lambda: 42, repeats=3)
-        assert result == 42
-        assert mean >= 0.0
-
-    def test_repeat_invalid(self):
-        with pytest.raises(ValueError):
-            repeat_timed(lambda: 1, repeats=0)
 
 
 class TestCache:
@@ -119,41 +71,7 @@ class TestCache:
         path.write_bytes(b"not a pickle")
         assert cache.get("key") is None
 
-    def test_memoize_to_disk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        calls = []
-
-        @memoize_to_disk
-        def fn(x):
-            calls.append(x)
-            return x + 1
-
-        assert fn(1) == 2
-        assert fn(1) == 2
-        assert fn(2) == 3
-        assert calls == [1, 2]
-
-
 class TestLogging:
     def test_get_logger_namespaced(self):
         logger = get_logger("core.trainer")
         assert logger.name == "repro.core.trainer"
-
-    def test_set_verbosity(self):
-        import logging
-
-        set_verbosity("DEBUG")
-        assert logging.getLogger("repro").level == logging.DEBUG
-        set_verbosity(logging.WARNING)
-
-    def test_set_verbosity_rejects_unknown_level(self):
-        import logging
-
-        with pytest.raises(ValueError, match="unknown log level"):
-            set_verbosity("LOUD")
-        # Non-level attributes of the logging module must not slip through.
-        with pytest.raises(ValueError, match="unknown log level"):
-            set_verbosity("getLogger")
-        # Case-insensitive strings still work.
-        set_verbosity("warning")
-        assert logging.getLogger("repro").level == logging.WARNING
