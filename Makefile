@@ -9,11 +9,13 @@
 #                     counts vs re-summed batches), the chunked-inference
 #                     parity test (toy and live fleets), the power-of-two
 #                     sampler parity test (rng.choice per request vs the
-#                     word block, final generator state included) and the
+#                     word block, final generator state included), the
 #                     join-shortest-queue/queue-depth parity test (keyed
 #                     min and summed depth vs the loop and the backward
-#                     walk; tests/cluster, seconds once the test pipeline
-#                     is disk-cached)
+#                     walk) and the one-replica policy differential (every
+#                     policy replays a one-replica trace identically);
+#                     tests/cluster plus the single-node serving edge
+#                     cases, seconds once the test pipeline is disk-cached
 #   make offload-smoke  offload-layer smoke: network links and their
 #                     transports (a NetworkLink's private radio, the
 #                     session transport), partition planner, policies,
@@ -60,8 +62,7 @@ test:
 
 fleet-smoke:
 	$(PYTHON) -m pytest tests/cluster tests/experiments/test_fleet.py \
-	    tests/serving/test_engine_edge_cases.py \
-	    tests/serving/test_server_cluster_parity.py -q
+	    tests/serving/test_engine_edge_cases.py -q
 
 offload-smoke:
 	$(PYTHON) -m pytest tests/offload tests/hw/test_network.py \

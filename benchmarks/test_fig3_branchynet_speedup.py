@@ -5,8 +5,6 @@ FMNIST (23% hard).  The reproduction must show the same *ordering* and a
 clearly shrinking gap.
 """
 
-import pytest
-
 from repro.experiments.fig3 import run_fig3
 
 from conftest import emit

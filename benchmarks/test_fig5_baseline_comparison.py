@@ -6,8 +6,6 @@ SubFlow) with accuracy at least on par; compression baselines land
 between CBNet and LeNet.
 """
 
-import pytest
-
 from repro.experiments.fig5 import run_fig5
 
 from conftest import emit

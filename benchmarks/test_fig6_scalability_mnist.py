@@ -6,7 +6,6 @@ accuracies stay flat.
 """
 
 import numpy as np
-import pytest
 
 from repro.experiments.scalability import run_scalability
 

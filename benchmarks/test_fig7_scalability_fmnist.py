@@ -5,8 +5,6 @@ must be wider than on MNIST at the same ratio (paper: "this trend is
 more prominent in the cases of FMNIST and KMNIST").
 """
 
-import pytest
-
 from repro.experiments.scalability import run_scalability
 
 from conftest import emit

@@ -4,8 +4,6 @@ KMNIST has the lowest early-exit rate in the paper (63.08%), so the
 BranchyNet-CBNet gap is the widest of the three datasets.
 """
 
-import pytest
-
 from repro.experiments.scalability import run_scalability
 
 from conftest import emit

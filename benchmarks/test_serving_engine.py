@@ -1,8 +1,9 @@
 """Extension bench — the batched serving engine under three load shapes.
 
-Runs `repro.serving.Server` end to end: CBNet / BranchyNet / LeNet /
-hybrid predictions behind the micro-batcher, worker dispatcher, LRU
-result cache, and entropy router, on the calibrated Pi-4 timing model.
+Runs each backend end to end on a one-replica `repro.cluster.Cluster`:
+CBNet / BranchyNet / LeNet / hybrid predictions behind the
+micro-batcher, worker, LRU result cache, and entropy router, on the
+calibrated Pi-4 timing model.
 Inference runs through the precomputed oracle (`repro.sim`): one model
 pass per dataset feeds every scenario at metrics identical to live
 in-loop inference (`tests/sim` pins the parity).  Steady, bursty, and

@@ -12,8 +12,6 @@ Shape assertions encode the paper's qualitative claims:
 * early-exit rates order as the paper's: MNIST > FMNIST > KMNIST.
 """
 
-import pytest
-
 from repro.eval.runner import evaluate_dataset
 from repro.experiments.common import FAST, lenet_for
 from repro.experiments.table2 import Table2Result

@@ -13,8 +13,6 @@ device — plus a throughput estimate (images/second).
 Run:  python examples/edge_deployment_comparison.py
 """
 
-import numpy as np
-
 from repro import PipelineConfig, TrainConfig, build_cbnet_pipeline, train_baseline_lenet
 from repro.baselines import AdaDeepCompressor, SubFlowExecutor
 from repro.eval.tables import Table

@@ -60,7 +60,9 @@ def main() -> None:
     # 3. Local vs remote vs split, identical stream, float16 activations.
     reports = []
     for policy in (AlwaysLocal(), AlwaysRemote(), EntropyGated()):
-        cloud = cloud_server_for(policy, branchy, cloud_dev, max_batch_size=16)
+        cloud = cloud_server_for(
+            policy, branchy, cloud_dev, max_batch_size=16, max_wait_s=0.005
+        )
         tier = EdgeTier(
             branchy, edge, link, cloud, policy, codec=TensorCodec("float16"), rng=3
         )
@@ -76,7 +78,9 @@ def main() -> None:
         degradation=BandwidthTrace(times_s=(0.4 * span, 0.8 * span), scales=(0.05, 1.0)),
     )
     policy = DeadlineAware(deadline_s=0.2)  # 200 ms interactive SLO
-    cloud = cloud_server_for(policy, branchy, cloud_dev, max_batch_size=16)
+    cloud = cloud_server_for(
+        policy, branchy, cloud_dev, max_batch_size=16, max_wait_s=0.005
+    )
     tier = EdgeTier(branchy, edge, degraded, cloud, policy, rng=3)
     report = tier.serve(images, arrival_s, labels=labels, scenario="link-collapse")
     print(report.summary())

@@ -1,22 +1,22 @@
 #!/usr/bin/env python
-"""Serving-engine demo: put a trained CBNet behind `repro.serving.Server`.
+"""Serving-engine demo: put a trained CBNet behind a one-replica `Cluster`.
 
 Builds (or loads from cache) a small CBNet pipeline, wraps it and
 BranchyNet as serving backends on a simulated Raspberry Pi 4, and
-replays the same bursty Zipf-skewed request stream through both —
-micro-batching, LRU result caching, and easy/hard routing included.
+replays the same bursty Zipf-skewed request stream through each on a
+one-replica `repro.cluster.Cluster` — micro-batching, LRU result
+caching, and easy/hard routing included.
 
 Run:  python examples/serving_demo.py
 """
 
 from repro import PipelineConfig, TrainConfig, build_cbnet_pipeline
+from repro.cluster import Cluster
 from repro.hw import raspberry_pi4
 from repro.serving import (
     BranchyNetBackend,
     CBNetBackend,
-    Server,
     bursty_arrivals,
-    comparison_table,
     zipf_popularity,
 )
 
@@ -45,24 +45,23 @@ def main() -> None:
         base_rate_hz=150.0, burst_rate_hz=450.0, n=n_requests, rng=2
     )
 
-    # 3. Serve the identical stream through CBNet and BranchyNet.
+    # 3. Serve the identical stream through CBNet and BranchyNet, each on
+    #    a one-replica cluster (one node: cache, micro-batcher, worker).
     reports = []
     for backend in (
         CBNetBackend(artifacts.cbnet, device),
         BranchyNetBackend(artifacts.branchynet, device),
     ):
-        server = Server(
-            backend,
+        node = Cluster(
+            [backend],
             max_batch_size=16,
             max_wait_s=0.004,
             cache_capacity=256,
         )
-        report = server.serve(images, arrival_s, labels=labels, scenario="bursty")
-        print(report.summary())
+        report = node.serve(images, arrival_s, labels=labels, scenario="bursty")
+        print(f"{backend.name:10s} {report.summary()}")
         reports.append(report)
 
-    print()
-    print(comparison_table(reports, "Bursty load on a simulated Pi 4").render())
     cb, br = reports
     print(
         f"\nCBNet's constant service time keeps its p99 at {cb.p99_s * 1e3:.1f} ms "

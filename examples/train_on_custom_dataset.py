@@ -11,8 +11,6 @@ using the built-in registry entries.
 Run:  python examples/train_on_custom_dataset.py
 """
 
-import numpy as np
-
 from repro.core import (
     PipelineConfig,
     TrainConfig,

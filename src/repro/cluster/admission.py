@@ -25,6 +25,8 @@ no-starvation half of the scheduling invariants
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 __all__ = [
@@ -61,8 +63,8 @@ class AdmissionController:
     POLICIES = (REJECT, DEGRADE)
 
     def __init__(self, max_outstanding: int, policy: str = REJECT) -> None:
-        if max_outstanding < 0:
-            raise ValueError(f"max_outstanding must be >= 0, got {max_outstanding}")
+        if not (isinstance(max_outstanding, Integral) and max_outstanding >= 0):
+            raise ValueError(f"max_outstanding must be an integer >= 0, got {max_outstanding}")
         if policy not in self.POLICIES:
             raise ValueError(f"policy must be one of {self.POLICIES}, got {policy!r}")
         self.max_outstanding = int(max_outstanding)

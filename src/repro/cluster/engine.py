@@ -46,6 +46,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -160,7 +161,8 @@ class ClusterReport:
     n_breaker_trips: int = 0
 
     def summary(self) -> str:
-        """One-line fleet digest (the cluster sibling of ServingReport.summary)."""
+        """One-line digest: throughput, p99, SLO attainment, shed rate,
+        replica-seconds and availability."""
         return (
             f"[{self.policy}/{self.scenario}] {self.throughput_rps:.0f} req/s | "
             f"p99 {self.p99_s * 1e3:.2f} ms | SLO {self.slo_attainment:.1%} | "
@@ -366,8 +368,9 @@ class Cluster:
         Warm-up a *recovering* replica pays before taking traffic
         (freshly spawned replicas pay the autoscaler's configured cost).
     rng:
-        Seed/generator for randomized policies (power-of-two-choices).
-        A generator passed in is used as is.  After ``serve*`` it is
+        Seed (an integer >= 0), generator or ``None`` for randomized
+        policies (power-of-two-choices).  A generator passed in is used
+        as is.  After ``serve*`` it is
         where one ``rng.choice(n, 2, replace=False)`` per power-of-two
         decision would have left it.
     classes:
@@ -424,8 +427,16 @@ class Cluster:
             raise ValueError(f"slo_s must be positive and finite, got {slo_s}")
         if not 0 <= recover_warmup_s < math.inf:
             raise ValueError(f"recover_warmup_s must be finite and >= 0, got {recover_warmup_s}")
-        if cache_capacity < 0:
-            raise ValueError(f"cache_capacity must be >= 0, got {cache_capacity}")
+        if not (isinstance(max_batch_size, Integral) and max_batch_size >= 1):
+            raise ValueError(f"max_batch_size must be an integer >= 1, got {max_batch_size}")
+        if not (isinstance(cache_capacity, Integral) and cache_capacity >= 0):
+            raise ValueError(f"cache_capacity must be an integer >= 0, got {cache_capacity}")
+        if not (
+            rng is None
+            or isinstance(rng, np.random.Generator)
+            or (isinstance(rng, Integral) and rng >= 0)
+        ):
+            raise ValueError(f"rng must be a Generator, an integer >= 0 or None, got {rng!r}")
         if len({bool(b.oracle) for b in backends}) > 1:
             raise ValueError(
                 "cannot mix oracle and live backends in one fleet: the request "
@@ -612,12 +623,15 @@ class Cluster:
     ) -> ClusterReport:
         """Replay one arrival trace across the fleet and report.
 
-        Mirrors :meth:`repro.serving.Server.serve`: ``images[i]`` arrives
-        at ``arrival_s[i]`` (non-decreasing), ``labels`` adds genuine
-        served accuracy, and ``request_classes`` gives each request its
-        class code (required with ``classes``, rejected without).  The
-        report additionally carries fleet-only columns — shed rate, SLO
-        attainment, replica-seconds, availability, retries.
+        ``images[i]`` arrives at ``arrival_s[i]`` (non-decreasing),
+        ``labels`` adds genuine served accuracy — the backends' real
+        outputs, or the oracle tables built from them — and
+        ``request_classes`` gives each request its class code
+        (required with ``classes``, rejected without).  The report
+        carries the latency, throughput, cache and accuracy columns
+        and the fleet's — shed rate, SLO attainment, replica-seconds,
+        availability, retries.  A single node is a one-replica
+        cluster.
         """
         report, _ = self.serve_log(images, arrival_s, labels, scenario, request_classes)
         return report

@@ -8,8 +8,8 @@ The fleet engine (:mod:`repro.cluster.engine`) owns the global virtual
 clock and dispatch; the replica owns everything local — pending
 micro-batch, in-flight batches, lifecycle state, and the bookkeeping
 that turns into the report's replica-seconds and availability columns.
-:class:`repro.serving.Server` is the one-replica case of that engine,
-so a node with k workers is a k-replica fleet.
+A single serving node is a one-replica fleet, and a node with k workers
+a k-replica one.
 
 Lifecycle::
 

@@ -31,7 +31,7 @@ from repro.core.pairing import build_conversion_targets
 from repro.core.trainer import fit_autoencoder, fit_classifier
 from repro.data.dataset import ArrayDataset
 from repro.data.transforms import flatten, to_unit_sum
-from repro.models.autoencoder import ConvertingAutoencoder, TABLE1_SPECS
+from repro.models.autoencoder import ConvertingAutoencoder
 from repro.models.branchynet import _softmax_np
 from repro.models.lenet import LeNet
 from repro.models.lightweight import LightweightClassifier

@@ -21,7 +21,7 @@ from repro.core.config import PipelineConfig, TrainConfig
 from repro.core.labeling import LabelingResult, label_easy_hard
 from repro.core.pairing import build_conversion_targets
 from repro.core.thresholds import PAPER_THRESHOLDS, tune_threshold
-from repro.core.trainer import TrainHistory, evaluate_accuracy, fit_autoencoder, fit_classifier
+from repro.core.trainer import TrainHistory, fit_autoencoder, fit_classifier
 from repro.data import load_dataset
 from repro.data.dataset import ArrayDataset
 from repro.data.transforms import flatten, to_unit_sum

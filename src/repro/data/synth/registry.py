@@ -12,7 +12,7 @@ train the autoencoder comes from BranchyNet, see
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

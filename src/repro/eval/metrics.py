@@ -18,8 +18,8 @@ def latency_percentiles(
 
     The one place the repo computes sojourn/latency percentiles: the
     fleet report and the autoscaler's latency signal
-    (:mod:`repro.cluster.engine`, which :class:`repro.serving.Server`
-    re-reports), the per-class slices (:mod:`repro.serving.classes`)
+    (:mod:`repro.cluster.engine`), the per-class slices
+    (:mod:`repro.serving.classes`)
     and the offload report (:mod:`repro.offload.engine`) all call this
     instead of repeating ``np.percentile`` triplets.
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.pipeline import PipelineArtifacts
 from repro.eval.metrics import accuracy, speedup
 from repro.hw.device import DeviceProfile

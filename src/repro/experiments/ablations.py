@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from repro.core.config import PipelineConfig, TrainConfig
 from repro.core.pipeline import build_cbnet_pipeline
 from repro.core.thresholds import sweep_thresholds

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.eval.figures import ascii_bar_chart
 from repro.eval.tables import Table
-from repro.experiments.common import ExperimentScale, lenet_for, pipeline_for, scale_for
+from repro.experiments.common import lenet_for, pipeline_for, scale_for
 from repro.hw.devices import raspberry_pi4
 from repro.hw.latency import branchynet_expected_latency, lenet_latency
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.data.splits import stratified_subset
 from repro.eval.figures import Series, ascii_line_chart
 from repro.eval.metrics import accuracy

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster.engine import Cluster, ClusterReport
+from repro.eval.tables import Table
 from repro.experiments.common import lenet_for, pipeline_for, scale_for
 from repro.hw.devices import raspberry_pi4
 from repro.hw.latency import branchynet_expected_latency, cbnet_latency
@@ -31,7 +33,7 @@ from repro.serving.backends import (
     HybridBackend,
     LeNetBackend,
 )
-from repro.serving.engine import Server, ServingReport, comparison_table
+from repro.sim.records import ROUTE_EASY, ROUTE_HARD, RequestLog
 from repro.utils.rng import as_generator, derive_seed
 
 __all__ = ["SCENARIOS", "ServingComparison", "run_serving_comparison"]
@@ -47,25 +49,69 @@ class ServingComparison:
     device: str
     n_requests: int
     exit_rate: float
-    reports: dict[str, list[ServingReport]]
+    #: Scenario → backend name → that run's report and request log.
+    runs: dict[str, dict[str, tuple[ClusterReport, RequestLog]]]
 
     def render(self) -> str:
         blocks = []
-        for scenario, reports in self.reports.items():
-            rate = reports[0].arrival_rate_hz
+        for scenario, runs in self.runs.items():
+            rate = next(iter(runs.values()))[0].arrival_rate_hz
             title = (
                 f"Serving engine ({self.dataset}, {self.device}) — {scenario} "
                 f"@ {rate:.0f} req/s, exit rate {self.exit_rate:.0%}"
             )
-            blocks.append(comparison_table(reports, title).render())
+            blocks.append(_comparison_table(runs, title).render())
         return "\n\n".join(blocks)
 
-    def report_for(self, scenario: str, backend: str) -> ServingReport:
+    def report_for(self, scenario: str, backend: str) -> ClusterReport:
         """Look up one cell of the comparison grid."""
-        for report in self.reports[scenario]:
-            if report.backend == backend:
-                return report
-        raise KeyError(f"no report for backend {backend!r} in scenario {scenario!r}")
+        try:
+            return self.runs[scenario][backend][0]
+        except KeyError:
+            raise KeyError(
+                f"no report for backend {backend!r} in scenario {scenario!r}"
+            ) from None
+
+
+def _comparison_table(
+    runs: dict[str, tuple[ClusterReport, RequestLog]], title: str
+) -> Table:
+    """One scenario's runs side by side (one row per backend).
+
+    "hard" is the share of the routed requests (easy or hard, so cache
+    hits excluded) that the backend's gate sent down the full path.
+    """
+    table = Table(
+        headers=[
+            "backend",
+            "req/s",
+            "p50 (ms)",
+            "p95 (ms)",
+            "p99 (ms)",
+            "batch",
+            "cache",
+            "hard",
+            "util",
+            "acc",
+        ],
+        title=title,
+    )
+    for backend, (r, log) in runs.items():
+        n_hard = log.route_count(ROUTE_HARD)
+        routed = log.route_count(ROUTE_EASY) + n_hard
+        table.add_row(
+            backend,
+            f"{r.throughput_rps:.0f}",
+            f"{r.p50_s * 1e3:.2f}",
+            f"{r.p95_s * 1e3:.2f}",
+            f"{r.p99_s * 1e3:.2f}",
+            f"{r.mean_batch_size:.1f}",
+            f"{r.cache_hit_rate:.0%}",
+            f"{n_hard / routed if routed else 0.0:.0%}",
+            f"{r.utilization:.0%}",
+            "-" if np.isnan(r.accuracy) else f"{r.accuracy:.1%}",
+        )
+    return table
 
 
 def run_serving_comparison(
@@ -84,7 +130,8 @@ def run_serving_comparison(
     The request stream samples test images with Zipf popularity (hot
     images repeat, so the LRU result cache participates) and every
     backend of one scenario replays the *same* arrival trace, making the
-    sojourn percentiles directly comparable.
+    sojourn percentiles directly comparable.  Each run is one backend on
+    a one-replica :class:`~repro.cluster.engine.Cluster`.
 
     By default each backend is wrapped in the precomputed inference
     oracle (:func:`repro.sim.oracle_backend`): one batched pass over the
@@ -150,23 +197,22 @@ def run_serving_comparison(
         # the queue grows for everyone and the report shows by how much.
         return poisson_arrivals(6.0 / t_cbnet, n_requests, rng=rng)
 
-    reports: dict[str, list[ServingReport]] = {}
+    runs: dict[str, dict[str, tuple[ClusterReport, RequestLog]]] = {}
     for scenario in scenarios:
         arrival_s = arrivals_for(scenario)
-        row = []
-        for backend in backends:
-            server = Server(
-                backend,
+        runs[scenario] = {
+            backend.name: Cluster(
+                [backend],
                 max_batch_size=max_batch_size,
                 max_wait_s=max_wait_s,
                 cache_capacity=cache_capacity,
-            )
-            row.append(server.serve(images, arrival_s, labels=labels, scenario=scenario))
-        reports[scenario] = row
+            ).serve_log(images, arrival_s, labels=labels, scenario=scenario)
+            for backend in backends
+        }
     return ServingComparison(
         dataset=dataset,
         device=device.name,
         n_requests=n_requests,
         exit_rate=exit_rate,
-        reports=reports,
+        runs=runs,
     )

@@ -20,7 +20,7 @@ to the paper's Table II in :mod:`repro.hw.devices`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hw.flops import LayerCost, StageCost
 from repro.hw.power import PowerModel

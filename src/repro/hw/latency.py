@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.hw.device import DeviceProfile
 from repro.hw.flops import StageCost, model_cost, stage_cost
 

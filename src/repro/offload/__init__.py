@@ -12,9 +12,9 @@ by a :class:`~repro.hw.network.NetworkLink`:
   (always-local, always-remote, entropy-gated, deadline-aware) plus
   float16/uint8 intermediate-tensor codecs for transfer.
 * :mod:`repro.offload.engine` — the *edge tier*: gate on-device, queue
-  offloads on the uplink, front a :class:`~repro.serving.engine.Server`
-  or :class:`~repro.cluster.engine.Cluster` as the cloud side, and
-  report the edge/network/cloud breakdown with energy accounting.
+  offloads on the uplink, front a :class:`~repro.cluster.engine.Cluster`
+  (one replica or a fleet) as the cloud side, and report the
+  edge/network/cloud breakdown with energy accounting.
 
 See ``docs/offload.md`` for the full story and
 ``python -m repro.experiments.cli offload`` for the study.

@@ -1,11 +1,10 @@
 """The edge tier: gate on-device, ship hard work upstream, account everything.
 
-:class:`EdgeTier` fronts a cloud serving tier — a single
-:class:`~repro.serving.engine.Server` or a whole
-:class:`~repro.cluster.engine.Cluster` fleet (anything exposing
-``serve_log``) — with one weak edge device behind a private
+:class:`EdgeTier` fronts a cloud serving tier — a
+:class:`~repro.cluster.engine.Cluster` of one replica or a whole
+fleet — with one weak edge device behind a private
 :class:`~repro.hw.network.NetworkLink` or a session transport.  It
-replays an arrival trace on the shared virtual clock, through the
+replays one arrival trace on the shared virtual clock, through the
 device loop :func:`~repro.netsim.fleet.run_fleet_net` drives too:
 
 1. the edge runs the BranchyNet stem + branch gate (one FIFO compute
@@ -34,9 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
+from repro.cluster.engine import Cluster, ClusterReport
 from repro.eval.metrics import latency_percentiles
 from repro.eval.tables import Table
 from repro.hw.device import DeviceProfile
@@ -47,7 +48,6 @@ from repro.hw.network import NetworkLink
 from repro.netsim.transport import LinkTransport, SessionTransport
 from repro.offload.policies import OffloadPolicy, TensorCodec
 from repro.serving.backends import BatchTiming, InferenceBackend
-from repro.serving.engine import Server
 from repro.serving.router import RouteDecision
 from repro.utils.rng import as_generator
 
@@ -102,9 +102,10 @@ def cloud_server_for(
     cloud_device: DeviceProfile,
     oracle=None,
     codec: TensorCodec | None = None,
-    **server_kwargs,
-) -> Server:
-    """A cloud :class:`Server` whose backend matches the policy's payload.
+    **cluster_kwargs,
+) -> Cluster:
+    """A one-replica cloud :class:`Cluster` whose backend matches the
+    policy's payload.
 
     ``"split"`` payloads get a :class:`RemoteTrunkBackend` (resume from
     the stem activation); ``"input"`` payloads get a full
@@ -113,7 +114,8 @@ def cloud_server_for(
     :class:`~repro.sim.OffloadOracle` (plus the wire ``codec``) wraps
     the backend in a :class:`~repro.sim.OracleBackend` over the decoded
     payloads, so the cloud serves precomputed predictions on the same
-    sample-id stream the oracle edge tier ships.
+    sample-id stream the oracle edge tier ships.  ``cluster_kwargs``
+    (``max_batch_size``, ``max_wait_s``, ...) go to the cluster.
     """
     if policy.payload == "split":
         backend = RemoteTrunkBackend(branchynet, cloud_device)
@@ -126,7 +128,7 @@ def cloud_server_for(
 
         table = oracle.cloud_table(backend, policy.payload, codec or TensorCodec())
         backend = OracleBackend(backend, table)
-    return Server(backend, **server_kwargs)
+    return Cluster([backend], **cluster_kwargs)
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ class OffloadReport:
     n_renegotiations: int = 0  # netsim transport: conf-nak'd option rounds
     n_flap_drops: int = 0  # netsim transport: carrier drops forcing re-establishment
     accuracy: float = float("nan")
-    cloud_report: object | None = field(default=None, repr=False)
+    cloud_report: ClusterReport | None = field(default=None, repr=False)
 
     @property
     def offload_rate(self) -> float:
@@ -248,15 +250,6 @@ def offload_comparison_table(reports: list[OffloadReport], title: str = "") -> T
 _LOCAL_EASY, _LOCAL_HARD, _OFFLOADED = 0, 1, 2
 
 
-def _cloud_is_oracle(cloud) -> bool:
-    """Whether a cloud tier (Server or Cluster) answers from oracle tables."""
-    backend = getattr(cloud, "backend", None)  # serving.Server
-    if backend is not None:
-        return bool(backend.oracle)
-    replicas = getattr(cloud, "replicas", ())  # cluster.Cluster
-    return bool(replicas) and all(r.backend.oracle for r in replicas)
-
-
 class EdgeTier:
     """Split inference between one edge device and a cloud serving tier.
 
@@ -288,10 +281,13 @@ class EdgeTier:
         so the device is free after the gate.  Devices contending for
         one link are :func:`~repro.netsim.fleet.run_fleet_net`'s job.
     cloud:
-        The cloud tier: a :class:`~repro.serving.engine.Server` or
-        :class:`~repro.cluster.engine.Cluster` (anything with
-        ``serve_log``).  Its backend must match the policy's
-        payload — see :func:`cloud_server_for`.
+        The cloud tier, a :class:`~repro.cluster.engine.Cluster`: one
+        replica (see :func:`cloud_server_for`) or a whole fleet.  Its
+        backends must match the policy's payload.  A cluster replays
+        one trace, and so does the tier: a second :meth:`serve`, or a
+        first one on a cloud that has already served, raises
+        :class:`RuntimeError` before it touches the transport, the
+        observer or the cloud.
     policy:
         An :class:`~repro.offload.policies.OffloadPolicy`.
     codec:
@@ -303,13 +299,14 @@ class EdgeTier:
         Optional :class:`~repro.obs.observer.Observer`.  When set, each
         request's offload legs (edge gate, uplink, cloud service,
         downlink) are recorded as parent-linked spans and the finished
-        run is finalized into spans and metrics.  Single-use — one per
-        ``serve`` call: :meth:`serve` raises :class:`RuntimeError`
-        before recording anything when the observer already holds a
-        finished run, so assign a fresh one to ``obs`` first.
+        run is finalized into spans and metrics.  Single-use, like the
+        tier: :meth:`serve` raises :class:`RuntimeError` before
+        recording anything when the observer already holds a finished
+        run.
     rng:
-        Seed/generator for a ``NetworkLink``'s loss and jitter sampling
-        (a ``SessionTransport`` samples from its own stream).
+        Seed (an integer >= 0), generator or ``None`` for a
+        ``NetworkLink``'s loss and jitter sampling (a
+        ``SessionTransport`` samples from its own stream).
     cloud_est_s:
         Expected cloud service time for the deadline policy's remote
         estimate; inferred from the cloud tier's backend when omitted.
@@ -336,12 +333,11 @@ class EdgeTier:
         oracle=None,
         obs=None,
     ) -> None:
-        if not hasattr(cloud, "serve_log"):
+        if not isinstance(cloud, Cluster):
             raise TypeError(
-                f"cloud tier {type(cloud).__name__} lacks serve_log(); pass "
-                "a repro.serving.Server or repro.cluster.Cluster"
+                f"the cloud tier must be a repro.cluster.Cluster, got {type(cloud).__name__}"
             )
-        if oracle is not None and not _cloud_is_oracle(cloud):
+        if oracle is not None and not cloud.replicas[0].backend.oracle:
             raise TypeError(
                 "an oracle EdgeTier ships sample ids, so the cloud tier's "
                 "backend must be oracle-wrapped too — build it via "
@@ -349,6 +345,12 @@ class EdgeTier:
             )
         if not isinstance(link, (NetworkLink, SessionTransport)):
             raise TypeError("EdgeTier needs a NetworkLink or a SessionTransport")
+        if not (
+            rng is None
+            or isinstance(rng, np.random.Generator)
+            or (isinstance(rng, Integral) and rng >= 0)
+        ):
+            raise ValueError(f"rng must be a Generator, an integer >= 0 or None, got {rng!r}")
         self.branchynet = branchynet
         self.edge_device = edge_device
         self.link = link
@@ -364,20 +366,13 @@ class EdgeTier:
         #: Extra edge cost when a hard sample runs the trunk locally.
         self.trunk_extra_s = lat.full_path - lat.early_path
         self.cloud_est_s = (
-            self._infer_cloud_est(cloud) if cloud_est_s is None else float(cloud_est_s)
+            min(r.backend.mean_service_s() for r in cloud.replicas)
+            if cloud_est_s is None
+            else float(cloud_est_s)
         )
         if not 0 <= self.cloud_est_s < math.inf:  # false for NaN too
             raise ValueError(f"cloud_est_s must be finite and >= 0, got {self.cloud_est_s}")
-
-    @staticmethod
-    def _infer_cloud_est(cloud) -> float:
-        backend = getattr(cloud, "backend", None)  # serving.Server
-        if backend is not None:
-            return backend.mean_service_s()
-        replicas = getattr(cloud, "replicas", None)  # cluster.Cluster
-        if replicas:
-            return min(r.backend.mean_service_s() for r in replicas)
-        return 0.0
+        self._served = False
 
     def _transport(self) -> LinkTransport | SessionTransport:
         """One ``serve`` call's transport: a fresh idle radio, or the session."""
@@ -397,20 +392,28 @@ class EdgeTier:
     ) -> OffloadReport:
         """Replay one arrival trace through the edge tier and report.
 
-        Same contract as :meth:`repro.serving.Server.serve`: ``images[i]``
+        Same contract as :meth:`repro.cluster.Cluster.serve`: ``images[i]``
         arrives at ``arrival_s[i]`` (non-decreasing); ``labels`` adds
         genuine end-to-end accuracy (branch exits, local trunks, and
-        cloud completions alike).
+        cloud completions alike).  One call per tier, as per cluster.
         """
         # Imported here: repro.netsim.fleet imports repro.offload.policies,
         # whose package imports this module.
         from repro.netsim.fleet import _Device, _DeviceLoop
         from repro.sim.core import validate_trace
 
+        # Private flag of a sibling class: a used cloud would fail only
+        # after the device loop had moved the transport.
+        if self._served or self.cloud._served:
+            raise RuntimeError(
+                "an EdgeTier replays one trace, on a cloud cluster that has "
+                "replayed none; build a fresh EdgeTier and cloud for the next trace"
+            )
         if self.obs is not None and self.obs.finalized:
             raise RuntimeError(
                 "the observer already holds a finished run; pass a fresh Observer"
             )
+        self._served = True
         images, arrival_s = validate_trace(images, arrival_s)
         n = images.shape[0]
 

@@ -1,18 +1,21 @@
-"""`repro.serving` — batched inference serving engine.
+"""`repro.serving` — the components of batched inference serving.
 
-An executable serving path: arrival generators feed a request queue, a
-dynamic micro-batcher flushes on size/deadline triggers, one worker
-runs real CBNet / BranchyNet / LeNet inference with device-calibrated
-service times, an LRU cache answers repeated images, and an entropy
-router sends hard inputs down the full-exit path.  A node with k
-workers is a k-replica :class:`repro.cluster.Cluster`.
+The parts of an executable serving path: arrival generators, a dynamic
+micro-batcher that flushes on size/deadline triggers, the per-class
+priority batcher, an LRU cache that answers repeated images, an entropy
+router that sends hard inputs down the full-exit path, and backends
+that run real CBNet / BranchyNet / LeNet inference with
+device-calibrated service times.  :class:`repro.cluster.Cluster` is
+the one event loop that runs them: a single node is a one-replica
+cluster, and a node with k workers a k-replica one.
 
 Quick tour::
 
-    from repro.serving import Server, CBNetBackend, poisson_arrivals
-    backend = Server(CBNetBackend(cbnet, device), max_batch_size=16,
-                     max_wait_s=0.004, cache_capacity=512)
-    report = backend.serve(images, poisson_arrivals(300.0, len(images), rng=0))
+    from repro.cluster import Cluster
+    from repro.serving import CBNetBackend, poisson_arrivals
+    node = Cluster([CBNetBackend(cbnet, device)], max_batch_size=16,
+                   max_wait_s=0.004, cache_capacity=512)
+    report = node.serve(images, poisson_arrivals(300.0, len(images), rng=0))
     print(report.summary())
 """
 
@@ -45,14 +48,10 @@ from repro.serving.classes import (
     default_classes,
     per_class_reports,
 )
-from repro.serving.engine import Server, ServingReport, comparison_table
 from repro.serving.priority import PriorityBatcher
 from repro.serving.router import EntropyRouter, RouteDecision
 
 __all__ = [
-    "Server",
-    "ServingReport",
-    "comparison_table",
     "RequestClass",
     "ClassSet",
     "ClassReport",

@@ -108,7 +108,7 @@ class InferenceBackend:
         all-hard decision — so *both* sides of the entropy gate are
         compiled before live traffic, whatever the gate decides for real
         requests.  ``sample_shape`` defaults to :attr:`in_shape`;
-        :meth:`Server.serve <repro.serving.engine.Server.serve>` passes
+        :meth:`Cluster.serve <repro.cluster.engine.Cluster.serve>` passes
         the trace's actual per-sample shape before dispatch.  Memoized:
         repeat calls for an already-warmed (shape, size) are no-ops, and
         the cost is wall-clock only (the virtual clock never sees it).

@@ -18,6 +18,7 @@ micro-batcher's tests.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 __all__ = ["MicroBatcher"]
 
@@ -42,8 +43,8 @@ class MicroBatcher:
     """
 
     def __init__(self, max_batch_size: int = 32, max_wait_s: float = 0.005) -> None:
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
+        if not (isinstance(max_batch_size, Integral) and max_batch_size >= 1):
+            raise ValueError(f"max_batch_size must be an integer >= 1, got {max_batch_size}")
         if not 0 <= max_wait_s < math.inf:  # false for NaN too
             raise ValueError(f"max_wait_s must be finite and >= 0, got {max_wait_s}")
         self.max_batch_size = int(max_batch_size)

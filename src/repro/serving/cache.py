@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from numbers import Integral
 from typing import Any
 
 import numpy as np
@@ -41,8 +42,8 @@ class LRUResultCache:
     """
 
     def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 0:
-            raise ValueError(f"capacity must be non-negative, got {capacity}")
+        if not (isinstance(capacity, Integral) and capacity >= 0):
+            raise ValueError(f"capacity must be an integer >= 0, got {capacity}")
         self.capacity = int(capacity)
         self._store: OrderedDict[str, Any] = OrderedDict()
         self.hits = 0

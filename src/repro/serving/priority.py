@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from numbers import Integral
 
 from repro.serving.classes import ClassSet
 
@@ -65,8 +66,8 @@ class PriorityBatcher:
         max_wait_s: float = 0.005,
         ordering: str = "priority",
     ) -> None:
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
+        if not (isinstance(max_batch_size, Integral) and max_batch_size >= 1):
+            raise ValueError(f"max_batch_size must be an integer >= 1, got {max_batch_size}")
         if not 0 <= max_wait_s < math.inf:  # false for NaN too
             raise ValueError(f"max_wait_s must be finite and >= 0, got {max_wait_s}")
         if ordering not in ("priority", "fifo"):

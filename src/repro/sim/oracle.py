@@ -17,7 +17,7 @@ would index the unique image pool) instead of materialized pixels, wrap
 each backend with :func:`oracle_backend`, and serve as usual::
 
     table_backend = oracle_backend(CBNetBackend(cbnet, device), pool_images)
-    report = Server(table_backend).serve(sample_ids, arrival_s, labels)
+    report = Cluster([table_backend]).serve(sample_ids, arrival_s, labels)
 
 Everything observable — routing decisions, served predictions, cache
 hits, latency percentiles — matches the live path under fixed seeds

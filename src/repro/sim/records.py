@@ -64,7 +64,7 @@ class RequestLog:
         answered it.
     replica_id:
         ``int32`` [-1]: the fleet replica that served the request
-        (:mod:`repro.cluster`; a single ``Server`` is replica 0).
+        (:mod:`repro.cluster`; a one-replica fleet's node is 0).
     degraded:
         ``bool`` [False]: the admission controller forced the request
         down the early/lightweight path under overload.

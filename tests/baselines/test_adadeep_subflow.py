@@ -8,7 +8,6 @@ from repro.core.config import TrainConfig
 from repro.core.trainer import evaluate_accuracy
 from repro.hw.devices import raspberry_pi4
 from repro.hw.latency import lenet_latency
-from repro.models import LeNet
 
 
 class TestSubFlow:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines.quantization import kmeans_quantize, quantize_model
 from repro.models import LeNet
-from repro.nn import Tensor
 
 
 class TestKmeansQuantize:

@@ -22,7 +22,6 @@ from repro.serving.arrivals import constant_arrivals, poisson_arrivals
 from repro.serving.backends import CBNetBackend
 from repro.serving.batcher import MicroBatcher
 from repro.serving.classes import DEFAULT_CLASSES, RequestClass
-from repro.serving.engine import Server
 from repro.serving.priority import PriorityBatcher
 from repro.sim.records import ROUTE_CACHED, ROUTE_EASY, ROUTE_HARD, ROUTE_SHED
 
@@ -107,12 +106,11 @@ class TestBasics:
         "build",
         [
             lambda: Cluster([SumBackend()], max_batch_size=4, max_wait_s=math.inf),
-            lambda: Server(SumBackend(), max_batch_size=4, max_wait_s=math.inf),
             lambda: MicroBatcher(max_wait_s=math.inf),
             lambda: PriorityBatcher(DEFAULT_CLASSES, max_wait_s=math.inf),
             lambda: RequestClass("x", 1, deadline_s=0.1, weight=1.0, max_wait_s=math.inf),
         ],
-        ids=["cluster", "server", "microbatcher", "prioritybatcher", "class"],
+        ids=["cluster", "microbatcher", "prioritybatcher", "class"],
     )
     def test_infinite_wait_caps_rejected_at_construction(self, build):
         """An infinite cap never flushes a partial batch: the end-of-trace

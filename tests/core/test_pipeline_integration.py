@@ -10,7 +10,6 @@ from repro.core import (
     pipeline,
     train_baseline_lenet,
 )
-from repro.core.trainer import evaluate_accuracy
 
 
 class TestPipelineArtifacts:

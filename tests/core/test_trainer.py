@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import TrainConfig
 from repro.core.trainer import evaluate_accuracy, fit_autoencoder, fit_classifier
-from repro.data import ArrayDataset
 from repro.models import BranchyLeNet, ConvertingAutoencoder, LeNet
 from repro.models.autoencoder import AutoencoderSpec
 

@@ -1,9 +1,5 @@
 """Tests for the combined report collector."""
 
-from pathlib import Path
-
-import pytest
-
 from repro.eval.report import DEFAULT_SECTIONS, collect_report
 
 

@@ -5,7 +5,6 @@ against the small session-scoped trained pipeline so structure, maths and
 rendering are verified quickly.
 """
 
-import numpy as np
 import pytest
 
 from repro.eval.runner import evaluate_dataset

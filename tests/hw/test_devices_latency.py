@@ -1,6 +1,5 @@
 """Unit tests for device calibration and the latency model."""
 
-import numpy as np
 import pytest
 
 from repro.core.cbnet import CBNet

@@ -1,7 +1,6 @@
 """Unit tests for BranchyNet-LeNet."""
 
 import numpy as np
-import pytest
 
 from repro.models import BranchyLeNet, LeNet
 from repro.nn import Tensor

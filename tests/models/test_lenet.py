@@ -1,7 +1,6 @@
 """Unit tests for the LeNet baseline."""
 
 import numpy as np
-import pytest
 
 from repro.models import LeNet
 from repro.nn import Tensor

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import SumBackend, make_scenario, run_traced
 
+from repro.cluster import Cluster
 from repro.obs import Observer
 from repro.obs.spans import (
     EV_BATCH_FAIL,
@@ -20,7 +21,6 @@ from repro.obs.spans import (
     SpanLog,
 )
 from repro.serving.arrivals import poisson_arrivals
-from repro.serving.engine import Server
 
 
 class TestFinalize:
@@ -106,39 +106,38 @@ class TestFinalize:
         assert "worst_burn" in summary and "alerts" in summary
 
 
-class TestServerIntegration:
-    def test_server_records_batches_and_finalizes(self):
+class TestSingleNodeIntegration:
+    def test_one_replica_records_batches_and_finalizes(self):
         rng = np.random.default_rng(0)
         images = rng.random((64, 1, 4, 4)).astype(np.float32)
         arrival = poisson_arrivals(400.0, 200, rng=rng)
         obs = Observer()
-        server = Server(SumBackend(), max_batch_size=8, max_wait_s=0.004, obs=obs)
-        _, log = server.serve_log(images[rng.integers(0, 64, 200)], arrival)
+        node = Cluster([SumBackend()], max_batch_size=8, max_wait_s=0.004, obs=obs)
+        _, log = node.serve_log(images[rng.integers(0, 64, 200)], arrival)
         assert obs.spans is not None
         assert obs.spans.count(SPAN_REQUEST) == int(log.done.sum())
         assert obs.spans.count(SPAN_BATCH) == obs.metrics["batches"].value > 0
 
     def test_disabled_by_default(self):
-        server = Server(SumBackend())
-        assert server.obs is None
+        assert Cluster([SumBackend()]).obs is None
 
     def test_reused_observer_raises_and_keeps_the_first_run(self):
-        """``Server`` hands its observer to a fresh cluster per call: a
-        second call would merge both runs' batches and spans into one
-        telemetry, so it raises before recording anything."""
+        """A second cluster handed a finished observer would merge both
+        runs' batches and spans into one telemetry, so it raises before
+        recording anything."""
         images = np.random.default_rng(0).random((50, 1, 4, 4)).astype(np.float32)
         arrival = poisson_arrivals(400.0, 50, rng=1)
 
         def serve(obs):
-            server = Server(SumBackend(), max_batch_size=8, max_wait_s=0.004, obs=obs)
-            server.serve(images, arrival)
-            return server
+            Cluster([SumBackend()], max_batch_size=8, max_wait_s=0.004, obs=obs).serve(
+                images, arrival
+            )
 
         obs, once = Observer(), Observer()
-        server = serve(obs)
+        serve(obs)
         serve(once)
         with pytest.raises(RuntimeError, match="finished run"):
-            server.serve(images, arrival)
+            serve(obs)
         assert obs.finalized
         assert obs.summary() == once.summary()
         assert obs.metrics["batched_requests"].value == 50
@@ -146,7 +145,6 @@ class TestServerIntegration:
     def test_finished_observer_is_refused_before_the_cluster_starts(self):
         """The refusal comes before the cluster marks its one trace as
         served, so the same cluster still replays it with a fresh observer."""
-        from repro.cluster import Cluster
 
         images = np.random.default_rng(2).random((50, 1, 4, 4)).astype(np.float32)
         arrival = poisson_arrivals(400.0, 50, rng=3)

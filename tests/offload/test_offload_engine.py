@@ -1,5 +1,6 @@
 """EdgeTier end to end on toy (untrained) models: conservation, queues,
-cloud composition (Server and Cluster), codecs, and degradation."""
+cloud composition (one-replica and fleet clusters), codecs, and
+degradation."""
 
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from repro.offload.policies import (
     TensorCodec,
 )
 from repro.serving.arrivals import poisson_arrivals
-from repro.serving.engine import Server
 
 
 @pytest.fixture(scope="module")
@@ -205,22 +205,21 @@ class TestCloudComposition:
         # Requests the cloud did serve still completed after the downlink.
         assert report.n_offloaded > report.n_unserved
 
-    def test_cloud_without_serve_log_rejected(self, branchy):
-        with pytest.raises(TypeError, match="lacks serve_log"):
+    def test_cloud_must_be_a_cluster(self, branchy):
+        with pytest.raises(TypeError, match="must be a repro.cluster.Cluster"):
             EdgeTier(
                 branchy, raspberry_pi4(), wifi(), object(), EntropyGated()
             )
 
     def test_reused_observer_raises_and_keeps_the_first_run(self, branchy, stream):
-        """A second ``serve`` into a finished observer would double every
-        leg counter and span, so it raises before recording anything."""
+        """A tier handed a finished observer would double every leg
+        counter and span, so it raises before recording anything."""
         images, arrival_s, _ = stream
         obs, once = Observer(), Observer()
-        tier = _tier(branchy, EntropyGated(), obs=obs)
-        tier.serve(images, arrival_s)
+        _tier(branchy, EntropyGated(), obs=obs).serve(images, arrival_s)
         _tier(branchy, EntropyGated(), obs=once).serve(images, arrival_s)
         with pytest.raises(RuntimeError, match="finished run"):
-            tier.serve(images, arrival_s)
+            _tier(branchy, EntropyGated(), obs=obs).serve(images, arrival_s)
         assert obs.summary() == once.summary()
         assert obs.metrics["legs.edge_gate"].value == len(images)
 

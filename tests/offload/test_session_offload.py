@@ -112,6 +112,43 @@ class TestTransportMode:
         # The ledger still balances: every offload completed.
         assert report.n_local_easy + report.n_local_hard + report.n_offloaded == 120
 
+    @pytest.mark.parametrize("used", ["tier", "cloud"])
+    def test_replay_is_refused_before_it_touches_anything(self, branchy, stream, used):
+        """A tier replays one trace, on a cloud that has replayed none, as
+        a cluster does: a second ``serve``, or a first one on a used
+        cloud, raises before the device loop moves the session's AIMD
+        window, the shared link's horizons or the sampling streams, and
+        before a fresh observer records anything."""
+        images, arrival_s, _ = stream
+        first = _tier(branchy, EntropyGated(), _transport())
+        assert first.serve(images, arrival_s).n_offloaded > 0
+        if used == "tier":
+            tier = first
+        else:
+            tier = EdgeTier(
+                branchy, raspberry_pi4(), _transport(), first.cloud, EntropyGated(), rng=3
+            )
+        transport = tier.link
+
+        def state():
+            link, session = transport.link, transport.session
+            return (
+                transport.aimd.window,
+                link.free_at("up"),
+                link.free_at("down"),
+                session.n_established,
+                session.state,
+                transport.rng.bit_generator.state,
+                tier.rng.bit_generator.state,
+            )
+
+        before = state()
+        tier.obs = fresh = Observer()
+        with pytest.raises(RuntimeError, match="replays one trace"):
+            tier.serve(images, arrival_s)
+        assert state() == before
+        assert not fresh.finalized and fresh.tracer.n_rows == 0
+
 
 class TestBandwidthCollapseFallback:
     def test_deadline_aware_goes_local_when_the_trace_collapses(
@@ -294,7 +331,7 @@ class TestFleetParity:
             down_bytes=40,
             gate_s=tier.gate_s,
             local_s=tier.trunk_extra_s,
-            cloud_s=cloud.backend.batch_service_s(1),
+            cloud_s=cloud.replicas[0].backend.batch_service_s(1),
         )
         fleet = run_fleet_net(shared(), (device,), policy, deadline_s=1.0, rng=seed)
 

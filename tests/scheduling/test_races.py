@@ -18,9 +18,9 @@ import pytest
 
 from conftest import SumBackend, make_scenario, run_scenario
 
+from repro.cluster import Cluster
 from repro.faults import FaultPlan, crash_window
 from repro.serving.classes import ClassSet, RequestClass
-from repro.serving.engine import Server
 from repro.sim.records import ROUTE_SHED
 
 RACE_SEEDS = range(5)
@@ -96,14 +96,14 @@ def _preemption_trace():
 @pytest.mark.parametrize("scheduler", ["priority", "fifo"])
 def test_leader_batch_is_in_flight_at_arrival(scheduler):
     classes, images, arrival_s, codes = _preemption_trace()
-    server = Server(
-        SumBackend(per_item_s=0.001, overhead_s=0.001),
+    node = Cluster(
+        [SumBackend(per_item_s=0.001, overhead_s=0.001)],
         max_batch_size=4,
         max_wait_s=0.004,
         classes=classes,
         scheduler=scheduler,
     )
-    _, log = server.serve_log(images, arrival_s, request_classes=codes)
+    _, log = node.serve_log(images, arrival_s, request_classes=codes)
     inter_arrival = log.arrival_s[10]
     # Race precondition: when the interactive request arrives, the leader
     # batch (requests 0-3) has been dispatched but not completed.
@@ -115,14 +115,14 @@ def test_interactive_preempts_forming_batch():
     classes, images, arrival_s, codes = _preemption_trace()
 
     def run(scheduler):
-        server = Server(
-            SumBackend(per_item_s=0.001, overhead_s=0.001),
+        node = Cluster(
+            [SumBackend(per_item_s=0.001, overhead_s=0.001)],
             max_batch_size=4,
             max_wait_s=0.004,
             classes=classes,
             scheduler=scheduler,
         )
-        _, log = server.serve_log(images, arrival_s, request_classes=codes)
+        _, log = node.serve_log(images, arrival_s, request_classes=codes)
         return log
 
     prio = run("priority")

@@ -164,9 +164,9 @@ class TestFlashCrowdArrivals:
 
 class TestTraceArrivals:
     def test_feeds_the_server(self):
-        """A hand-written trace drives Server.serve end to end."""
+        """A hand-written trace drives a one-replica cluster end to end."""
+        from repro.cluster import Cluster
         from repro.serving.backends import BatchTiming, InferenceBackend
-        from repro.serving.engine import Server
 
         class Flat(InferenceBackend):
             name = "flat"
@@ -178,11 +178,11 @@ class TestTraceArrivals:
                 return np.zeros(images.shape[0], dtype=np.int64)
 
         images = np.zeros((4, 1, 2, 2), dtype=np.float32)
-        report = Server(Flat(), max_batch_size=2, max_wait_s=0.01).serve(
+        report, log = Cluster([Flat()], max_batch_size=2, max_wait_s=0.01).serve_log(
             images, np.array([0.0, 0.0, 0.5, 0.9])
         )
         assert report.n_requests == 4
-        assert report.batch_histogram == {1: 2, 2: 1}
+        assert log.batch_size.tolist() == [2, 2, 1, 1]
 
 
 class TestZipfPopularity:

@@ -1,13 +1,15 @@
-"""Serving engine semantics on a synthetic backend (no training needed)."""
+"""Single-node serving semantics on a synthetic backend (no training
+needed): one backend on a one-replica ``Cluster``."""
 
 import numpy as np
 import pytest
 
+from repro.cluster import Cluster
 from repro.eval.metrics import latency_percentiles
+from repro.experiments.serve import ServingComparison
 from repro.serving.arrivals import constant_arrivals, poisson_arrivals
 from repro.serving.backends import BatchTiming, InferenceBackend
 from repro.serving.classes import DEFAULT_CLASSES
-from repro.serving.engine import Server, comparison_table
 from repro.serving.router import RouteDecision
 from repro.sim.records import (
     ROUTE_BATCHED,
@@ -55,7 +57,7 @@ class TestServeBasics:
     def test_all_requests_complete_with_real_predictions(self):
         images = make_images(64)
         labels = (images.reshape(64, -1).sum(axis=1)).astype(np.int64) % 10
-        report = Server(SumBackend(), max_batch_size=8, max_wait_s=0.002).serve(
+        report = Cluster([SumBackend()], max_batch_size=8, max_wait_s=0.002).serve(
             images, poisson_arrivals(200.0, 64, rng=0), labels=labels
         )
         assert report.n_requests == 64
@@ -66,26 +68,27 @@ class TestServeBasics:
     def test_sojourn_includes_batching_delay(self):
         # A lone request must wait out the full deadline before service.
         images = make_images(1)
-        report = Server(SumBackend(), max_batch_size=8, max_wait_s=0.05).serve(
+        report = Cluster([SumBackend()], max_batch_size=8, max_wait_s=0.05).serve(
             images, np.array([0.0])
         )
         assert report.mean_s == pytest.approx(0.05 + 0.002, rel=1e-6)
 
     def test_unbatched_fifo_when_wait_is_zero(self):
         images = make_images(20)
-        report = Server(SumBackend(), max_batch_size=8, max_wait_s=0.0).serve(
+        report, log = Cluster([SumBackend()], max_batch_size=8, max_wait_s=0.0).serve_log(
             images, constant_arrivals(100.0, 20)
         )
         assert report.mean_batch_size == 1.0
-        assert report.batch_histogram == {1: 20}
+        assert (log.batch_size == 1).all()
 
     def test_batch_histogram_counts_batches(self):
         images = make_images(12)
         # All arrive together → size trigger fires at 4, three times.
-        report = Server(SumBackend(), max_batch_size=4, max_wait_s=1.0).serve(
+        report, log = Cluster([SumBackend()], max_batch_size=4, max_wait_s=1.0).serve_log(
             images, np.zeros(12)
         )
-        assert report.batch_histogram == {4: 3}
+        assert (log.batch_size == 4).all()
+        assert len(np.unique(log.dispatch_s)) == 3
         assert report.mean_batch_size == 4.0
 
     def test_batching_amortizes_overhead_under_pressure(self):
@@ -93,10 +96,10 @@ class TestServeBasics:
         throughput than unbatched FIFO (the overhead amortization win)."""
         images = make_images(400)
         arrivals = poisson_arrivals(2000.0, 400, rng=1)  # past FIFO capacity
-        fifo = Server(SumBackend(), max_batch_size=1, max_wait_s=0.0).serve(
+        fifo = Cluster([SumBackend()], max_batch_size=1, max_wait_s=0.0).serve(
             images, arrivals
         )
-        batched = Server(SumBackend(), max_batch_size=32, max_wait_s=0.005).serve(
+        batched = Cluster([SumBackend()], max_batch_size=32, max_wait_s=0.005).serve(
             images, arrivals
         )
         assert batched.throughput_rps > fifo.throughput_rps
@@ -109,8 +112,8 @@ class TestCacheIntegration:
         images = np.concatenate([base, base, base])  # 3 waves of the same 4
         # Wave spacing far exceeds service time → later waves all hit.
         arrivals = np.sort(np.concatenate([np.full(4, t) for t in (0.0, 1.0, 2.0)]))
-        report = Server(
-            SumBackend(), max_batch_size=4, max_wait_s=0.001, cache_capacity=16
+        report = Cluster(
+            [SumBackend()], max_batch_size=4, max_wait_s=0.001, cache_capacity=16
         ).serve(images, arrivals)
         assert report.n_cached == 8
         assert report.cache_hit_rate == pytest.approx(8 / 12)
@@ -119,8 +122,8 @@ class TestCacheIntegration:
         base = make_images(1)
         images = np.concatenate([base, base])
         # Second copy arrives while the first is still queued/in service.
-        report = Server(
-            SumBackend(), max_batch_size=1, max_wait_s=0.0, cache_capacity=16
+        report = Cluster(
+            [SumBackend()], max_batch_size=1, max_wait_s=0.0, cache_capacity=16
         ).serve(images, np.array([0.0, 1e-5]))
         assert report.n_cached == 0
 
@@ -128,8 +131,8 @@ class TestCacheIntegration:
         base = make_images(3, seed=3)
         images = np.concatenate([base, base])
         labels = (images.reshape(6, -1).sum(axis=1)).astype(np.int64) % 10
-        report = Server(
-            SumBackend(), max_batch_size=3, max_wait_s=0.001, cache_capacity=16
+        report = Cluster(
+            [SumBackend()], max_batch_size=3, max_wait_s=0.001, cache_capacity=16
         ).serve(images, np.array([0.0, 0.0, 0.0, 5.0, 5.0, 5.0]), labels=labels)
         assert report.n_cached == 3
         assert report.accuracy == 1.0
@@ -137,7 +140,7 @@ class TestCacheIntegration:
     def test_cache_disabled_by_default(self):
         base = make_images(2)
         images = np.concatenate([base] * 5)
-        report = Server(SumBackend(), max_batch_size=2, max_wait_s=0.001).serve(
+        report = Cluster([SumBackend()], max_batch_size=2, max_wait_s=0.001).serve(
             images, np.arange(10, dtype=np.float64)
         )
         assert report.n_cached == 0
@@ -150,40 +153,58 @@ class TestRoutingIntegration:
         easy = rng.random((8, 1, 4, 4)).astype(np.float32) * 0.2  # mean <= 0.5
         hard = 0.8 + rng.random((8, 1, 4, 4)).astype(np.float32) * 0.2
         images = np.concatenate([easy, hard])
-        report = Server(RoutedSumBackend(), max_batch_size=4, max_wait_s=0.001).serve(
+        _, log = Cluster([RoutedSumBackend()], max_batch_size=4, max_wait_s=0.001).serve_log(
             images, np.arange(16, dtype=np.float64) * 0.001
         )
-        assert report.n_easy == 8
-        assert report.n_hard == 8
-        assert report.hard_fraction == pytest.approx(0.5)
+        assert log.route_count(ROUTE_EASY) == 8
+        assert log.route_count(ROUTE_HARD) == 8
+        np.testing.assert_array_equal(log.route, [ROUTE_EASY] * 8 + [ROUTE_HARD] * 8)
 
     def test_hard_heavy_stream_is_slower(self):
         rng = np.random.default_rng(5)
         easy = (rng.random((64, 1, 4, 4)) * 0.2).astype(np.float32)
         hard = (0.8 + rng.random((64, 1, 4, 4)) * 0.2).astype(np.float32)
         arrivals = poisson_arrivals(300.0, 64, rng=6)
-        srv = Server(RoutedSumBackend(), max_batch_size=8, max_wait_s=0.002)
-        assert srv.serve(hard, arrivals).mean_s > srv.serve(easy, arrivals).mean_s
+
+        def mean_s(images):
+            node = Cluster([RoutedSumBackend()], max_batch_size=8, max_wait_s=0.002)
+            return node.serve(images, arrivals).mean_s
+
+        assert mean_s(hard) > mean_s(easy)
 
 
 class TestValidationAndRendering:
     def test_invalid_inputs_rejected(self):
-        srv = Server(SumBackend())
+        # A cluster replays one trace, refused or not: one per call.
         with pytest.raises(ValueError):
-            srv.serve(make_images(2), np.array([0.0]))  # length mismatch
+            Cluster([SumBackend()]).serve(make_images(2), np.array([0.0]))  # length mismatch
         with pytest.raises(ValueError):
-            srv.serve(make_images(0), np.array([]))  # empty stream
+            Cluster([SumBackend()]).serve(make_images(0), np.array([]))  # empty stream
         with pytest.raises(ValueError):
-            srv.serve(make_images(2), np.array([1.0, 0.5]))  # unsorted
+            Cluster([SumBackend()]).serve(make_images(2), np.array([1.0, 0.5]))  # unsorted
 
     def test_summary_and_table_render(self):
+        """The serving comparison renders one row per backend, its "hard"
+        column the routed share the log's route counts give."""
         images = make_images(16)
-        report = Server(SumBackend(), max_batch_size=4, max_wait_s=0.001).serve(
-            images, poisson_arrivals(100.0, 16, rng=7)
-        )
+        runs = {
+            backend.name: Cluster([backend], max_batch_size=4, max_wait_s=0.001).serve_log(
+                images, poisson_arrivals(100.0, 16, rng=7)
+            )
+            for backend in (SumBackend(), RoutedSumBackend())
+        }
+        report, log = runs["routed-sum"]
         assert "p99" in report.summary()
-        text = comparison_table([report], "title").render()
-        assert "sum" in text and "title" in text
+        comp = ServingComparison("toy", "dev", 16, 0.5, runs={"steady": runs})
+        assert comp.report_for("steady", "routed-sum") is report
+        with pytest.raises(KeyError, match="no report for backend"):
+            comp.report_for("steady", "missing")
+        text = comp.render()
+        assert "toy, dev) — steady" in text
+        rows = {line.split()[0]: line.split() for line in text.splitlines()[3:]}
+        assert rows.keys() == {"sum", "routed-sum"}
+        hard = log.route_count(ROUTE_HARD) / (16 - log.route_count(ROUTE_CACHED))
+        assert rows["routed-sum"][7] == f"{hard:.0%}" and rows["sum"][7] == "0%"
 
     def test_route_constants_cover_engine_routes(self):
         """Every route the engine writes is one of the ``ROUTE_*`` codes,
@@ -193,8 +214,8 @@ class TestValidationAndRendering:
         arrivals = np.concatenate([np.zeros(16), np.ones(16)])
         written = set()
         for backend in (SumBackend(), RoutedSumBackend()):
-            server = Server(backend, max_batch_size=8, max_wait_s=0.001, cache_capacity=32)
-            _, log = server.serve_log(images, arrivals)
+            node = Cluster([backend], max_batch_size=8, max_wait_s=0.001, cache_capacity=32)
+            _, log = node.serve_log(images, arrivals)
             written |= set(np.unique(log.route).tolist())
         assert written == {ROUTE_BATCHED, ROUTE_CACHED, ROUTE_EASY, ROUTE_HARD}
         codes = (ROUTE_BATCHED, ROUTE_CACHED, ROUTE_EASY, ROUTE_HARD, ROUTE_SHED)
@@ -206,8 +227,8 @@ class TestValidationAndRendering:
         images = make_images(300)
         arrivals = poisson_arrivals(800.0, 300, rng=3)
         codes = np.random.default_rng(4).integers(0, len(DEFAULT_CLASSES), 300)
-        server = Server(SumBackend(), max_batch_size=8, classes=DEFAULT_CLASSES)
-        report, log = server.serve_log(images, arrivals, request_classes=codes)
+        node = Cluster([SumBackend()], max_batch_size=8, classes=DEFAULT_CLASSES)
+        report, log = node.serve_log(images, arrivals, request_classes=codes)
         got = (report.p50_s, report.p95_s, report.p99_s)
         assert got == latency_percentiles(log.sojourn_s[log.done])
         assert len(report.class_reports) == len(DEFAULT_CLASSES)
@@ -217,8 +238,9 @@ class TestValidationAndRendering:
             assert got == latency_percentiles(log.sojourn_s[served]), cr.name
 
     def test_request_classes_without_a_class_set_rejected(self):
-        server = Server(SumBackend())
         with pytest.raises(ValueError, match="requires Cluster\\(classes=...\\)"):
-            server.serve(make_images(4), np.zeros(4), request_classes=np.zeros(4, np.int8))
-        report = server.serve(make_images(4), np.zeros(4))
+            Cluster([SumBackend()]).serve(
+                make_images(4), np.zeros(4), request_classes=np.zeros(4, np.int8)
+            )
+        report = Cluster([SumBackend()]).serve(make_images(4), np.zeros(4))
         assert report.class_reports == ()

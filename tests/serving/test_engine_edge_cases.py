@@ -1,4 +1,4 @@
-"""Serving-engine edge cases the cluster layer depends on.
+"""Single-node edge cases, on a one-replica ``Cluster``.
 
 Pinned before the balancer was wired on top (see `repro.cluster`): the
 fleet engine builds on these exact behaviours — empty traces are
@@ -10,8 +10,8 @@ completion instant.
 import numpy as np
 import pytest
 
+from repro.cluster import Cluster
 from repro.serving.backends import BatchTiming, InferenceBackend
-from repro.serving.engine import Server
 
 
 class SumBackend(InferenceBackend):
@@ -33,14 +33,14 @@ def make_images(n, seed=0):
 
 class TestZeroArrivalTrace:
     def test_empty_stream_is_rejected_loudly(self):
-        srv = Server(SumBackend())
+        node = Cluster([SumBackend()])
         with pytest.raises(ValueError, match="empty request stream"):
-            srv.serve(make_images(0), np.array([]))
+            node.serve(make_images(0), np.array([]))
 
     def test_empty_stream_rejected_even_with_cache_and_workers(self):
-        srv = Server(SumBackend(), cache_capacity=64)
+        node = Cluster([SumBackend()], cache_capacity=64)
         with pytest.raises(ValueError, match="empty request stream"):
-            srv.serve(np.zeros((0, 1, 4, 4), dtype=np.float32), np.array([]))
+            node.serve(np.zeros((0, 1, 4, 4), dtype=np.float32), np.array([]))
 
 
 class TestTraceEndsWithBatchesInFlight:
@@ -48,11 +48,11 @@ class TestTraceEndsWithBatchesInFlight:
         # 10 requests, batch size 8: the trailing 2 are still pending when
         # the trace ends and must flush at their deadline, not be dropped.
         images = make_images(10)
-        report = Server(SumBackend(), max_batch_size=8, max_wait_s=0.05).serve(
+        report, log = Cluster([SumBackend()], max_batch_size=8, max_wait_s=0.05).serve_log(
             images, np.zeros(10)
         )
         assert report.n_requests == 10
-        assert report.batch_histogram == {2: 1, 8: 1}
+        assert log.batch_size.tolist() == [8] * 8 + [2] * 2
         # Makespan extends past the last arrival by at least the trailing
         # batch's deadline wait plus its service time.
         assert report.duration_s >= 0.05 + 0.001 + 2 * 0.001
@@ -62,17 +62,17 @@ class TestTraceEndsWithBatchesInFlight:
         # one worker; the engine must drain everything it admitted.
         images = make_images(64)
         arrivals = np.sort(np.concatenate([np.zeros(32), np.full(32, 1e-4)]))
-        report = Server(
-            SumBackend(per_item_s=0.004), max_batch_size=4, max_wait_s=0.01
-        ).serve(images, arrivals)
-        assert report.n_requests == 64
-        assert sum(k * c for k, c in report.batch_histogram.items()) == 64
+        report, log = Cluster(
+            [SumBackend(per_item_s=0.004)], max_batch_size=4, max_wait_s=0.01
+        ).serve_log(images, arrivals)
+        assert report.n_requests == report.n_served == 64
+        assert (log.batch_size == 4).all()
         assert report.max_s > 0.0
 
     def test_completions_monotone_per_worker_after_trace_end(self):
         images = make_images(12)
-        srv = Server(SumBackend(per_item_s=0.003), max_batch_size=4, max_wait_s=0.002)
-        report = srv.serve(images, np.zeros(12))
+        node = Cluster([SumBackend(per_item_s=0.003)], max_batch_size=4, max_wait_s=0.002)
+        report = node.serve(images, np.zeros(12))
         # Three size-4 batches on one worker: service strictly serializes,
         # so the makespan is at least 3 sequential batch services.
         assert report.duration_s >= 3 * (0.001 + 4 * 0.003)
@@ -85,16 +85,16 @@ class TestCacheCompletionRaces:
         images = np.concatenate([make_images(1)] * 2)
         # batch of 1 flushes immediately at t=0; service = overhead+item.
         completion = 0.001 + 0.001
-        report = Server(
-            SumBackend(), max_batch_size=1, max_wait_s=0.0, cache_capacity=4
+        report = Cluster(
+            [SumBackend()], max_batch_size=1, max_wait_s=0.0, cache_capacity=4
         ).serve(images, np.array([0.0, completion]))
         assert report.n_cached == 1
 
     def test_miss_one_tick_before_completion(self):
         images = np.concatenate([make_images(1)] * 2)
         completion = 0.001 + 0.001
-        report = Server(
-            SumBackend(), max_batch_size=1, max_wait_s=0.0, cache_capacity=4
+        report = Cluster(
+            [SumBackend()], max_batch_size=1, max_wait_s=0.0, cache_capacity=4
         ).serve(images, np.array([0.0, completion - 1e-9]))
         assert report.n_cached == 0
 
@@ -104,8 +104,8 @@ class TestCacheCompletionRaces:
         base = make_images(1, seed=5)
         images = np.concatenate([base] * 6)
         arrivals = np.array([0.0, 1e-6, 2e-6, 1.0, 1.0, 1.0])
-        report = Server(
-            SumBackend(), max_batch_size=4, max_wait_s=0.001, cache_capacity=4
+        report = Cluster(
+            [SumBackend()], max_batch_size=4, max_wait_s=0.001, cache_capacity=4
         ).serve(images, arrivals)
         assert report.n_cached == 3
         assert report.n_requests - report.n_cached == 3

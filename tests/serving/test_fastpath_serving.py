@@ -6,11 +6,11 @@ these tests run without the session-scoped trained pipeline.
 
 import numpy as np
 
+from repro.cluster import Cluster
 from repro.hw.devices import raspberry_pi4
 from repro.models import BranchyLeNet, LeNet
 from repro.nn.fastpath import ConvStep
 from repro.serving.backends import BranchyNetBackend, LeNetBackend
-from repro.serving.engine import Server
 
 rng = np.random.default_rng(42)
 
@@ -51,18 +51,18 @@ def test_backend_predict_zero_alloc_across_ragged_batches():
 
 
 def test_server_fastpath_predictions_match_reference():
-    """End-to-end Server run (micro-batching => ragged final batches):
-    served predictions equal the reference autograd path exactly."""
+    """End-to-end one-replica run (micro-batching => ragged final
+    batches): served predictions equal the reference autograd path."""
     model = LeNet(rng=1)
     backend = LeNetBackend(model, raspberry_pi4())
     images = rng.random((83, 1, 28, 28), dtype=np.float32)
     arrival_s = np.sort(rng.random(83)).astype(np.float64)
-    server = Server(backend, max_batch_size=16, max_wait_s=0.01)
+    node = Cluster([backend], max_batch_size=16, max_wait_s=0.01)
     # Feeding the reference-path predictions as "labels" turns the report's
     # accuracy into an equivalence check: every served prediction must
     # match the autograd path (modulo argmax ties on near-equal logits).
     ref = model.predict(images, fastpath=False)
-    report = server.serve(images, arrival_s, labels=ref, scenario="fastpath-equivalence")
+    report = node.serve(images, arrival_s, labels=ref, scenario="fastpath-equivalence")
     assert report.accuracy > 0.99  # <1% argmax ties between GEMM orders
 
 
@@ -70,7 +70,7 @@ def test_server_branchynet_ragged_batches_match_reference():
     backend = BranchyNetBackend(BranchyLeNet(rng=2), raspberry_pi4(), threshold=1.5)
     images = rng.random((45, 1, 28, 28), dtype=np.float32)
     arrival_s = np.sort(rng.random(45)).astype(np.float64)
-    server = Server(backend, max_batch_size=8, max_wait_s=0.01)
+    node = Cluster([backend], max_batch_size=8, max_wait_s=0.01)
     ref = backend.branchynet.infer(images, threshold=1.5, fastpath=False).predictions
-    report = server.serve(images, arrival_s, labels=ref, scenario="fastpath-branchy")
+    report = node.serve(images, arrival_s, labels=ref, scenario="fastpath-branchy")
     assert report.accuracy > 0.99  # <1% argmax ties between GEMM orders

@@ -138,14 +138,14 @@ class TestServedAllHardTrace:
     def test_server_survives_all_hard_stream(self, branchy, images):
         # A near-zero threshold routes every request down the hard path;
         # the serving loop must not allocate empty easy sub-batches.
+        from repro.cluster import Cluster
         from repro.hw.devices import raspberry_pi4
         from repro.serving.backends import BranchyNetBackend
-        from repro.serving.engine import Server
+        from repro.sim.records import ROUTE_EASY, ROUTE_HARD
 
         backend = BranchyNetBackend(branchy, raspberry_pi4(), threshold=1e-9)
-        server = Server(backend, max_batch_size=8, max_wait_s=0.002)
+        node = Cluster([backend], max_batch_size=8, max_wait_s=0.002)
         arrival_s = np.cumsum(np.full(len(images), 0.002))
-        report = server.serve(images, arrival_s)
-        assert report.n_hard == len(images)
-        assert report.n_easy == 0
-        assert report.hard_fraction == 1.0
+        report, log = node.serve_log(images, arrival_s)
+        assert log.route_count(ROUTE_HARD) == report.n_served == len(images)
+        assert log.route_count(ROUTE_EASY) == 0

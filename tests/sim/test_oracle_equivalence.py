@@ -22,8 +22,8 @@ from repro.offload.engine import EdgeTier, cloud_server_for
 from repro.offload.policies import EntropyGated, TensorCodec
 from repro.serving.arrivals import poisson_arrivals, zipf_popularity
 from repro.serving.backends import BranchyNetBackend, LeNetBackend
-from repro.serving.engine import Server
 from repro.sim import RequestLog, offload_oracle, oracle_backend
+from repro.sim.records import ROUTE_EASY, ROUTE_HARD
 
 N_POOL = 48
 N_REQUESTS = 400
@@ -81,25 +81,28 @@ class TestServingParity:
         ids, arrival_s, labels = stream
 
         def build(backend):
-            return Server(backend, max_batch_size=8, max_wait_s=0.003, cache_capacity=32)
+            return Cluster([backend], max_batch_size=8, max_wait_s=0.003, cache_capacity=32)
 
         live_backend = BranchyNetBackend(branchy, raspberry_pi4())
         live = build(live_backend).serve(images[ids], arrival_s, labels=labels)
-        orc = build(oracle_backend(live_backend, images)).serve(
+        orc, log = build(oracle_backend(live_backend, images)).serve_log(
             ids, arrival_s, labels=labels
         )
         assert_reports_equal(live, orc)
-        assert orc.n_easy > 0 and orc.n_hard > 0  # both gate outcomes occurred
+        # Both gate outcomes occurred.
+        assert log.route_count(ROUTE_EASY) > 0 and log.route_count(ROUTE_HARD) > 0
         assert orc.n_cached > 0  # the cache genuinely participated
 
     def test_per_request_records_identical(self, pool, branchy, stream):
         images, _ = pool
         ids, arrival_s, labels = stream
         backend = BranchyNetBackend(branchy, raspberry_pi4())
-        _, live_log = Server(backend, cache_capacity=16).serve_log(
-            images[ids], arrival_s, labels=labels
-        )
-        _, orc_log = Server(oracle_backend(backend, images), cache_capacity=16).serve_log(
+
+        def build(backend):
+            return Cluster([backend], max_batch_size=32, max_wait_s=0.005, cache_capacity=16)
+
+        _, live_log = build(backend).serve_log(images[ids], arrival_s, labels=labels)
+        _, orc_log = build(oracle_backend(backend, images)).serve_log(
             ids, arrival_s, labels=labels
         )
         for column in RequestLog.__slots__:
@@ -111,10 +114,10 @@ class TestServingParity:
         images, _ = pool
         ids, arrival_s, labels = stream
         backend = LeNetBackend(LeNet(rng=0), gci_cpu())
-        live = Server(backend, max_batch_size=16).serve(
+        live = Cluster([backend], max_batch_size=16, max_wait_s=0.005).serve(
             images[ids], arrival_s, labels=labels
         )
-        orc = Server(oracle_backend(backend, images), max_batch_size=16).serve(
+        orc = Cluster([oracle_backend(backend, images)], max_batch_size=16, max_wait_s=0.005).serve(
             ids, arrival_s, labels=labels
         )
         assert_reports_equal(live, orc)

@@ -2,11 +2,12 @@
 
 The sweep walks the public classes of the simulator's packages, sets one
 numeric argument at a time to NaN, +inf and -inf, and requires the
-constructor itself to raise, not a run halfway through: a ``ValueError``,
-or the ``TypeError``/``OverflowError`` Python raises where an integer
-(a seed, a count) is converted.  An infinite value that means something
-is allow-listed below, with its meaning.  Required arguments come from a
-small fixture table.
+constructor itself to raise a ``ValueError``, not a run halfway through
+(and not the ``TypeError``/``OverflowError`` of an integer conversion,
+which does not say which setting was wrong).  An infinite value that
+means something is allow-listed below, with its meaning.  Required
+arguments come from a small fixture table.  Settings that take a whole
+number (a count, a seed) must also refuse a fraction, by name.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ RECORDS = {
     "OffloadReport",
     "PhaseStat",
     "SLOAlert",
-    "ServingReport",
     "SessionTransfer",
     "SplitPlan",
 }
@@ -63,7 +63,22 @@ ALLOWED = {
 }
 
 #: What a constructor may raise for a bad number.
-REJECTIONS = (ValueError, TypeError, OverflowError)
+REJECTIONS = (ValueError,)
+
+#: (class, argument) pairs that take a whole number: 2.5 must fail with a
+#: ValueError that names the argument, not be truncated to 2.
+INTEGER_SETTINGS = (
+    ("AdmissionController", "max_outstanding"),
+    ("Cluster", "cache_capacity"),
+    ("Cluster", "max_batch_size"),
+    ("Cluster", "rng"),
+    ("EdgeTier", "rng"),
+    ("LRUResultCache", "capacity"),
+    ("MicroBatcher", "max_batch_size"),
+    ("PriorityBatcher", "max_batch_size"),
+    ("Replica", "max_batch_size"),
+    ("WeightedFairAdmission", "max_outstanding"),
+)
 
 
 def _backend():
@@ -160,7 +175,6 @@ REQUIRED = {
     "EdgeTier": _edge_tier_args,
     "DeadlineAware": lambda: {"deadline_s": 0.2},
     "EntropyGated": lambda: {},
-    "Server": lambda: {"backend": _backend()},
     "RequestClass": lambda: {"name": "x", "priority": 0, "deadline_s": 0.1, "weight": 1.0},
     "PriorityBatcher": lambda: {"classes": _classes()},
     "EntropyRouter": lambda: {"branchynet": _branchy()},
@@ -234,6 +248,17 @@ def test_non_finite_setting_fails_at_construction(cls, arg, value):
         cls(**kwargs)  # an allowed value constructs
         return
     with pytest.raises(REJECTIONS):
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, arg", INTEGER_SETTINGS, ids=[f"{name}-{arg}" for name, arg in INTEGER_SETTINGS]
+)
+def test_fractional_count_fails_at_construction(name, arg):
+    cls = {c.__name__: c for c in _public_classes()}[name]
+    kwargs = REQUIRED[name]() if name in REQUIRED else {}
+    kwargs[arg] = 2.5
+    with pytest.raises(ValueError, match=arg):
         cls(**kwargs)
 
 

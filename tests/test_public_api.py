@@ -132,6 +132,22 @@ def test_top_level_workflow_symbols():
     # Construction-level sanity only (training covered elsewhere).
     assert PipelineConfig(dataset="mnist").dataset == "mnist"
     assert TrainConfig().epochs > 0
+    # The model classes and workflow functions resolve to their home
+    # modules, not to stand-ins.
+    homes = {
+        CBNet: "repro.core.cbnet",
+        BranchyLeNet: "repro.models.branchynet",
+        ConvertingAutoencoder: "repro.models.autoencoder",
+        LeNet: "repro.models.lenet",
+        LightweightClassifier: "repro.models.lightweight",
+        build_cbnet_pipeline: "repro.core.pipeline",
+        load_dataset: "repro.data.synth.registry",
+        train_baseline_lenet: "repro.core.pipeline",
+    }
+    for obj, home in homes.items():
+        assert obj.__module__ == home, obj.__name__
+    assert all(inspect.isclass(obj) for obj in list(homes)[:5])
+    assert all(inspect.isfunction(obj) for obj in list(homes)[5:])
 
 
 def test_constructors_take_settings_not_runtime_state():

@@ -55,11 +55,11 @@ def test_stale_members_of_public_names_are_flagged_with_their_line():
     doc = (
         "Live: `Cluster.serve_log`, `Replica.queue_depth`, `RequestLog.route`,\n"
         "`Replica.busy_s` (a dataclass field), `Observer.chrome_trace(path)`.\n"
-        "Gone: `Server.serve_detailed`; `np.float64` and `self.obs` are not ours.\n"
+        "Gone: `Cluster.serve_detailed`; `np.float64` and `self.obs` are not ours.\n"
         "Gone too: `RequestLog.to_requests()`; `repro.sim.RequestLog` is a dotted name.\n"
     )
     assert reference_violations(doc, DOC_MEMBER, "docs/sim.md", names) == [
-        "docs/sim.md:3: `Server.serve_detailed` does not resolve",
+        "docs/sim.md:3: `Cluster.serve_detailed` does not resolve",
         "docs/sim.md:4: `RequestLog.to_requests` does not resolve",
     ]
 
