@@ -5,13 +5,15 @@ Builds (or loads from cache) a small CBNet pipeline, wraps it and
 BranchyNet as serving backends on a simulated Raspberry Pi 4, and
 replays the same bursty Zipf-skewed request stream through each on a
 one-replica `repro.cluster.Cluster` — micro-batching, LRU result
-caching, and easy/hard routing included.
+caching, and easy/hard routing included — then prints the two runs side
+by side in the serving study's table.
 
 Run:  python examples/serving_demo.py
 """
 
 from repro import PipelineConfig, TrainConfig, build_cbnet_pipeline
 from repro.cluster import Cluster
+from repro.experiments.serve import ServingComparison
 from repro.hw import raspberry_pi4
 from repro.serving import (
     BranchyNetBackend,
@@ -46,8 +48,9 @@ def main() -> None:
     )
 
     # 3. Serve the identical stream through CBNet and BranchyNet, each on
-    #    a one-replica cluster (one node: cache, micro-batcher, worker).
-    reports = []
+    #    a one-replica cluster (one node: cache, micro-batcher, worker),
+    #    and set the two runs side by side.
+    runs = {}
     for backend in (
         CBNetBackend(artifacts.cbnet, device),
         BranchyNetBackend(artifacts.branchynet, device),
@@ -58,11 +61,19 @@ def main() -> None:
             max_wait_s=0.004,
             cache_capacity=256,
         )
-        report = node.serve(images, arrival_s, labels=labels, scenario="bursty")
-        print(f"{backend.name:10s} {report.summary()}")
-        reports.append(report)
+        runs[backend.name] = node.serve_log(
+            images, arrival_s, labels=labels, scenario="bursty"
+        )
+    comparison = ServingComparison(
+        dataset=config.dataset,
+        device=device.name,
+        n_requests=n_requests,
+        exit_rate=artifacts.branchynet.infer(test.images).early_exit_rate,
+        runs={"bursty": runs},
+    )
+    print(comparison.render())
 
-    cb, br = reports
+    (cb, _), (br, _) = runs["cbnet"], runs["branchynet"]
     print(
         f"\nCBNet's constant service time keeps its p99 at {cb.p99_s * 1e3:.1f} ms "
         f"vs BranchyNet's {br.p99_s * 1e3:.1f} ms under identical load."

@@ -431,12 +431,6 @@ class Cluster:
             raise ValueError(f"max_batch_size must be an integer >= 1, got {max_batch_size}")
         if not (isinstance(cache_capacity, Integral) and cache_capacity >= 0):
             raise ValueError(f"cache_capacity must be an integer >= 0, got {cache_capacity}")
-        if not (
-            rng is None
-            or isinstance(rng, np.random.Generator)
-            or (isinstance(rng, Integral) and rng >= 0)
-        ):
-            raise ValueError(f"rng must be a Generator, an integer >= 0 or None, got {rng!r}")
         if len({bool(b.oracle) for b in backends}) > 1:
             raise ValueError(
                 "cannot mix oracle and live backends in one fleet: the request "
@@ -631,7 +625,8 @@ class Cluster:
         carries the latency, throughput, cache and accuracy columns
         and the fleet's — shed rate, SLO attainment, replica-seconds,
         availability, retries.  A single node is a one-replica
-        cluster.
+        cluster.  A cluster replays one trace; a trace refused with a
+        ``ValueError`` does not count as that one.
         """
         report, _ = self.serve_log(images, arrival_s, labels, scenario, request_classes)
         return report
@@ -655,7 +650,6 @@ class Cluster:
             raise RuntimeError(
                 "the observer already holds a finished run; pass a fresh Observer"
             )
-        self._served = True
         images, arrival_s = validate_trace(images, arrival_s)
         if self.classes is not None and request_classes is None:
             raise ValueError(
@@ -668,6 +662,9 @@ class Cluster:
             if request_classes is not None
             else None
         )
+        # Set only once the trace is accepted: a refused call leaves the
+        # cluster as it was.
+        self._served = True
         oracle = self.replicas[0].backend.oracle
 
         prof = self.prof

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -345,12 +344,6 @@ class EdgeTier:
             )
         if not isinstance(link, (NetworkLink, SessionTransport)):
             raise TypeError("EdgeTier needs a NetworkLink or a SessionTransport")
-        if not (
-            rng is None
-            or isinstance(rng, np.random.Generator)
-            or (isinstance(rng, Integral) and rng >= 0)
-        ):
-            raise ValueError(f"rng must be a Generator, an integer >= 0 or None, got {rng!r}")
         self.branchynet = branchynet
         self.edge_device = edge_device
         self.link = link
@@ -395,7 +388,8 @@ class EdgeTier:
         Same contract as :meth:`repro.cluster.Cluster.serve`: ``images[i]``
         arrives at ``arrival_s[i]`` (non-decreasing); ``labels`` adds
         genuine end-to-end accuracy (branch exits, local trunks, and
-        cloud completions alike).  One call per tier, as per cluster.
+        cloud completions alike).  One accepted trace per tier, as per
+        cluster.
         """
         # Imported here: repro.netsim.fleet imports repro.offload.policies,
         # whose package imports this module.
@@ -413,8 +407,8 @@ class EdgeTier:
             raise RuntimeError(
                 "the observer already holds a finished run; pass a fresh Observer"
             )
-        self._served = True
         images, arrival_s = validate_trace(images, arrival_s)
+        self._served = True  # a refused trace leaves the tier as it was
         n = images.shape[0]
 
         transport = self._transport()

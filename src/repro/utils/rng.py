@@ -10,6 +10,7 @@ work item derives its own seed with :func:`derive_seed`).
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -23,10 +24,14 @@ def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
     ``None`` produces a non-deterministic generator (fresh OS entropy); an
     ``int`` produces a deterministic PCG64 stream; an existing generator is
     passed through unchanged so callers can thread one RNG through a
-    pipeline.
+    pipeline.  Anything else (a negative or fractional seed, NaN) raises a
+    ``ValueError`` naming ``rng``, the name every seeded constructor
+    gives this argument.
     """
     if isinstance(seed, np.random.Generator):
         return seed
+    if not (seed is None or (isinstance(seed, Integral) and seed >= 0)):
+        raise ValueError(f"rng must be a Generator, an integer >= 0 or None, got {seed!r}")
     return np.random.default_rng(seed)
 
 

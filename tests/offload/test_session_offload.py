@@ -149,6 +149,22 @@ class TestTransportMode:
         assert state() == before
         assert not fresh.finalized and fresh.tracer.n_rows == 0
 
+    def test_refused_trace_leaves_the_tier_usable(self, branchy, stream):
+        """A trace the tier refuses is not its one replay: the same tier
+        then serves a good trace exactly as a fresh one does."""
+        images, arrival_s, labels = stream
+        tier = _tier(branchy, EntropyGated(), _transport())
+        with pytest.raises(ValueError):
+            tier.serve(images[:2], arrival_s[:1])  # length mismatch
+        with pytest.raises(ValueError):
+            tier.serve(images[:2], arrival_s[1::-1])  # unsorted
+        got = tier.serve(images, arrival_s, labels=labels)
+        want = _tier(branchy, EntropyGated(), _transport()).serve(
+            images, arrival_s, labels=labels
+        )
+        assert got.n_offloaded > 0
+        _same_fields(got, want)
+
 
 class TestBandwidthCollapseFallback:
     def test_deadline_aware_goes_local_when_the_trace_collapses(

@@ -175,13 +175,16 @@ class TestRoutingIntegration:
 
 class TestValidationAndRendering:
     def test_invalid_inputs_rejected(self):
-        # A cluster replays one trace, refused or not: one per call.
+        """Refused traces leave the node usable: one node takes every
+        bad call, then serves a good trace."""
+        node = Cluster([SumBackend()])
         with pytest.raises(ValueError):
-            Cluster([SumBackend()]).serve(make_images(2), np.array([0.0]))  # length mismatch
+            node.serve(make_images(2), np.array([0.0]))  # length mismatch
         with pytest.raises(ValueError):
-            Cluster([SumBackend()]).serve(make_images(0), np.array([]))  # empty stream
+            node.serve(make_images(0), np.array([]))  # empty stream
         with pytest.raises(ValueError):
-            Cluster([SumBackend()]).serve(make_images(2), np.array([1.0, 0.5]))  # unsorted
+            node.serve(make_images(2), np.array([1.0, 0.5]))  # unsorted
+        assert node.serve(make_images(2), np.array([0.0, 0.5])).n_served == 2
 
     def test_summary_and_table_render(self):
         """The serving comparison renders one row per backend, its "hard"
@@ -238,9 +241,8 @@ class TestValidationAndRendering:
             assert got == latency_percentiles(log.sojourn_s[served]), cr.name
 
     def test_request_classes_without_a_class_set_rejected(self):
+        node = Cluster([SumBackend()])
         with pytest.raises(ValueError, match="requires Cluster\\(classes=...\\)"):
-            Cluster([SumBackend()]).serve(
-                make_images(4), np.zeros(4), request_classes=np.zeros(4, np.int8)
-            )
-        report = Cluster([SumBackend()]).serve(make_images(4), np.zeros(4))
+            node.serve(make_images(4), np.zeros(4), request_classes=np.zeros(4, np.int8))
+        report = node.serve(make_images(4), np.zeros(4))
         assert report.class_reports == ()

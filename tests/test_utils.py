@@ -18,6 +18,11 @@ class TestRng:
         gen = np.random.default_rng(0)
         assert as_generator(gen) is gen
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), float("inf"), "7"])
+    def test_as_generator_rejects_a_bad_seed_by_name(self, seed):
+        with pytest.raises(ValueError, match="rng must be"):
+            as_generator(seed)
+
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed(1, "a", "b") == derive_seed(1, "a", "b")
         assert derive_seed(1, "a") != derive_seed(1, "b")
