@@ -13,8 +13,8 @@ Faults live in :mod:`repro.faults`: pass
 (:func:`~repro.faults.crash_window`,
 :func:`~repro.faults.poisson_failures`), slowdowns, partitions, and
 flaky windows, and ``Cluster(resilience=ResilienceConfig(...))`` to
-fight back with timeouts, retries, hedging, per-replica circuit
-breakers (:class:`ResilientBalancer`), and a degradation ladder.
+fight back with timeouts, retries, hedging, and per-replica circuit
+breakers (:class:`ResilientBalancer`).
 
 Quick tour::
 
@@ -37,7 +37,7 @@ from repro.cluster.admission import (
     AdmissionController,
     WeightedFairAdmission,
 )
-from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig, measured_warmup_s
+from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.engine import Cluster, ClusterReport, fleet_comparison_table
 from repro.cluster.policies import (
     POLICY_NAMES,
@@ -73,5 +73,4 @@ __all__ = [
     "DEGRADE",
     "Autoscaler",
     "AutoscalerConfig",
-    "measured_warmup_s",
 ]

@@ -138,12 +138,12 @@ class WeightedFairAdmission(AdmissionController):
         object passed to ``Cluster(classes=...)``).
     max_outstanding:
         Outstanding-work budget ``M``; ``0`` disables admission control.
-    policy:
-        ``"reject"`` or ``"degrade"``, as in the base controller.
+
+    Arrivals past their cap and reserve are rejected.
     """
 
-    def __init__(self, classes, max_outstanding: int, policy: str = REJECT) -> None:
-        super().__init__(max_outstanding, policy)
+    def __init__(self, classes, max_outstanding: int) -> None:
+        super().__init__(max_outstanding, REJECT)
         self.classes = classes
         m = self.max_outstanding
         caps, reserves = [], []

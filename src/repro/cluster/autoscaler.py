@@ -10,12 +10,10 @@ reads two reactive signals:
   on).
 
 Either signal over its threshold scales **up** by provisioning a fresh
-replica, which pays a configurable warm-up (measure a real one with
-:func:`measured_warmup_s` — the wall-clock cost of the backend's
-``warmup()`` fast-path trace) before it takes traffic.  Both signals
-comfortably under threshold scale **down** by *draining* the
-most-recently-added replica: it stops receiving, finishes its queue,
-and only then stops accruing replica-seconds.  A cooldown between
+replica, which pays a configurable warm-up before it takes traffic.
+Both signals comfortably under threshold scale **down** by *draining*
+the most-recently-added replica: it stops receiving, finishes its
+queue, and only then stops accruing replica-seconds.  A cooldown between
 actions prevents thrash, and ``min_replicas``/``max_replicas`` bound
 the fleet.
 
@@ -27,14 +25,10 @@ side so "as good at lower cost" is a readable claim.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable
 
-from repro.serving.backends import InferenceBackend
-
-__all__ = ["AutoscalerConfig", "Autoscaler", "measured_warmup_s"]
+__all__ = ["AutoscalerConfig", "Autoscaler"]
 
 
 @dataclass(frozen=True)
@@ -54,8 +48,7 @@ class AutoscalerConfig:
     min_replicas, max_replicas:
         Fleet size bounds (live = UP + WARMING + DRAINING-not-finished).
     warmup_s:
-        Virtual provisioning cost of a fresh replica before it serves
-        (see :func:`measured_warmup_s`).
+        Virtual provisioning cost of a fresh replica before it serves.
     cooldown_s:
         Minimum spacing between consecutive scaling actions.
     """
@@ -164,20 +157,3 @@ class Autoscaler:
                 return "down"
         return None
 
-
-def measured_warmup_s(
-    backend_factory: Callable[[], InferenceBackend],
-    batch_size: int = 16,
-    sample_shape: tuple[int, ...] | None = None,
-) -> float:
-    """Wall-clock cost of a cold backend's ``warmup()`` trace, in seconds.
-
-    Builds a fresh backend (warm-up is memoized per instance, so a cold
-    one is required) and times its fast-path plan compilation — the
-    realistic provisioning cost to feed ``AutoscalerConfig.warmup_s``
-    when the simulated fleet should pay what this machine actually pays.
-    """
-    backend = backend_factory()
-    t0 = time.perf_counter()
-    backend.warmup(batch_size, sample_shape=sample_shape)
-    return time.perf_counter() - t0

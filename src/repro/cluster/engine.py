@@ -55,7 +55,6 @@ from repro.cluster.autoscaler import Autoscaler
 from repro.cluster.policies import LoadBalancer, ResilientBalancer, make_policy
 from repro.cluster.replica import InFlightBatch, Replica, ReplicaState
 from repro.eval.metrics import latency_percentiles
-from repro.faults.degrade import MODE_DEGRADE, MODE_SHED, DegradationController
 from repro.faults.plan import CRASH, FLAKY, RECOVER, SLOWDOWN, FaultPlan
 from repro.faults.resilience import ResilienceConfig
 from repro.obs.spans import (
@@ -351,9 +350,7 @@ class Cluster:
         routed request, retries failed/timed-out attempts under the
         config's budget with jittered backoff, wraps the balancer in a
         :class:`~repro.cluster.policies.ResilientBalancer` (per-replica
-        circuit breakers), and — if the config carries a degradation
-        ladder — walks full → early-exit → shed under sustained breaker
-        pressure.  ``None`` (default) preserves the naive engine
+        circuit breakers).  ``None`` (default) preserves the naive engine
         bit-for-bit: faults still strike, nothing fights back.
     slo_s:
         Sojourn target used for the report's SLO-attainment column (and
@@ -455,15 +452,11 @@ class Cluster:
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.faults = faults
         self.resilience = resilience
-        self._degrader: DegradationController | None = None
-        if resilience is not None:
-            # Breaker-driven ejection lives inside the balancer: wrap
-            # whatever policy the caller picked (unless they already
-            # passed a ResilientBalancer of their own).
-            if not isinstance(self.policy, ResilientBalancer):
-                self.policy = ResilientBalancer(self.policy, resilience.breaker)
-            if resilience.degradation is not None:
-                self._degrader = DegradationController(resilience.degradation)
+        # Breaker-driven ejection lives inside the balancer: wrap
+        # whatever policy the caller picked (unless they already passed
+        # a ResilientBalancer of their own).
+        if resilience is not None and not isinstance(self.policy, ResilientBalancer):
+            self.policy = ResilientBalancer(self.policy, resilience.breaker)
         # Static per-replica blackhole windows: responses computed inside
         # one are withheld until it heals (the balancer keeps routing —
         # only timeouts can tell a partitioned replica from a slow one).
@@ -940,17 +933,6 @@ class Cluster:
                 if books.track_completions:
                     books.completions.append((done, i))
                 return
-        if self._degrader is not None:
-            live = [r.replica_id for r in self.replicas if r.state != ReplicaState.DOWN]
-            mode = self._degrader.update(now, self.policy.open_fraction(live))
-            if mode == MODE_SHED:
-                log.route[i] = ROUTE_SHED
-                log.requested_route[i] = ROUTE_SHED
-                if self.obs is not None:
-                    self.obs.on_shed(now)
-                return
-            if mode == MODE_DEGRADE:
-                log.degraded[i] = True
         if self.admission is not None:
             cls = int(log.req_class[i])
             if books.class_outstanding is not None:
@@ -1178,12 +1160,7 @@ class Cluster:
                 log.route[i] = ROUTE_BATCHED
             # One outcome per request, not per batch: probe accounting
             # must balance the per-request note_probe at choose time.
-            self.policy.observe(
-                replica.replica_id,
-                batch.completion_s,
-                ok=True,
-                latency_s=batch.completion_s - batch.start_s,
-            )
+            self.policy.observe(replica.replica_id, batch.completion_s, ok=True)
 
     def _judge_failure(
         self, replica: Replica, batch: InFlightBatch, now: float
@@ -1324,9 +1301,7 @@ class Cluster:
             log.requested_route[idx] = np.where(decision.easy, ROUTE_EASY, ROUTE_HARD)
         else:
             log.requested_route[idx] = ROUTE_BATCHED
-        if decision is not None and (
-            self.admission is not None or self._degrader is not None
-        ):
+        if decision is not None and self.admission is not None:
             degraded = log.degraded
             forced = [pos for pos, i in enumerate(indices) if degraded[i]]
             if forced:

@@ -45,7 +45,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.cluster.replica import Replica
-from repro.faults.breaker import CLOSED, BreakerConfig, CircuitBreaker
+from repro.faults.breaker import BreakerConfig, CircuitBreaker
 
 __all__ = [
     "LoadBalancer",
@@ -293,32 +293,15 @@ class ResilientBalancer(LoadBalancer):
         """Forward to the inner policy."""
         self.inner.release()
 
-    def observe(
-        self, replica_id: int, now: float, ok: bool, latency_s: float = 0.0
-    ) -> None:
+    def observe(self, replica_id: int, now: float, ok: bool) -> None:
         """Feed one attempt outcome into the replica's breaker."""
-        self._breaker(replica_id).record(now, ok, latency_s)
+        self._breaker(replica_id).record(now, ok)
 
     def void(self, replica_id: int) -> None:
         """An attempt on this replica was cancelled before any outcome
         (copy dropped at a flush, or its response lost a hedge race):
         release the probe slot it may have consumed."""
         self._breaker(replica_id).void_probe()
-
-    def open_fraction(self, replica_ids: list[int]) -> float:
-        """Fraction of the given replicas whose breakers are not closed.
-
-        This is the degradation controller's pressure signal; replicas
-        the balancer has never routed to count as closed.
-        """
-        if not replica_ids:
-            return 0.0
-        n_open = sum(
-            1
-            for rid in replica_ids
-            if rid in self.breakers and self.breakers[rid].state != CLOSED
-        )
-        return n_open / len(replica_ids)
 
     @property
     def n_trips(self) -> int:

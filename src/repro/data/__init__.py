@@ -7,7 +7,7 @@ controlled fraction of *hard* samples (blur/noise/occlusion/warp) tuned so
 BranchyNet's early-exit rates match the paper (see DESIGN.md §2).
 """
 
-from repro.data.dataset import Dataset, ArrayDataset, Subset
+from repro.data.dataset import Dataset, ArrayDataset
 from repro.data.dataloader import DataLoader
 from repro.data.splits import stratified_subset
 from repro.data.synth.registry import load_dataset, DATASET_SPECS, SyntheticSpec
@@ -15,7 +15,6 @@ from repro.data.synth.registry import load_dataset, DATASET_SPECS, SyntheticSpec
 __all__ = [
     "Dataset",
     "ArrayDataset",
-    "Subset",
     "DataLoader",
     "stratified_subset",
     "load_dataset",

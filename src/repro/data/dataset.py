@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["Dataset", "ArrayDataset", "Subset"]
+__all__ = ["Dataset", "ArrayDataset"]
 
 
 class Dataset:
@@ -99,28 +99,3 @@ class ArrayDataset(Dataset):
     def class_indices(self, label: int) -> np.ndarray:
         return np.flatnonzero(self._labels == label)
 
-
-class Subset(Dataset):
-    """A view over a parent dataset restricted to ``indices``."""
-
-    def __init__(self, parent: Dataset, indices: np.ndarray | Sequence[int]) -> None:
-        self.parent = parent
-        self.indices = np.asarray(indices, dtype=np.int64)
-        if len(self.indices) and (
-            self.indices.min() < 0 or self.indices.max() >= len(parent)
-        ):
-            raise IndexError("subset index out of range of parent dataset")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, index: int) -> tuple[np.ndarray, int]:
-        return self.parent[int(self.indices[index])]
-
-    @property
-    def images(self) -> np.ndarray:
-        return self.parent.images[self.indices]
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.parent.labels[self.indices]

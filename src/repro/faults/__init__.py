@@ -14,11 +14,9 @@ scenario class.  Two halves:
 * **Resilience mechanisms** — what a production stack does about it:
   per-request timeouts with jittered exponential-backoff retries under
   an explicit budget (:mod:`repro.faults.retry`), hedged dispatch
-  (speculative second replica, first response wins), per-replica
-  circuit breakers fed by rolling error/latency windows
-  (:mod:`repro.faults.breaker`), and a degradation controller that
-  walks the full → early-exit → shed ladder under sustained breaker
-  pressure (:mod:`repro.faults.degrade`) — all bundled into a
+  (speculative second replica, first response wins), and per-replica
+  circuit breakers fed by rolling error windows
+  (:mod:`repro.faults.breaker`) — all bundled into a
   :class:`ResilienceConfig` consumed by
   :class:`repro.cluster.Cluster(resilience=...)`.
 
@@ -35,13 +33,6 @@ Quick tour::
 """
 
 from repro.faults.breaker import BreakerConfig, CircuitBreaker
-from repro.faults.degrade import (
-    MODE_DEGRADE,
-    MODE_FULL,
-    MODE_SHED,
-    DegradationConfig,
-    DegradationController,
-)
 from repro.faults.plan import (
     CRASH,
     FLAKY,
@@ -79,11 +70,6 @@ __all__ = [
     "RetryPolicy",
     "CircuitBreaker",
     "BreakerConfig",
-    "DegradationController",
-    "DegradationConfig",
-    "MODE_FULL",
-    "MODE_DEGRADE",
-    "MODE_SHED",
     "ResilienceConfig",
     "hedge_delay_for",
 ]

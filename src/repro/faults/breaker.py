@@ -1,18 +1,18 @@
-"""Per-replica circuit breakers over rolling error/latency windows.
+"""Per-replica circuit breakers over rolling error windows.
 
 A :class:`CircuitBreaker` watches one replica's recent outcomes (batch
 completions and timeout fires) and walks the classic three-state
 machine:
 
 * **closed** — traffic flows; outcomes accumulate in a rolling window.
-* **open** — too many failures (or too-slow successes): the replica is
-  ejected from balancing for ``cooldown_s``.
+* **open** — too many failures: the replica is ejected from balancing
+  for ``cooldown_s``.
 * **half-open** — after cooldown a limited number of *probe* requests
   are admitted; all-successful probes close the breaker, any failure
   re-opens it.
 
-Breakers observe only what a client could: response outcomes and their
-latencies.  A partitioned replica looks identical to a slow one — the
+Breakers observe only what a client could: response outcomes.  A
+partitioned replica looks identical to a slow one — the
 timeout fires are what feed the breaker, which is exactly the
 gray-failure behaviour the chaos harness pins down (safety: unhealthy
 replicas get ejected; liveness: healthy ones are eventually re-admitted).
@@ -37,9 +37,8 @@ class BreakerConfig:
     """Tuning knobs for one :class:`CircuitBreaker`.
 
     The breaker trips when, over the trailing ``window_s`` (with at
-    least ``min_samples`` outcomes), either the error fraction exceeds
-    ``error_threshold`` or — when ``latency_threshold_s`` is set — the
-    mean success latency exceeds it.  It then ejects for ``cooldown_s``
+    least ``min_samples`` outcomes), the error fraction exceeds
+    ``error_threshold``.  It then ejects for ``cooldown_s``
     and re-admits via ``half_open_probes`` trial requests.  Durations
     are finite (an endless cooldown would never re-admit a healed
     replica) and counts are integers.
@@ -48,7 +47,6 @@ class BreakerConfig:
     window_s: float = 0.5
     min_samples: int = 8
     error_threshold: float = 0.5
-    latency_threshold_s: float | None = None
     cooldown_s: float = 0.25
     half_open_probes: int = 2
 
@@ -62,10 +60,6 @@ class BreakerConfig:
         if not 0.0 < self.error_threshold <= 1.0:
             raise ValueError(
                 f"error_threshold must be in (0, 1], got {self.error_threshold}"
-            )
-        if self.latency_threshold_s is not None and not self.latency_threshold_s > 0:
-            raise ValueError(
-                f"latency_threshold_s must be positive, got {self.latency_threshold_s}"
             )
         if not 0 < self.cooldown_s < math.inf:
             raise ValueError(f"cooldown_s must be positive and finite, got {self.cooldown_s}")
@@ -106,7 +100,7 @@ class CircuitBreaker:
             if not window.popleft()[1]:
                 self._n_err -= 1
 
-    def record(self, now: float, ok: bool, latency_s: float = 0.0) -> None:
+    def record(self, now: float, ok: bool) -> None:
         """Feed one outcome (a batch completion or a timeout fire).
 
         In half-open state outcomes are interpreted as probe results:
@@ -126,7 +120,7 @@ class CircuitBreaker:
                     self._probes_out = 0
                     self._probes_ok = 0
             return
-        self._window.append((now, ok, latency_s))
+        self._window.append((now, ok))
         if not ok:
             self._n_err += 1
         self._evict(now)
@@ -136,15 +130,7 @@ class CircuitBreaker:
     def _should_trip(self) -> bool:
         if len(self._window) < self.config.min_samples:
             return False
-        if self._n_err / len(self._window) > self.config.error_threshold:
-            return True
-        if self.config.latency_threshold_s is not None:
-            # Re-summed on purpose: a running float total would change
-            # the summation order, and with it the trip instants.
-            lats = [lat for _, ok, lat in self._window if ok]
-            if lats and sum(lats) / len(lats) > self.config.latency_threshold_s:
-                return True
-        return False
+        return self._n_err / len(self._window) > self.config.error_threshold
 
     def _trip(self, now: float) -> None:
         self.state = OPEN

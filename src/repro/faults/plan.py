@@ -51,38 +51,8 @@ __all__ = [
     "crash_window",
     "poisson_failures",
     "fault_storm",
-    "validate_windows",
 ]
 
-
-def validate_windows(
-    windows, what: str = "outage", owner: str = ""
-) -> tuple[tuple[float, float], ...]:
-    """Validate declared ``(start_s, end_s)`` windows; return them normalized.
-
-    The one validator every layer that declares time windows shares —
-    :class:`~repro.hw.network.NetworkLink` outages, the
-    :mod:`repro.netsim` link fault plans — so "sorted, disjoint,
-    end > start" means the same thing (and raises the same
-    ``ValueError``) everywhere.  ``owner`` prefixes messages with the
-    declaring object's name; ``what`` names the window kind.
-    """
-    prefix = f"{owner}: " if owner else ""
-    normalized: list[tuple[float, float]] = []
-    last_end = -float("inf")
-    for start, end in windows:
-        start, end = float(start), float(end)
-        if end <= start:
-            raise ValueError(
-                f"{prefix}{what} window ({start}, {end}) must have end > start"
-            )
-        if start < last_end:
-            raise ValueError(
-                f"{prefix}{what} windows must be sorted and non-overlapping"
-            )
-        last_end = end
-        normalized.append((start, end))
-    return tuple(normalized)
 
 CRASH = "crash"
 RECOVER = "recover"
@@ -285,13 +255,17 @@ class FaultPlan:
         return intervals
 
 
+#: Ranges a storm draws its slowdown factors and flaky failure
+#: probabilities from.
+_STORM_SLOWDOWN = (4.0, 16.0)
+_STORM_FLAKY_P = (0.2, 0.7)
+
+
 def fault_storm(
     n_replicas: int,
     horizon_s: float,
     rng=None,
     mean_window_s: float | None = None,
-    slowdown_factor: tuple[float, float] = (4.0, 16.0),
-    flaky_p: tuple[float, float] = (0.2, 0.7),
     windows_per_replica: float = 1.5,
     crash_mtbf_s: float | None = None,
     crash_mttr_s: float | None = None,
@@ -301,8 +275,9 @@ def fault_storm(
     Each replica independently draws ~``windows_per_replica`` fault
     windows uniformly over ``[0, horizon_s)``; each window is a
     slowdown, partition, or flaky episode with equal probability, with
-    magnitudes drawn from the given ranges and durations exponential
-    around ``mean_window_s`` (default: an eighth of the horizon).
+    a slowdown factor uniform in [4, 16) or a flaky failure probability
+    uniform in [0.2, 0.7), and a duration exponential around
+    ``mean_window_s`` (default: an eighth of the horizon).
     ``crash_mtbf_s`` and ``crash_mttr_s``, given together, additionally
     overlay :func:`poisson_failures` renewal crashes.  The plan's
     ``seed`` is derived from the same stream, so one integer seed
@@ -326,12 +301,12 @@ def fault_storm(
             )
             kind = ("slowdown", "partition", "flaky")[int(rng.integers(3))]
             if kind == "slowdown":
-                factor = float(rng.uniform(*slowdown_factor))
+                factor = float(rng.uniform(*_STORM_SLOWDOWN))
                 faults.extend(slowdown_window(replica_id, at, duration, factor))
             elif kind == "partition":
                 faults.extend(partition_window(replica_id, at, duration))
             else:
-                p = float(rng.uniform(*flaky_p))
+                p = float(rng.uniform(*_STORM_FLAKY_P))
                 faults.extend(flaky_window(replica_id, at, duration, p))
     if crash_mtbf_s is not None:
         faults.extend(

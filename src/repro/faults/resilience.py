@@ -3,9 +3,8 @@
 :class:`ResilienceConfig` is the single knob object
 :class:`repro.cluster.Cluster` accepts (``resilience=...``): a
 per-request timeout, a :class:`~repro.faults.retry.RetryPolicy`, an
-optional hedge delay, per-replica
-:class:`~repro.faults.breaker.BreakerConfig`, and an optional
-:class:`~repro.faults.degrade.DegradationConfig`.  Passing ``None``
+optional hedge delay, and per-replica
+:class:`~repro.faults.breaker.BreakerConfig`.  Passing ``None``
 keeps the engine's historical naive behaviour bit-identical.
 """
 
@@ -14,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.faults.breaker import BreakerConfig
-from repro.faults.degrade import DegradationConfig
 from repro.faults.retry import RetryPolicy
 
 __all__ = ["ResilienceConfig", "hedge_delay_for"]
@@ -29,16 +27,13 @@ class ResilienceConfig:
     schedules a backed-off retry.  ``hedge_delay_s``, when set, arms a
     speculative second dispatch that races the first — first response
     wins, the loser is cancelled and can never overwrite the winner.
-    ``breaker`` configures per-replica ejection; ``degradation``
-    (optional) walks the full → early-exit → shed ladder under
-    sustained breaker pressure.
+    ``breaker`` configures per-replica ejection.
     """
 
     timeout_s: float = 0.1
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     hedge_delay_s: float | None = None
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    degradation: DegradationConfig | None = None
 
     def __post_init__(self) -> None:
         # Negated comparisons: NaN fails every comparison, so it is

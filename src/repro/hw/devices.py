@@ -100,46 +100,27 @@ def _architecture_counts() -> dict[str, tuple[float, float, int]]:
     }
 
 
-def calibrate_device(
-    name: str,
-    targets_ms: dict[str, float] | None = None,
-    exit_rate: float = PAPER_MNIST_EXIT_RATE,
-    ae_share: float = AE_SHARE_OF_CBNET,
-) -> DeviceProfile:
+@lru_cache(maxsize=None)
+def calibrate_device(name: str) -> DeviceProfile:
     """Fit a :class:`DeviceProfile` to Table II latencies for ``name``.
 
     Solves (non-negatively) for x = (sec/conv-MAC, sec/dense-MAC,
     per-layer overhead, per-sample sync overhead) in the linear system
     built from the four calibration equations described in the module
-    docstring.
+    docstring, at the paper's exit rate and autoencoder share.
 
-    Calibration against the default Table II targets is memoized per
-    ``(name, exit_rate, ae_share)``, so repeated CLI/experiment runs fit
-    each device once; custom ``targets_ms`` bypass the cache.
+    Calibration is memoized per device, so repeated CLI/experiment runs
+    fit each device once.
     """
     if name not in TABLE2_MNIST_MS:
         raise KeyError(f"unknown device {name!r}; known: {sorted(TABLE2_MNIST_MS)}")
-    if targets_ms is None:
-        return _calibrate_cached(name, float(exit_rate), float(ae_share))
-    return _calibrate(name, targets_ms, exit_rate, ae_share)
-
-
-@lru_cache(maxsize=None)
-def _calibrate_cached(name: str, exit_rate: float, ae_share: float) -> DeviceProfile:
-    """Memoized default-target path of :func:`calibrate_device`."""
-    return _calibrate(name, TABLE2_MNIST_MS[name], exit_rate, ae_share)
-
-
-def _calibrate(
-    name: str, targets: dict[str, float], exit_rate: float, ae_share: float
-) -> DeviceProfile:
-    """The actual non-negative least-squares fit."""
+    targets = TABLE2_MNIST_MS[name]
     counts = _architecture_counts()
     c_len, d_len, o_len = counts["lenet"]
     c_e, d_e, o_e = counts["early"]
     c_f, d_f, o_f = counts["full"]
     c_ae, d_ae, o_ae = counts["autoencoder"]
-    p = exit_rate
+    p = PAPER_MNIST_EXIT_RATE
 
     # Rows: LeNet, BranchyNet (expected over exits, + 1 sync), CBNet
     # classifier part, CBNet autoencoder part.  Columns: c, d, o, s.
@@ -160,8 +141,8 @@ def _calibrate(
         [
             targets["lenet"],
             targets["branchynet"],
-            (1.0 - ae_share) * targets["cbnet"],
-            ae_share * targets["cbnet"],
+            (1.0 - AE_SHARE_OF_CBNET) * targets["cbnet"],
+            AE_SHARE_OF_CBNET * targets["cbnet"],
         ]
     ) * 1e-3  # ms → s
 

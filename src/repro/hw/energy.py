@@ -7,19 +7,16 @@ from repro.hw.device import DeviceProfile
 __all__ = ["energy_joules", "energy_savings_percent"]
 
 
-def energy_joules(
-    device: DeviceProfile, latency_s: float, utilization: float | None = None
-) -> float:
+def energy_joules(device: DeviceProfile, latency_s: float) -> float:
     """Energy of one inference: average power times latency.
 
-    ``utilization`` defaults to the device's calibrated average (the
+    Power is drawn at the device's calibrated average utilization (the
     paper: "negligible difference in the CPU power consumption between
     various models").
     """
     if latency_s < 0:
         raise ValueError(f"latency must be non-negative, got {latency_s}")
-    u = device.utilization if utilization is None else utilization
-    return device.power(u) * latency_s
+    return device.power(device.utilization) * latency_s
 
 
 def energy_savings_percent(baseline_joules: float, model_joules: float) -> float:

@@ -16,17 +16,13 @@ split is worth it:
 * **jitter** — an exponential tail on top of propagation (seeded, so
   runs stay deterministic);
 * **loss/retry** — each attempt fails with ``loss_rate``; a failed
-  attempt occupies the link for its serialization time plus a
-  retransmit timeout (one RTT, growing geometrically under
-  ``retry_backoff_mult``) before the next try, under an explicit
-  ``max_attempts`` budget.
+  attempt occupies the link for its serialization time plus a one-RTT
+  retransmit timeout before the next try, under a budget of eight
+  attempts.
 
 Bandwidth can additionally degrade over (virtual) time via a
 trace-driven step function (:class:`BandwidthTrace`) — the "walking
-from wifi into the parking garage" scenario — and the link can be cut
-outright over declared ``outages`` windows (the edge↔cloud partition of
-:mod:`repro.faults`): :meth:`NetworkLink.next_available` defers any
-transfer that would start inside one to the window's end.
+from wifi into the parking garage" scenario.
 
 Presets (:func:`ethernet`, :func:`wifi`, :func:`lte`) are calibrated to
 typical last-hop numbers; :func:`network_links` returns all three keyed
@@ -37,11 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
-
-from repro.faults.plan import validate_windows
 
 __all__ = [
     "BandwidthTrace",
@@ -53,7 +46,7 @@ __all__ = [
     "network_links",
 ]
 
-_MAX_ATTEMPTS = 8  # default retransmit budget: transfers always deliver
+_MAX_ATTEMPTS = 8  # retransmit budget: transfers always deliver
 
 
 @dataclass(frozen=True)
@@ -63,9 +56,9 @@ class BandwidthTrace:
     ``times_s``/``scales`` describe piecewise-constant multipliers on
     the link's nominal bandwidth: the scale at time ``t`` is the entry
     of the *latest* step at or before ``t`` (1.0 before the first
-    step).  Scales must be positive — a dead link is modelled as a very
-    small scale, not zero, so transfers stay finite and the engine can
-    still drain.
+    step).  Step times must be finite and scales positive and finite —
+    a dead link is modelled as a very small scale, not zero, so
+    transfers stay finite and the engine can still drain.
     """
 
     times_s: tuple[float, ...]
@@ -78,10 +71,12 @@ class BandwidthTrace:
             )
         if not self.times_s:
             raise ValueError("a bandwidth trace needs at least one step")
+        if not all(math.isfinite(t) for t in self.times_s):
+            raise ValueError(f"times_s must be finite, got {self.times_s}")
         if any(np.diff(self.times_s) < 0):
             raise ValueError("step times must be non-decreasing")
-        if any(s <= 0 for s in self.scales):
-            raise ValueError("bandwidth scales must be positive")
+        if not all(0 < s < math.inf for s in self.scales):  # false for NaN too
+            raise ValueError(f"scales must be positive and finite, got {self.scales}")
 
     def scale_at(self, time_s: float) -> float:
         """Bandwidth multiplier in effect at ``time_s`` (1.0 before the trace)."""
@@ -130,26 +125,13 @@ class NetworkLink:
         (0 disables; sampling needs an ``rng``).
     loss_rate:
         Per-attempt probability a payload must be retransmitted
-        (attempts are capped so transfers always deliver).
+        (at most eight attempts, so transfers always deliver).
     tx_power_w:
         Radio power while the edge transmits — feeds the offload
         engine's edge-energy accounting next to compute energy.
     degradation:
         Optional :class:`BandwidthTrace` scaling both directions over
         virtual time.
-    max_attempts:
-        Explicit retry budget per transfer (first attempt included).
-        The historical behaviour — up to 8 immediate-timeout attempts —
-        is the default.
-    retry_backoff_mult:
-        Geometric growth of the retransmit timeout: attempt ``k`` waits
-        ``rtt_s * retry_backoff_mult**(k-1)`` before retrying.  1.0
-        (default) reproduces the historical fixed one-RTT timeout.
-    outages:
-        Declared ``(start_s, end_s)`` windows during which the link is
-        cut (an edge↔cloud partition).  Transfers never start inside a
-        window — callers defer via :meth:`next_available` — mirroring
-        the balancer↔replica partitions of :mod:`repro.faults`.
     """
 
     name: str
@@ -160,9 +142,6 @@ class NetworkLink:
     loss_rate: float = 0.0
     tx_power_w: float = 0.0
     degradation: BandwidthTrace | None = field(default=None)
-    max_attempts: int = _MAX_ATTEMPTS
-    retry_backoff_mult: float = 1.0
-    outages: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if not (0 < self.uplink_mbps < math.inf and 0 < self.downlink_mbps < math.inf):
@@ -175,38 +154,10 @@ class NetworkLink:
             raise ValueError(f"{self.name}: rtt/jitter/tx_power must be finite and non-negative")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"{self.name}: loss_rate must be in [0, 1), got {self.loss_rate}")
-        if not (isinstance(self.max_attempts, Integral) and self.max_attempts >= 1):
-            raise ValueError(
-                f"{self.name}: max_attempts must be an integer >= 1, got {self.max_attempts}"
-            )
-        if not 1.0 <= self.retry_backoff_mult < math.inf:
-            raise ValueError(
-                f"{self.name}: retry_backoff_mult must be finite and >= 1, "
-                f"got {self.retry_backoff_mult}"
-            )
-        object.__setattr__(
-            self,
-            "outages",
-            validate_windows(self.outages, what="outage", owner=self.name),
-        )
 
     # ------------------------------------------------------------------ #
     # deterministic components
     # ------------------------------------------------------------------ #
-    def next_available(self, time_s: float) -> float:
-        """Earliest instant >= ``time_s`` outside every outage window.
-
-        Transfers must not *start* inside an outage; a start exactly at
-        a window's end is fine (windows are half-open ``[start, end)``).
-        Windows are sorted and disjoint, so one forward scan suffices.
-        """
-        for start, end in self.outages:
-            if time_s < start:
-                break
-            if time_s < end:
-                time_s = end
-        return time_s
-
     def bandwidth_scale(self, time_s: float) -> float:
         """Degradation multiplier in effect at ``time_s``."""
         return 1.0 if self.degradation is None else self.degradation.scale_at(time_s)
@@ -225,46 +176,39 @@ class NetworkLink:
     def expected_attempts(self) -> float:
         """Expected serialization attempts per delivery, budget included.
 
-        The attempt count is ``min(G, max_attempts)`` for geometric
-        ``G`` (success rate ``1 - loss_rate``), so its mean is the
-        *truncated* series ``(1 - p^K) / (1 - p)`` — not the unbounded
-        ``1 / (1 - p)`` the pre-budget planner used.
+        The attempt count is ``min(G, 8)`` for geometric ``G`` (success
+        rate ``1 - loss_rate``), so its mean is the *truncated* series
+        ``(1 - p^8) / (1 - p)`` — not the unbounded ``1 / (1 - p)``.
         """
         p = self.loss_rate
         if p == 0.0:
             return 1.0
-        return (1.0 - p**self.max_attempts) / (1.0 - p)
+        return (1.0 - p**_MAX_ATTEMPTS) / (1.0 - p)
 
     def expected_timeout_s(self) -> float:
         """Expected total retransmit-timeout wait per delivery.
 
         Retry ``k`` happens iff the first ``k`` attempts all failed
         (probability ``p^k``) and the budget allows another, and waits
-        ``rtt * mult^(k-1)`` — so the mean is the finite sum
-        ``rtt * Σ_{k=1}^{K-1} p^k mult^(k-1)``, which reduces to the
-        historical ``(1/(1-p) - 1) * rtt`` only for an unbounded budget
-        with flat timeouts.
+        one RTT — so the mean is the finite sum
+        ``rtt * Σ_{k=1}^{7} p^k``, not the unbounded
+        ``(1/(1-p) - 1) * rtt``.
         """
-        p, cap, mult = self.loss_rate, self.max_attempts, self.retry_backoff_mult
-        if p == 0.0 or cap == 1:
+        p = self.loss_rate
+        if p == 0.0:
             return 0.0
-        ratio = p * mult
-        if abs(ratio - 1.0) < 1e-12:
-            total = p * (cap - 1)
-        else:
-            total = p * (ratio ** (cap - 1) - 1.0) / (ratio - 1.0)
-        return self.rtt_s * total
+        return self.rtt_s * (p * (p ** (_MAX_ATTEMPTS - 1) - 1.0) / (p - 1.0))
 
     def expected_one_way_s(
         self, n_bytes: int, time_s: float = 0.0, direction: str = "up"
     ) -> float:
         """Deterministic planning estimate of one delivery (no sampling).
 
-        Uses the budget-truncated expected attempt count, the
-        backoff-aware expected retransmit-timeout wait, and the mean
-        jitter — the same quantities :meth:`transfer` samples, so the
-        partition planner and the deadline-aware policy reason about
-        the link the sampler actually implements.
+        Uses the budget-truncated expected attempt count, the expected
+        retransmit-timeout wait, and the mean jitter — the same
+        quantities :meth:`transfer` samples, so the partition planner
+        and the deadline-aware policy reason about the link the sampler
+        actually implements.
         """
         tx = self.serialization_s(n_bytes, time_s, direction)
         return (
@@ -293,16 +237,11 @@ class NetworkLink:
         tx = self.serialization_s(n_bytes, time_s, direction)
         attempts = 1
         if rng is not None and self.loss_rate > 0.0:
-            while attempts < self.max_attempts and rng.random() < self.loss_rate:
+            while attempts < _MAX_ATTEMPTS and rng.random() < self.loss_rate:
                 attempts += 1
-        # Each failed attempt k (1-based) pays its serialization plus a
-        # retransmit timeout of rtt * mult**(k-1); mult == 1.0 reduces to
-        # the historical (attempts - 1) * rtt exactly.
-        if self.retry_backoff_mult == 1.0:
-            timeouts = (attempts - 1) * self.rtt_s
-        else:
-            mult = self.retry_backoff_mult
-            timeouts = self.rtt_s * (mult ** (attempts - 1) - 1.0) / (mult - 1.0)
+        # Each failed attempt pays its serialization plus a one-RTT
+        # retransmit timeout.
+        timeouts = (attempts - 1) * self.rtt_s
         occupancy = attempts * tx + timeouts
         propagation = self.rtt_s / 2.0
         if rng is not None and self.jitter_s > 0.0:

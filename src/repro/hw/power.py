@@ -25,28 +25,24 @@ __all__ = [
 ]
 
 
-def gci_cpu_power(
-    utilization: float,
-    n_vcpus: int = 2,
-    host_cores: int = 18,
-    p_idle: float = 40.0,
-    p_peak: float = 180.0,
-    beta: float = 0.75,
-) -> float:
+# The paper's constants (see the module docstring).
+_GCI_VCPUS, _GCI_HOST_CORES = 2, 18
+_GCI_IDLE_W, _GCI_PEAK_W, _GCI_BETA = 40.0, 180.0, 0.75
+_PI_IDLE_W, _PI_PEAK_W, _PI_BETA = 2.7, 6.4, 1.0
+
+
+def gci_cpu_power(utilization: float) -> float:
     """Paper Eq. 1: vCPU share of the host's utilization-dependent power."""
     _check_utilization(utilization)
-    return (n_vcpus / host_cores) * (p_idle + (p_peak - p_idle) * utilization**beta)
+    return (_GCI_VCPUS / _GCI_HOST_CORES) * (
+        _GCI_IDLE_W + (_GCI_PEAK_W - _GCI_IDLE_W) * utilization**_GCI_BETA
+    )
 
 
-def raspberry_pi_power(
-    utilization: float,
-    p_idle: float = 2.7,
-    p_peak: float = 6.4,
-    beta: float = 1.0,
-) -> float:
+def raspberry_pi_power(utilization: float) -> float:
     """Paper Eq. 2 (PowerPi): linear-in-utilization device power."""
     _check_utilization(utilization)
-    return p_idle + (p_peak - p_idle) * utilization**beta
+    return _PI_IDLE_W + (_PI_PEAK_W - _PI_IDLE_W) * utilization**_PI_BETA
 
 
 def _check_utilization(u: float) -> None:

@@ -23,47 +23,33 @@ from dataclasses import dataclass
 __all__ = ["AIMDConfig", "AIMDController"]
 
 
+#: Window dynamics: the slow-start threshold a flow starts with, the
+#: additive-increase step per window's worth of acks, the
+#: multiplicative decrease on loss, the window's floor and cap, and the
+#: exponential backoff base for consecutive timeouts.
+_INIT_SSTHRESH = 32
+_AI_SEGMENTS = 1.0
+_MD_FACTOR = 0.5
+_MIN_CWND = 1
+_MAX_CWND = 256
+_RTO_MULT = 2.0
+
+
 @dataclass(frozen=True)
 class AIMDConfig:
-    """Window-dynamics knobs for :class:`AIMDController`.
+    """The slow-start entry point of an :class:`AIMDController`.
 
-    ``init_cwnd``/``init_ssthresh`` set the slow-start entry point;
-    ``ai_segments`` is the additive-increase step per window's worth of
-    acks; ``md_factor`` the multiplicative decrease on loss;
-    ``rto_mult`` the exponential backoff base for consecutive timeouts.
+    ``init_cwnd`` is the window, in segments, a flow starts with; slow
+    start then doubles it per RTT up to a threshold of 32 segments, and
+    the window stays within [1, 256].
     """
 
     init_cwnd: int = 1
-    init_ssthresh: int = 32
-    ai_segments: float = 1.0
-    md_factor: float = 0.5
-    min_cwnd: int = 1
-    max_cwnd: int = 256
-    rto_mult: float = 2.0
 
     def __post_init__(self) -> None:
-        # Negated comparisons, so NaN fails them too.
+        # Negated comparison, so NaN fails it too.
         if not 1 <= self.init_cwnd < math.inf:
             raise ValueError(f"init_cwnd must be >= 1 and finite, got {self.init_cwnd}")
-        if not 1 <= self.init_ssthresh < math.inf:
-            raise ValueError(
-                f"init_ssthresh must be >= 1 and finite, got {self.init_ssthresh}"
-            )
-        if not 0 < self.ai_segments < math.inf:
-            raise ValueError(
-                f"ai_segments must be positive and finite, got {self.ai_segments}"
-            )
-        if not 0.0 < self.md_factor < 1.0:
-            raise ValueError(f"md_factor must be in (0, 1), got {self.md_factor}")
-        if not 1 <= self.min_cwnd < math.inf:
-            raise ValueError(f"min_cwnd must be >= 1 and finite, got {self.min_cwnd}")
-        if not self.min_cwnd <= self.max_cwnd < math.inf:
-            raise ValueError(
-                f"max_cwnd must be >= min_cwnd ({self.min_cwnd}) and finite, "
-                f"got {self.max_cwnd}"
-            )
-        if not 1.0 <= self.rto_mult < math.inf:
-            raise ValueError(f"rto_mult must be >= 1 and finite, got {self.rto_mult}")
 
 
 class AIMDController:
@@ -78,7 +64,7 @@ class AIMDController:
     def __init__(self, config: AIMDConfig | None = None) -> None:
         self.config = config or AIMDConfig()
         self.cwnd = float(self.config.init_cwnd)
-        self.ssthresh = float(self.config.init_ssthresh)
+        self.ssthresh = float(_INIT_SSTHRESH)
         self.consecutive_timeouts = 0
         self.n_md = 0
         self.n_timeouts = 0
@@ -87,7 +73,7 @@ class AIMDController:
     @property
     def window(self) -> int:
         """Whole segments the next flight may carry."""
-        return max(self.config.min_cwnd, int(self.cwnd))
+        return max(_MIN_CWND, int(self.cwnd))
 
     @property
     def in_slow_start(self) -> bool:
@@ -98,26 +84,23 @@ class AIMDController:
         """Grow the window for ``n_acked`` delivered segments.
 
         Slow start adds one segment per ack (window doubles per RTT);
-        congestion avoidance adds ``ai_segments·n/cwnd`` (one step per
-        window's worth of acks).  A clean flight also resets the RTO
-        backoff.
+        congestion avoidance adds ``n/cwnd`` (one segment per window's
+        worth of acks).  A clean flight also resets the RTO backoff.
         """
         if n_acked <= 0:
             return
-        cfg = self.config
         if self.in_slow_start:
-            self.cwnd = min(float(cfg.max_cwnd), self.cwnd + float(n_acked))
+            self.cwnd = min(float(_MAX_CWND), self.cwnd + float(n_acked))
         else:
             self.cwnd = min(
-                float(cfg.max_cwnd),
-                self.cwnd + cfg.ai_segments * n_acked / max(self.cwnd, 1.0),
+                float(_MAX_CWND),
+                self.cwnd + _AI_SEGMENTS * n_acked / max(self.cwnd, 1.0),
             )
         self.consecutive_timeouts = 0
 
     def on_loss(self) -> None:
         """Multiplicative decrease: some (not all) of a flight was lost."""
-        cfg = self.config
-        self.ssthresh = max(float(cfg.min_cwnd), self.cwnd * cfg.md_factor)
+        self.ssthresh = max(float(_MIN_CWND), self.cwnd * _MD_FACTOR)
         self.cwnd = self.ssthresh
         self.n_md += 1
         self.consecutive_timeouts = 0
@@ -125,17 +108,16 @@ class AIMDController:
     def on_timeout(self) -> None:
         """Retransmission timeout: an entire flight vanished.
 
-        The window collapses to ``min_cwnd`` and re-enters slow start;
+        The window collapses to one segment and re-enters slow start;
         consecutive timeouts drive :meth:`rto_s` exponentially, the
         classic backoff that keeps a dead link from being hammered.
         """
-        cfg = self.config
-        self.ssthresh = max(float(cfg.min_cwnd), self.cwnd * cfg.md_factor)
-        self.cwnd = float(cfg.min_cwnd)
+        self.ssthresh = max(float(_MIN_CWND), self.cwnd * _MD_FACTOR)
+        self.cwnd = float(_MIN_CWND)
         self.n_timeouts += 1
         self.n_slow_starts += 1
         self.consecutive_timeouts += 1
 
     def rto_s(self, base_rtt_s: float) -> float:
         """Current retransmission timeout, exponentially backed off."""
-        return base_rtt_s * self.config.rto_mult ** (1 + self.consecutive_timeouts)
+        return base_rtt_s * _RTO_MULT ** (1 + self.consecutive_timeouts)

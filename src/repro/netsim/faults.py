@@ -16,12 +16,9 @@ three fault kinds:
   moment later, but sessions drop and must re-run their conf-req /
   conf-ack handshake (mid-flight transfers resume after renegotiation).
 
-Window validation is shared with :class:`~repro.hw.network.NetworkLink`
-via :func:`repro.faults.plan.validate_windows` — one validator, one
-error type, for every layer that declares time windows.  A plan is
-pure state over time: the transports' loss and jitter draws come from
-their own seeded streams, so replays are identical in oracle and
-``--live`` modes because nothing here touches model inference.
+A plan is pure state over time: the transports' loss and jitter draws
+come from their own seeded streams, so replays are identical in oracle
+and ``--live`` modes because nothing here touches model inference.
 
 :func:`link_storm` samples one randomized mixed storm per seed — the
 generator the netchaos harness replays across ≥10 seeds.
@@ -33,7 +30,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.faults.plan import validate_windows
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -124,14 +120,21 @@ def flap_at(at_s: float) -> LinkFault:
     return LinkFault(FLAP, at_s, at_s)
 
 
+def _require_disjoint(windows: list[LinkFault], what: str) -> None:
+    """Raise unless the start-sorted ``windows`` do not overlap."""
+    for before, after in zip(windows, windows[1:]):
+        if after.start_s < before.end_s:
+            raise ValueError(
+                f"link fault plan: {what} windows must be sorted and non-overlapping"
+            )
+
+
 @dataclass(frozen=True)
 class LinkFaultPlan:
     """One seeded, replayable network storm for a single link.
 
-    Outage and degrade windows must each be sorted and non-overlapping
-    (validated by the shared :func:`~repro.faults.plan.validate_windows`
-    — the same discipline :class:`~repro.hw.network.NetworkLink`
-    enforces on its static ``outages``); flaps are sorted instants.
+    Outage and degrade windows are sorted and must not overlap their
+    own kind; flaps are sorted instants.
     """
 
     faults: tuple[LinkFault, ...] = ()
@@ -142,11 +145,7 @@ class LinkFaultPlan:
             by_kind[fault.kind].append(fault)
         for kind in (OUTAGE, DEGRADE):
             by_kind[kind].sort(key=lambda f: f.start_s)
-            validate_windows(
-                [(f.start_s, f.end_s) for f in by_kind[kind]],
-                what=kind if kind == OUTAGE else "degradation",
-                owner="link fault plan",
-            )
+            _require_disjoint(by_kind[kind], kind if kind == OUTAGE else "degradation")
         by_kind[FLAP].sort(key=lambda f: f.start_s)
         ordered = tuple(
             sorted(self.faults, key=lambda f: (f.start_s, _KINDS.index(f.kind)))
@@ -210,6 +209,12 @@ class LinkFaultPlan:
         return any(t0 < start <= t1 for start, _ in self._outages)  # type: ignore[attr-defined]
 
 
+#: Ranges a storm draws each degrade window's bandwidth scale and
+#: added loss from.
+_STORM_SCALE = (0.05, 0.4)
+_STORM_LOSS = (0.05, 0.3)
+
+
 def link_storm(
     horizon_s: float,
     rng=None,
@@ -217,15 +222,15 @@ def link_storm(
     degrades: float = 2.0,
     flaps: float = 2.0,
     mean_window_s: float | None = None,
-    degrade_scale: tuple[float, float] = (0.05, 0.4),
-    degrade_loss: tuple[float, float] = (0.05, 0.3),
 ) -> LinkFaultPlan:
     """Sample one randomized mixed network storm (seed-deterministic).
 
     ``outages``/``degrades``/``flaps`` are Poisson means over the
     horizon; window durations are exponential around ``mean_window_s``
     (default: a tenth of the horizon), with same-kind windows spaced so
-    the sorted-and-disjoint invariant holds by construction.
+    the sorted-and-disjoint invariant holds by construction.  Each
+    degrade window scales bandwidth by a factor uniform in [0.05, 0.4)
+    and adds a loss probability uniform in [0.05, 0.3).
     """
     if horizon_s <= 0:
         raise ValueError(f"horizon_s must be positive, got {horizon_s}")
@@ -253,8 +258,8 @@ def link_storm(
             degradation_window(
                 at,
                 duration,
-                bandwidth_scale=float(rng.uniform(*degrade_scale)),
-                loss_add=float(rng.uniform(*degrade_loss)),
+                bandwidth_scale=float(rng.uniform(*_STORM_SCALE)),
+                loss_add=float(rng.uniform(*_STORM_LOSS)),
             )
         )
     for _ in range(int(rng.poisson(flaps))):

@@ -11,7 +11,7 @@ payload codec), and the peer either conf-acks them (one RTT) or
 conf-naks with the values it *can* accept (the edge re-requests with
 the nak'd values — one extra RTT).  Control packets ride the same lossy
 link as data, so a lost conf-req pays a backed-off timeout and a
-retransmission, bounded by ``max_config_attempts``; past the budget the
+retransmission, at most five attempts per round; past the budget the
 session assumes the link-layer delivered (mirroring the data path's
 "transfers always deliver within budget" discipline).
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 from repro.utils.rng import as_generator
 
@@ -37,6 +36,8 @@ CLOSED = "closed"
 NEGOTIATING = "negotiating"
 ESTABLISHED = "established"
 CLOSING = "closing"
+
+_MAX_CONFIG_ATTEMPTS = 5  # control-round budget: handshakes always finish
 
 
 @dataclass(frozen=True)
@@ -56,28 +57,17 @@ class LinkSession:
 
     ``link`` must expose ``rtt_s``, ``loss_at(t)``, ``mtu_cap_at(t)``
     and ``codecs`` (the peer's acceptable set) —
-    :class:`~repro.netsim.shared.SharedLink` does.  ``wanted`` is the
-    conf-req the edge opens with; :attr:`config` holds what was actually
-    conf-ack'd (``None`` unless ESTABLISHED).  All sampling draws from
-    the caller-provided stream, so handshakes replay identically in
-    oracle and ``--live`` modes.
+    :class:`~repro.netsim.shared.SharedLink` does.  The edge opens with
+    a conf-req for the default :class:`SessionConfig` (:attr:`wanted`);
+    :attr:`config` holds what was actually conf-ack'd (``None`` unless
+    ESTABLISHED).  All sampling draws from the caller-provided stream,
+    so handshakes replay identically in oracle and ``--live`` modes.
     """
 
-    def __init__(
-        self,
-        link,
-        wanted: SessionConfig | None = None,
-        rng=None,
-        max_config_attempts: int = 5,
-    ) -> None:
-        if not (isinstance(max_config_attempts, Integral) and max_config_attempts >= 1):
-            raise ValueError(
-                f"max_config_attempts must be an integer >= 1, got {max_config_attempts}"
-            )
+    def __init__(self, link, rng=None) -> None:
         self.link = link
-        self.wanted = wanted or SessionConfig()
+        self.wanted = SessionConfig()
         self.rng = as_generator(rng)
-        self.max_config_attempts = max_config_attempts
         self.state = CLOSED
         self.config: SessionConfig | None = None
         self.n_established = 0
@@ -95,11 +85,11 @@ class LinkSession:
         """
         rtt = self.link.rtt_s
         elapsed = 0.0
-        for attempt in range(self.max_config_attempts):
+        for attempt in range(_MAX_CONFIG_ATTEMPTS):
             p = self.link.loss_at(time_s + elapsed)
             # A round survives only if both control packets do.
             lost = self.rng.random() < 1.0 - (1.0 - p) ** 2
-            if not lost or attempt == self.max_config_attempts - 1:
+            if not lost or attempt == _MAX_CONFIG_ATTEMPTS - 1:
                 elapsed += rtt
                 return elapsed
             self.n_handshake_retx += 1

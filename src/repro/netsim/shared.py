@@ -9,11 +9,9 @@ because each one's RTT gap leaves the serializer free for the others,
 and AIMD windows converge toward the classic per-flow fair share on
 their own (asserted in the netsim tests).
 
-The shared link also owns the network's *state over time*: static
-``outages`` windows and a :class:`~repro.hw.network.BandwidthTrace`
-(same semantics as ``NetworkLink``, validated by the same shared
-validator), plus an optional :class:`~repro.netsim.faults.LinkFaultPlan`
-layering seeded outage/degrade/flap chaos on top.  Sessions ask it for
+The shared link also owns the network's *state over time*: an optional
+:class:`~repro.netsim.faults.LinkFaultPlan` of seeded outage, degrade
+and flap windows.  Sessions ask it for
 the current MTU cap and codec set during conf-req/conf-nak negotiation;
 transports ask it for loss, scale, and carrier drops.
 """
@@ -23,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.faults.plan import validate_windows
-from repro.hw.network import BandwidthTrace, NetworkLink
+from repro.hw.network import NetworkLink
 from repro.netsim.faults import LinkFaultPlan
 
 __all__ = ["SharedLink"]
@@ -38,9 +35,9 @@ class SharedLink:
     serializer horizons that advance as transports reserve flights —
     the single piece of shared state that makes devices contend.
     Everything else mirrors :class:`~repro.hw.network.NetworkLink`
-    (nominal bandwidths, RTT, jitter, loss, radio power, degradation
-    trace, static outages) plus the negotiation surface (``max_mtu``,
-    ``codecs``) and an optional seeded ``faults`` plan.
+    (nominal bandwidths, RTT, jitter, loss, radio power) plus the
+    negotiation surface (``max_mtu``, ``codecs``) and an optional
+    seeded ``faults`` plan.
     """
 
     name: str
@@ -52,9 +49,7 @@ class SharedLink:
     tx_power_w: float = 0.0
     max_mtu_bytes: int = 1500
     codecs: tuple[str, ...] = ("float32", "float16", "uint8", "kmeans8")
-    degradation: BandwidthTrace | None = None
     faults: LinkFaultPlan = field(default_factory=LinkFaultPlan)
-    outages: tuple[tuple[float, float], ...] = ()
     up_free_s: float = field(default=0.0, init=False)
     down_free_s: float = field(default=0.0, init=False)
 
@@ -76,7 +71,6 @@ class SharedLink:
             )
         if not self.codecs:
             raise ValueError(f"{self.name}: codecs must be non-empty")
-        self.outages = validate_windows(self.outages, what="outage", owner=self.name)
 
     @classmethod
     def from_network_link(
@@ -86,7 +80,17 @@ class SharedLink:
         max_mtu_bytes: int = 1500,
         codecs: tuple[str, ...] = ("float32", "float16", "uint8", "kmeans8"),
     ) -> "SharedLink":
-        """Lift a single-radio preset (e.g. ``lte()``) into a shared tower."""
+        """Lift a single-radio preset (e.g. ``lte()``) into a shared tower.
+
+        A shared link's bandwidth changes only through its fault plan,
+        so a link that carries a degradation trace is refused rather
+        than lifted without it.
+        """
+        if link.degradation is not None:
+            raise ValueError(
+                f"{link.name}: a shared link takes no degradation trace; "
+                "declare degrade windows in its LinkFaultPlan instead"
+            )
         return cls(
             name=link.name,
             uplink_mbps=link.uplink_mbps,
@@ -97,37 +101,19 @@ class SharedLink:
             tx_power_w=link.tx_power_w,
             max_mtu_bytes=max_mtu_bytes,
             codecs=codecs,
-            degradation=link.degradation,
             faults=faults or LinkFaultPlan(),
-            outages=link.outages,
         )
 
     # ------------------------------------------------------------------ #
     # link state over time
     # ------------------------------------------------------------------ #
     def available_at(self, time_s: float) -> float:
-        """Earliest instant >= ``time_s`` outside every outage window.
-
-        Static declared windows and fault-plan outages compose: the
-        scan repeats until neither layer moves the instant, so nested
-        or adjacent windows chain correctly.
-        """
-        while True:
-            moved = time_s
-            for start, end in self.outages:
-                if moved < start:
-                    break
-                if moved < end:
-                    moved = end
-            moved = self.faults.available_at(moved)
-            if moved == time_s:
-                return time_s
-            time_s = moved
+        """Earliest instant >= ``time_s`` outside every outage window."""
+        return self.faults.available_at(time_s)
 
     def scale_at(self, time_s: float) -> float:
-        """Bandwidth multiplier at ``time_s`` (trace × fault-plan degrade)."""
-        scale = 1.0 if self.degradation is None else self.degradation.scale_at(time_s)
-        return scale * self.faults.bandwidth_scale_at(time_s)
+        """Bandwidth multiplier at ``time_s`` (the fault plan's degrade)."""
+        return self.faults.bandwidth_scale_at(time_s)
 
     def loss_at(self, time_s: float) -> float:
         """Per-segment loss probability at ``time_s`` (base + degrade)."""
@@ -135,9 +121,7 @@ class SharedLink:
 
     def carrier_drop_in(self, t0: float, t1: float) -> bool:
         """Whether sessions lose carrier anywhere in ``(t0, t1]``."""
-        if self.faults.carrier_drop_in(t0, t1):
-            return True
-        return any(t0 < start <= t1 for start, _ in self.outages)
+        return self.faults.carrier_drop_in(t0, t1)
 
     def mtu_cap_at(self, time_s: float) -> int:
         """Largest MTU the tower conf-acks at ``time_s``.

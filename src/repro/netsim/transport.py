@@ -45,7 +45,7 @@ from numbers import Integral
 
 from repro.hw.network import NetworkLink
 from repro.netsim.congestion import AIMDConfig, AIMDController
-from repro.netsim.session import ESTABLISHED, LinkSession, SessionConfig
+from repro.netsim.session import ESTABLISHED, LinkSession
 from repro.netsim.shared import SharedLink
 from repro.utils.rng import as_generator
 
@@ -108,7 +108,6 @@ class SessionTransport:
         self,
         link: SharedLink,
         rng=None,
-        wanted: SessionConfig | None = None,
         aimd: AIMDConfig | None = None,
         max_attempts: int = 8,
         obs=None,
@@ -120,7 +119,7 @@ class SessionTransport:
             raise ValueError(f"device_id must be an integer, got {device_id}")
         self.link = link
         self.rng = as_generator(rng)
-        self.session = LinkSession(link, wanted=wanted, rng=self.rng)
+        self.session = LinkSession(link, rng=self.rng)
         self.aimd = AIMDController(aimd)
         self.max_attempts = max_attempts
         self.obs = obs
@@ -352,10 +351,10 @@ class SessionTransport:
 class LinkTransport:
     """A :class:`~repro.hw.network.NetworkLink`'s private radio.
 
-    The degenerate transport: one FIFO horizon per direction, starts
-    deferred past the link's declared outages, and retries and jitter
-    sampled by :meth:`~repro.hw.network.NetworkLink.transfer` from
-    ``rng``.  Estimates are the link's planning view plus the wait.
+    The degenerate transport: one FIFO horizon per direction, and
+    retries and jitter sampled by
+    :meth:`~repro.hw.network.NetworkLink.transfer` from ``rng``.
+    Estimates are the link's planning view plus the wait.
     The radio queues payloads, so it takes the next one at once: a
     transfer's ``release_s`` is its hand-over instant.
     """
@@ -381,7 +380,7 @@ class LinkTransport:
         """
         n_bytes, handed_s = self._handed
         link = self.link
-        start = link.next_available(max(handed_s, self.up_free_s))
+        start = max(handed_s, self.up_free_s)
         transfer = link.transfer(n_bytes, time_s=start, rng=self.rng)
         self.up_free_s = start + transfer.occupancy_s
         retries = transfer.attempts - 1
@@ -412,16 +411,15 @@ class LinkTransport:
     def send_down(self, n_bytes: int, time_s: float) -> tuple[float, float, int]:
         """Deliver a cloud→edge payload: ``(start_s, arrival_s, retransmits)``."""
         link = self.link
-        start = link.next_available(max(time_s, self.down_free_s))
+        start = max(time_s, self.down_free_s)
         transfer = link.transfer(n_bytes, time_s=start, rng=self.rng, direction="down")
         self.down_free_s = start + transfer.occupancy_s
         return start, self.down_free_s + transfer.propagation_s, transfer.attempts - 1
 
     def estimate_s(self, n_bytes: int, time_s: float) -> float:
         """Expected uplink delivery time from ``time_s``, waiting as :meth:`send` would."""
-        link = self.link
-        wait = link.next_available(max(time_s, self.up_free_s)) - time_s
-        return wait + link.expected_one_way_s(n_bytes, time_s=time_s)
+        wait = max(time_s, self.up_free_s) - time_s
+        return wait + self.link.expected_one_way_s(n_bytes, time_s=time_s)
 
     def estimate_down_s(self, n_bytes: int, time_s: float) -> float:
         """Expected downlink delivery time from ``time_s`` (no sampling)."""

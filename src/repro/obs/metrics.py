@@ -244,7 +244,7 @@ class P2Quantile:
 class WindowSeries:
     """Tumbling time-window aggregation on the virtual clock.
 
-    Values land in window ``floor((t - t0) / window_s)``; each window
+    Values land in window ``floor(t / window_s)``; each window
     keeps count, sum, and last value, from which the series views
     (:meth:`counts`, :meth:`means`, :meth:`lasts`, :meth:`rates`) are
     derived.  Feeding is either per-event (:meth:`add`) or vectorized
@@ -253,19 +253,16 @@ class WindowSeries:
     bit-for-bit comparable.
     """
 
-    def __init__(self, window_s: float, t0: float = 0.0) -> None:
+    def __init__(self, window_s: float) -> None:
         if not 0 < window_s < math.inf:  # false for NaN too
             raise ValueError(f"window_s must be positive and finite, got {window_s}")
-        if not -math.inf < t0 < math.inf:
-            raise ValueError(f"t0 must be finite, got {t0}")
         self.window_s = float(window_s)
-        self.t0 = float(t0)
         self._count: dict[int, int] = {}
         self._sum: dict[int, float] = {}
         self._last: dict[int, float] = {}
 
     def _window(self, t: float) -> int:
-        return int((t - self.t0) // self.window_s)
+        return int(t // self.window_s)
 
     def add(self, t: float, value: float = 1.0) -> None:
         """Record one (time, value) sample."""
@@ -286,7 +283,7 @@ class WindowSeries:
         if values is None:
             values = np.ones_like(times)
         values = np.asarray(values, dtype=np.float64)
-        win = ((times - self.t0) // self.window_s).astype(np.int64)
+        win = (times // self.window_s).astype(np.int64)
         order = np.argsort(win, kind="stable")
         win, values = win[order], values[order]
         uniq, start = np.unique(win, return_index=True)
@@ -303,7 +300,7 @@ class WindowSeries:
     def windows(self) -> np.ndarray:
         """Start times of every non-empty window, ascending."""
         keys = np.array(sorted(self._count), dtype=np.float64)
-        return self.t0 + keys * self.window_s
+        return keys * self.window_s
 
     def _column(self, table: dict[int, float]) -> np.ndarray:
         return np.array([table[k] for k in sorted(self._count)], dtype=np.float64)
@@ -337,14 +334,10 @@ class MetricsRegistry:
     asserts, rendering, and controller features.
     """
 
-    def __init__(self, window_s: float = 0.1, t0: float = 0.0) -> None:
+    def __init__(self, window_s: float = 0.1) -> None:
         if not 0 < window_s < math.inf:  # false for NaN too
             raise ValueError(f"window_s must be positive and finite, got {window_s}")
-        # Series are built on first use, so check their origin now.
-        if not -math.inf < t0 < math.inf:
-            raise ValueError(f"t0 must be finite, got {t0}")
         self.window_s = float(window_s)
-        self.t0 = float(t0)
         self._metrics: dict[str, object] = {}
 
     def _get(self, name: str, factory, kind) -> object:
@@ -377,7 +370,7 @@ class MetricsRegistry:
     def series(self, name: str, window_s: float | None = None) -> WindowSeries:
         """Get-or-create the named tumbling-window series."""
         w = self.window_s if window_s is None else window_s
-        return self._get(name, lambda: WindowSeries(w, self.t0), WindowSeries)
+        return self._get(name, lambda: WindowSeries(w), WindowSeries)
 
     def names(self) -> tuple[str, ...]:
         """All registered metric names, sorted."""

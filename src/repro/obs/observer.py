@@ -11,7 +11,7 @@ touchpoints:
 * :meth:`on_batch` — a batch dispatched on a replica (span + queue
   depth + batch-size metrics);
 * :meth:`on_event` — a discrete happening (crash, fault, timeout,
-  retry, hedge, breaker trip, degrade-mode change, shed, scale);
+  retry, hedge, breaker trip, shed, scale);
 * :meth:`on_leg` — an offload leg (edge gate, uplink, cloud, downlink).
 
 The overhead contract is the design: every hook is a tuple append, so
@@ -32,8 +32,6 @@ field-for-field identical spans, metrics, and alerts.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -57,38 +55,25 @@ __all__ = ["Observer"]
 #: (timeouts, failed batches, breaker trips), not from the fault plan.
 _SYMPTOM_KINDS = frozenset((EV_TIMEOUT, EV_BATCH_FAIL, EV_BREAKER_TRIP))
 
+#: Tumbling-window width for time series and burn rates.
+_WINDOW_S = 0.1
+#: SLO attainment objective (0.99 → 1% error budget).
+_OBJECTIVE = 0.99
+#: Burn rate at or above which a window fires an SLO alert.
+_BURN_THRESHOLD = 2.0
+
 
 class Observer:
     """Telemetry collector threaded through the simulation event loops.
 
-    Parameters
-    ----------
-    window_s:
-        Tumbling-window width for time series and burn rates.
-    objective:
-        SLO attainment objective (0.99 → 1% error budget).
-    burn_threshold:
-        Burn rate at/above which a window fires an
-        :class:`~repro.obs.slo.SLOAlert`; ``math.inf`` never fires.
+    Time series and burn rates use 0.1 s tumbling windows; a window
+    whose burn rate against a 99% attainment objective reaches 2 fires
+    an :class:`~repro.obs.slo.SLOAlert`.
     """
 
-    def __init__(
-        self,
-        window_s: float = 0.1,
-        objective: float = 0.99,
-        burn_threshold: float = 2.0,
-    ) -> None:
-        # The SLO monitor is built only when telemetry is first read, so
-        # check its settings now (the registry below checks window_s).
-        if not 0 < objective < 1:  # false for NaN too
-            raise ValueError(f"objective must be in (0, 1), got {objective}")
-        if not 0 < burn_threshold <= math.inf:
-            raise ValueError(f"burn_threshold must be positive, got {burn_threshold}")
-        self.window_s = float(window_s)
-        self.objective = float(objective)
-        self.burn_threshold = float(burn_threshold)
+    def __init__(self) -> None:
         self.tracer = Tracer()
-        self._metrics = MetricsRegistry(window_s=self.window_s)
+        self._metrics = MetricsRegistry(window_s=_WINDOW_S)
         self._slo: SLOMonitor | None = None
         # Per-replica tallies for telemetry-only localization:
         # replica id -> [n_batches, total_batch_seconds, n_fail_events].
@@ -137,7 +122,7 @@ class Observer:
         self._metrics.counter(f"legs.{SPAN_NAMES[kind]}").inc()
 
     def on_shed(self, t: float, n: int = 1) -> None:
-        """Requests shed by admission/degradation (series + counter)."""
+        """Requests shed by admission control (series + counter)."""
         self.tracer.event(EV_SHED, t)
         self._metrics.counter("shed").inc(n)
         self._metrics.series("shed.window").add(t, n)
@@ -194,17 +179,17 @@ class Observer:
         if classes is not None:
             self._slo = SLOMonitor.from_classes(
                 classes,
-                objective=self.objective,
-                threshold=self.burn_threshold,
-                window_s=self.window_s,
+                objective=_OBJECTIVE,
+                threshold=_BURN_THRESHOLD,
+                window_s=_WINDOW_S,
             )
         else:
             deadline = 0.05 if slo_s is None else float(slo_s)
             self._slo = SLOMonitor(
                 {0: deadline},
-                objective=self.objective,
-                threshold=self.burn_threshold,
-                window_s=self.window_s,
+                objective=_OBJECTIVE,
+                threshold=_BURN_THRESHOLD,
+                window_s=_WINDOW_S,
             )
         codes = getattr(log, "req_class", None) if classes is not None else None
         self._slo.observe_many(completion, sojourn, codes)
@@ -327,7 +312,7 @@ class Observer:
 
         log = self._final_args[0] if self._final_args is not None else None
         return build_timelines(
-            self.window_s if window_s is None else window_s,
+            _WINDOW_S if window_s is None else window_s,
             batch_arrays=self.batch_arrays(),
             log=log,
             spans=self.spans,

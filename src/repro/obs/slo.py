@@ -60,7 +60,6 @@ class SLOMonitor:
         objective: float = 0.99,
         threshold: float = 2.0,
         window_s: float = 0.1,
-        t0: float = 0.0,
     ) -> None:
         if not 0.0 < objective < 1.0:
             raise ValueError(f"objective must be in (0, 1), got {objective}")
@@ -68,8 +67,6 @@ class SLOMonitor:
             raise ValueError(f"threshold must be positive, got {threshold}")
         if not 0 < window_s < math.inf:
             raise ValueError(f"window_s must be positive and finite, got {window_s}")
-        if not -math.inf < t0 < math.inf:
-            raise ValueError(f"t0 must be finite, got {t0}")
         if not deadlines:
             raise ValueError("SLOMonitor needs at least one class deadline")
         self.deadlines = dict(deadlines)
@@ -78,7 +75,6 @@ class SLOMonitor:
         self.budget = 1.0 - self.objective
         self.threshold = float(threshold)
         self.window_s = float(window_s)
-        self.t0 = float(t0)
         self.alerts: list[SLOAlert] = []
         # class code -> window -> [n_requests, n_missed]
         self._tallies: dict[int, dict[int, list[int]]] = {
@@ -116,7 +112,7 @@ class SLOMonitor:
                 continue
             t = completion_s[sel]
             missed = sojourn_s[sel] > self.deadlines[code]
-            win = ((t - self.t0) // self.window_s).astype(np.int64)
+            win = (t // self.window_s).astype(np.int64)
             tally = self._tallies[code]
             uniq, inv = np.unique(win, return_inverse=True)
             n_per = np.bincount(inv)
@@ -130,7 +126,7 @@ class SLOMonitor:
         """(window_start_s, burn_rate) arrays for one class, ascending."""
         tally = self._tallies[code]
         wins = sorted(tally)
-        t = self.t0 + np.asarray(wins, dtype=np.float64) * self.window_s
+        t = np.asarray(wins, dtype=np.float64) * self.window_s
         burn = np.array(
             [tally[w][1] / tally[w][0] / self.budget for w in wins], dtype=np.float64
         )
@@ -153,7 +149,7 @@ class SLOMonitor:
                 burn = missed / n / self.budget if n else 0.0
                 if burn >= self.threshold:
                     alert = SLOAlert(
-                        time_s=self.t0 + w * self.window_s,
+                        time_s=w * self.window_s,
                         class_name=name,
                         burn_rate=float(burn),
                         threshold=self.threshold,

@@ -31,7 +31,6 @@ show up here, not in a side formula.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,8 +253,9 @@ class EdgeTier:
 
     :meth:`serve` hands the offload event loop of
     :mod:`repro.netsim.fleet` one device: its entropies (live or from
-    the oracle), payload sizes, gate and trunk costs, ``cloud_est_s``,
-    policy and transport.  It serves the shipped payloads on the cloud
+    the oracle), payload sizes, gate and trunk costs, the cloud tier's
+    expected service time (its fastest replica's mean), policy and
+    transport.  It serves the shipped payloads on the cloud
     tier, then the loop's downlink pass rides the responses back.
 
     Parameters
@@ -306,9 +306,6 @@ class EdgeTier:
         Seed (an integer >= 0), generator or ``None`` for a
         ``NetworkLink``'s loss and jitter sampling (a
         ``SessionTransport`` samples from its own stream).
-    cloud_est_s:
-        Expected cloud service time for the deadline policy's remote
-        estimate; inferred from the cloud tier's backend when omitted.
     oracle:
         Optional :class:`~repro.sim.OffloadOracle`.  When given, the
         request stream carries sample ids into the oracle's image pool:
@@ -328,7 +325,6 @@ class EdgeTier:
         policy: OffloadPolicy,
         codec: TensorCodec | None = None,
         rng: np.random.Generator | int | None = 0,
-        cloud_est_s: float | None = None,
         oracle=None,
         obs=None,
     ) -> None:
@@ -358,13 +354,9 @@ class EdgeTier:
         self.gate_s = lat.early_path
         #: Extra edge cost when a hard sample runs the trunk locally.
         self.trunk_extra_s = lat.full_path - lat.early_path
-        self.cloud_est_s = (
-            min(r.backend.mean_service_s() for r in cloud.replicas)
-            if cloud_est_s is None
-            else float(cloud_est_s)
-        )
-        if not 0 <= self.cloud_est_s < math.inf:  # false for NaN too
-            raise ValueError(f"cloud_est_s must be finite and >= 0, got {self.cloud_est_s}")
+        #: Expected cloud service time, for the deadline policy's remote
+        #: estimate.
+        self.cloud_est_s = min(r.backend.mean_service_s() for r in cloud.replicas)
         self._served = False
 
     def _transport(self) -> LinkTransport | SessionTransport:

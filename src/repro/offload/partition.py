@@ -55,9 +55,7 @@ def _numel(shape: tuple[int, ...]) -> int:
     return n
 
 
-def linear_path(
-    model, in_shape: tuple[int, ...] | None = None
-) -> tuple[list[LayerCost], tuple[int, ...]]:
+def linear_path(model) -> tuple[list[LayerCost], tuple[int, ...]]:
     """The sequential layer-cost path a partition can cut, plus its input shape.
 
     * ``LeNet`` / anything whose stages chain head-to-tail: every stage's
@@ -78,9 +76,9 @@ def linear_path(
         head = stage_cost("head", clf.head, stem.out_shape)
         layers = [*enc.layers, *dec.layers, *stem.layers, *head.layers]
         return layers, (ae.spec.input_dim,)
-    start = tuple(in_shape) if in_shape is not None else tuple(getattr(model, "IN_SHAPE", ()))
+    start = tuple(getattr(model, "IN_SHAPE", ()))
     if not start:
-        raise ValueError("provide in_shape or define IN_SHAPE on the model")
+        raise ValueError("define IN_SHAPE on the model")
     costs = model_cost(model, start)
     by_name = {c.name: c for c in costs}
     if "trunk" in by_name and "branch" in by_name:  # BranchyNet-shaped
@@ -169,14 +167,6 @@ class SplitPlan:
     def network_s(self) -> float:
         return self.uplink_s + self.downlink_s
 
-    def objective(self, name: str) -> float:
-        """Scalar the planner minimizes: ``"latency"`` or ``"energy"``."""
-        if name == "latency":
-            return self.total_s
-        if name == "energy":
-            return self.edge_energy_j
-        raise ValueError(f"unknown objective {name!r} (use 'latency' or 'energy')")
-
 
 def _side_latency(layers: tuple[LayerCost, ...], device: DeviceProfile) -> float:
     """Latency of one side's layer run (overhead only when it runs anything)."""
@@ -190,19 +180,14 @@ def plan_partitions(
     edge: DeviceProfile,
     cloud: DeviceProfile,
     link: NetworkLink,
-    in_shape: tuple[int, ...] | None = None,
-    wire_bytes_per_elem: float = _FLOAT32_BYTES,
-    wire_overhead_bytes: int = 0,
 ) -> list[SplitPlan]:
     """Price every cut of ``model`` on an (edge, link, cloud) triple.
 
-    ``wire_bytes_per_elem`` prices intermediate-tensor quantization
-    (4 float32, 2 float16, 1 uint8); ``wire_overhead_bytes`` adds a
-    fixed per-payload cost (headers, a quantization codebook).  Network
-    legs use the link's *expected* delivery (mean retries and jitter) —
-    the planner is a deterministic estimator; the engine samples.
+    Boundary tensors ship as float32.  Network legs use the link's
+    *expected* delivery (mean retries and jitter) — the planner is a
+    deterministic estimator; the engine samples.
     """
-    layers, start_shape = linear_path(model, in_shape)
+    layers, start_shape = linear_path(model)
     plans: list[SplitPlan] = []
     out_elems = _numel(layers[-1].out_shape)
     for cut in enumerate_cuts(layers, start_shape):
@@ -212,9 +197,7 @@ def plan_partitions(
             up_bytes = down_bytes = 0
             uplink_s = downlink_s = 0.0
         else:
-            up_bytes = (
-                int(round(cut.boundary_elems * wire_bytes_per_elem)) + wire_overhead_bytes
-            )
+            up_bytes = cut.boundary_elems * _FLOAT32_BYTES
             down_bytes = out_elems * _FLOAT32_BYTES
             uplink_s = link.expected_one_way_s(up_bytes, direction="up")
             downlink_s = link.expected_one_way_s(down_bytes, direction="down")
@@ -241,11 +224,12 @@ def plan_partitions(
     return plans
 
 
-def best_partition(plans: list[SplitPlan], objective: str = "latency") -> SplitPlan:
-    """The plan minimizing ``objective`` (ties break toward earlier cuts)."""
+def best_partition(plans: list[SplitPlan]) -> SplitPlan:
+    """The plan with the least end-to-end latency (ties break toward
+    earlier cuts)."""
     if not plans:
         raise ValueError("no partition plans to choose from")
-    return min(plans, key=lambda p: (p.objective(objective), p.cut.index))
+    return min(plans, key=lambda p: (p.total_s, p.cut.index))
 
 
 def partition_table(

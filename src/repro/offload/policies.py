@@ -112,25 +112,12 @@ class AlwaysRemote(OffloadPolicy):
 
 
 class EntropyGated(OffloadPolicy):
-    """Offload exactly the entropy-flagged hard samples.
-
-    ``threshold`` overrides the model's exit threshold for the *offload*
-    decision only (the engine still uses the model's own threshold for
-    prediction correctness) — the lever that trades uplink traffic for
-    edge trunk work without retraining.
-    """
+    """Offload exactly the samples the model's own exit gate flags hard."""
 
     name = "entropy-gated"
 
-    def __init__(self, threshold: float | None = None) -> None:
-        if threshold is not None and not threshold >= 0:  # false for NaN too
-            raise ValueError(f"entropy threshold must be >= 0, got {threshold}")
-        self.threshold = threshold
-
     def offload(self, ctx: OffloadContext) -> bool:
-        if self.threshold is None:
-            return not ctx.easy
-        return ctx.entropy >= self.threshold
+        return not ctx.easy
 
 
 class DeadlineAware(OffloadPolicy):

@@ -58,24 +58,25 @@ def constant_arrivals(rate_hz: float, n: int) -> np.ndarray:
     return (np.arange(n, dtype=np.float64) + 1.0) / rate_hz
 
 
+_MEAN_PHASE_S = 0.5  # mean duration of a bursty stream's phases
+
+
 def bursty_arrivals(
     base_rate_hz: float,
     burst_rate_hz: float,
     n: int,
-    mean_phase_s: float = 0.5,
     rng: np.random.Generator | int | None = None,
 ) -> np.ndarray:
     """Markov-modulated Poisson arrivals: quiet/burst phases alternate.
 
     The process switches between a ``base_rate_hz`` phase and a
     ``burst_rate_hz`` phase; phase durations are exponential with mean
-    ``mean_phase_s``.  Same long-run mean rate as a Poisson stream at the
+    0.5 s.  Same long-run mean rate as a Poisson stream at the
     average of the two rates, but with the clumped arrivals that separate
     tail latency from mean latency in practice.
     """
     _require_positive("base rate", base_rate_hz)
     _require_positive("burst rate", burst_rate_hz)
-    _require_positive("mean_phase_s", mean_phase_s)
     if burst_rate_hz < base_rate_hz:
         raise ValueError(
             f"burst rate {burst_rate_hz} must be >= base rate {base_rate_hz}"
@@ -89,7 +90,7 @@ def bursty_arrivals(
     in_burst = False
     while produced < n:
         rate = burst_rate_hz if in_burst else base_rate_hz
-        phase_end = t + rng.exponential(mean_phase_s)
+        phase_end = t + rng.exponential(_MEAN_PHASE_S)
         while produced < n:
             t_next = t + rng.exponential(1.0 / rate)
             if t_next > phase_end:

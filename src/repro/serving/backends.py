@@ -222,10 +222,8 @@ class BranchyNetBackend(InferenceBackend):
 
     name = "branchynet"
 
-    def __init__(
-        self, branchynet, device: DeviceProfile, threshold: float | None = None
-    ) -> None:
-        router = EntropyRouter(branchynet, threshold)
+    def __init__(self, branchynet, device: DeviceProfile) -> None:
+        router = EntropyRouter(branchynet)
         # exit_rate only shapes BranchyLatency.expected; the path costs
         # used here are exit-rate-independent.
         lat = branchynet_expected_latency(branchynet, device, exit_rate=1.0)
@@ -271,10 +269,8 @@ class HybridBackend(InferenceBackend):
 
     name = "hybrid"
 
-    def __init__(
-        self, cbnet, branchynet, device: DeviceProfile, threshold: float | None = None
-    ) -> None:
-        router = EntropyRouter(branchynet, threshold)
+    def __init__(self, cbnet, branchynet, device: DeviceProfile) -> None:
+        router = EntropyRouter(branchynet)
         blat = branchynet_expected_latency(branchynet, device, exit_rate=1.0)
         base = device.inference_overhead_s + device.sync_overhead_s
         clat = cbnet_latency(cbnet, device)

@@ -161,24 +161,22 @@ class ClassSet:
         return codes.astype(np.int8)
 
 
-def default_classes(
-    slo_s: float, max_wait_s: float = 0.004, weights=(0.5, 0.3, 0.2)
-) -> ClassSet:
+def default_classes(slo_s: float, max_wait_s: float = 0.004) -> ClassSet:
     """The canonical interactive / standard / batch mix, sized to an SLO.
 
     ``slo_s`` becomes the interactive deadline; standard gets 4x and
-    batch 20x that budget.  The interactive wait cap is a quarter of the
-    engine's batching wait (urgent arrivals preempt forming batches
-    early), batch waits 4x longer (bigger, cheaper batches).
+    batch 20x that budget, and the admission weights are 0.5, 0.3 and
+    0.2.  The interactive wait cap is a quarter of the engine's
+    batching wait (urgent arrivals preempt forming batches early),
+    batch waits 4x longer (bigger, cheaper batches).
     """
-    w_i, w_s, w_b = weights
     return ClassSet(
         (
             RequestClass(
-                "interactive", 0, slo_s, w_i, max_wait_s=0.25 * max_wait_s
+                "interactive", 0, slo_s, 0.5, max_wait_s=0.25 * max_wait_s
             ),
-            RequestClass("standard", 1, 4.0 * slo_s, w_s),
-            RequestClass("batch", 2, 20.0 * slo_s, w_b, max_wait_s=4.0 * max_wait_s),
+            RequestClass("standard", 1, 4.0 * slo_s, 0.3),
+            RequestClass("batch", 2, 20.0 * slo_s, 0.2, max_wait_s=4.0 * max_wait_s),
         )
     )
 

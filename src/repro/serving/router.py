@@ -55,18 +55,13 @@ class EntropyRouter:
     ----------
     branchynet:
         A trained :class:`~repro.models.branchynet.BranchyLeNet` whose
-        stem + branch produce the gate statistic.
-    threshold:
-        Entropy threshold; ``None`` uses the model's own
-        ``entropy_threshold`` (set during pipeline construction), and
-        ``math.inf`` routes every sample to the branch exit.
+        stem + branch produce the gate statistic, against the model's
+        own ``entropy_threshold`` (set during pipeline construction).
     """
 
-    def __init__(self, branchynet, threshold: float | None = None) -> None:
+    def __init__(self, branchynet) -> None:
         self.branchynet = branchynet
-        self.threshold = float(
-            branchynet.entropy_threshold if threshold is None else threshold
-        )
+        self.threshold = float(branchynet.entropy_threshold)
         if not self.threshold >= 0:  # false for NaN too
             raise ValueError(f"entropy threshold must be >= 0, got {self.threshold}")
 

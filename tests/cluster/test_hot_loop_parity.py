@@ -875,8 +875,8 @@ def _live_backends(kind, pipeline):
         make = lambda: LeNetBackend(model, device)
     elif kind == "branchynet":
         model = BranchyLeNet(rng=0)
-        threshold = _gap_threshold(model, pool)
-        make = lambda: BranchyNetBackend(model, device, threshold=threshold)
+        model.entropy_threshold = _gap_threshold(model, pool)
+        make = lambda: BranchyNetBackend(model, device)
     else:
         pool = pipeline.datasets["test"].images[:48]
         if kind == "cbnet":

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import ArrayDataset, Subset
+from repro.data import ArrayDataset
 
 
 def make_dataset(n=10, seed=0):
@@ -48,22 +48,3 @@ class TestArrayDataset:
         ds = ArrayDataset(np.zeros((4, 1, 2, 2)), np.array([0, 1, 2, 2]))
         assert ds.num_classes == 3
 
-
-class TestSubset:
-    def test_view_semantics(self):
-        ds = make_dataset(10)
-        sub = Subset(ds, [1, 3, 5])
-        assert len(sub) == 3
-        img, label = sub[0]
-        assert np.allclose(img, ds[1][0])
-
-    def test_out_of_range_raises(self):
-        ds = make_dataset(5)
-        with pytest.raises(IndexError):
-            Subset(ds, [10])
-
-    def test_images_labels_properties(self):
-        ds = make_dataset(10)
-        sub = Subset(ds, [0, 9])
-        assert sub.images.shape == (2, 1, 4, 4)
-        assert sub.labels.shape == (2,)

@@ -32,7 +32,6 @@ class TestConfigValidation:
             {"min_samples": 0},
             {"error_threshold": 0.0},
             {"error_threshold": 1.5},
-            {"latency_threshold_s": 0.0},
             {"cooldown_s": 0.0},
             {"half_open_probes": 0},
         ):
@@ -67,12 +66,6 @@ class TestTripping:
         for k in range(4):
             b.record(1.0 + 1e-3 * k, ok=True)
         assert b.state == CLOSED
-
-    def test_latency_threshold_trips_on_slow_successes(self):
-        b = make_breaker(latency_threshold_s=0.01)
-        for k in range(4):
-            b.record(1e-3 * k, ok=True, latency_s=0.05)
-        assert b.state == OPEN
 
 
 class TestHalfOpenCycle:
@@ -145,14 +138,8 @@ class _RecountBreaker(CircuitBreaker):
     def _should_trip(self) -> bool:
         if len(self._window) < self.config.min_samples:
             return False
-        n_err = sum(1 for _, ok, _ in self._window if not ok)
-        if n_err / len(self._window) > self.config.error_threshold:
-            return True
-        if self.config.latency_threshold_s is not None:
-            lats = [lat for _, ok, lat in self._window if ok]
-            if lats and sum(lats) / len(lats) > self.config.latency_threshold_s:
-                return True
-        return False
+        n_err = sum(1 for _, ok in self._window if not ok)
+        return n_err / len(self._window) > self.config.error_threshold
 
 
 class TestErrorCount:
@@ -167,7 +154,6 @@ class TestErrorCount:
             window_s=window_s,
             min_samples=int(rng.integers(1, 9)),
             error_threshold=float(rng.uniform(0.2, 0.9)),
-            latency_threshold_s=None if rng.random() < 0.5 else 0.03,
             cooldown_s=float(rng.uniform(0.05, 0.3)),
             half_open_probes=int(rng.integers(1, 4)),
         )
@@ -181,12 +167,11 @@ class TestErrorCount:
                 assert b.allow(now) == ref.allow(now)
             else:
                 ok = bool(rng.random() > p_err)
-                latency = float(rng.exponential(0.02))
                 was_half_open = b.state == HALF_OPEN
-                b.record(now, ok, latency)
-                ref.record(now, ok, latency)
+                b.record(now, ok)
+                ref.record(now, ok)
                 closes += was_half_open and b.state == CLOSED
-            assert b._n_err == sum(1 for _, ok, _ in b._window if not ok), step
+            assert b._n_err == sum(1 for _, ok in b._window if not ok), step
             assert (b.state, b.n_trips, b.opened_at_s) == (
                 ref.state, ref.n_trips, ref.opened_at_s
             ), step

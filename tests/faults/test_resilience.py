@@ -7,7 +7,6 @@ import pytest
 
 from repro.faults import (
     BreakerConfig,
-    DegradationConfig,
     ResilienceConfig,
     RetryPolicy,
     hedge_delay_for,
@@ -49,9 +48,6 @@ class TestValidation:
             (RetryPolicy, "max_backoff_s"),
             (BreakerConfig, "window_s"),
             (BreakerConfig, "cooldown_s"),
-            (BreakerConfig, "latency_threshold_s"),
-            (DegradationConfig, "dwell_s"),
-            (DegradationConfig, "shed_pressure"),
             pytest.param(
                 partial(hedge_delay_for, [_Toy(0.001)], 8, 0.004),
                 "factor",
@@ -71,7 +67,6 @@ class TestValidation:
         config = ResilienceConfig()
         assert config.timeout_s > 0
         assert config.hedge_delay_s is None
-        assert config.degradation is None
 
 
 class TestHedgeDelayFor:

@@ -57,6 +57,16 @@ class TestValidation:
     def test_trace_validation(self):
         with pytest.raises(ValueError, match="positive"):
             BandwidthTrace(times_s=(0.0,), scales=(0.0,))
+        # A NaN scale made serialization NaN and an infinite one 0 s; a
+        # NaN step time slipped past the ordering check.
+        for times_s, scales, field in (
+            ((0.0,), (np.nan,), "scales"),
+            ((0.0,), (np.inf,), "scales"),
+            ((np.nan,), (1.0,), "times_s"),
+            ((0.0, np.nan), (1.0, 1.0), "times_s"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                BandwidthTrace(times_s=times_s, scales=scales)
         with pytest.raises(ValueError, match="non-decreasing"):
             BandwidthTrace(times_s=(1.0, 0.5), scales=(1.0, 1.0))
         with pytest.raises(ValueError, match="at least one"):
@@ -115,6 +125,18 @@ class TestLossAndDeterminism:
         assert lossy.expected_one_way_s(1000) > _link().expected_one_way_s(1000)
 
 class TestDegradation:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scale_is_the_latest_step_at_or_before(self, seed):
+        """A seeded step function: before the first step the link runs
+        at nominal bandwidth, and from each step on at its scale."""
+        rng = np.random.default_rng(seed)
+        times = tuple(np.sort(rng.uniform(0.0, 10.0, 6)).tolist())
+        scales = tuple(rng.uniform(0.01, 2.0, 6).tolist())
+        trace = BandwidthTrace(times_s=times, scales=scales)
+        for t in rng.uniform(-1.0, 11.0, 50):
+            before = [s for at, s in zip(times, scales) if at <= t]
+            assert trace.scale_at(t) == (before[-1] if before else 1.0)
+
     def test_trace_scales_serialization(self):
         trace = BandwidthTrace(times_s=(1.0, 2.0), scales=(0.5, 2.0))
         link = _link(degradation=trace)
@@ -152,129 +174,74 @@ class TestPresets:
 
 class TestRetryBudget:
     def test_attempts_never_exceed_budget(self):
-        link = _link(loss_rate=0.9, max_attempts=3)
+        link = _link(loss_rate=0.9)
         rng = np.random.default_rng(0)
         transfers = [link.transfer(1000, rng=rng) for _ in range(128)]
-        assert max(t.attempts for t in transfers) <= 3
-        # With 90% loss a 3-attempt budget should actually hit the cap.
-        assert any(t.attempts == 3 for t in transfers)
+        assert max(t.attempts for t in transfers) <= 8
+        # With 90% loss the 8-attempt budget should actually hit the cap.
+        assert any(t.attempts == 8 for t in transfers)
 
-    def test_single_attempt_budget_never_retransmits(self):
-        link = _link(loss_rate=0.9, max_attempts=1)
-        rng = np.random.default_rng(1)
-        assert all(link.transfer(100, rng=rng).attempts == 1 for _ in range(32))
-
-    def test_default_backoff_matches_legacy_occupancy(self):
-        """retry_backoff_mult=1.0 must be bit-identical to the old
-        (attempts - 1) * rtt retransmit cost."""
-        flat = _link(loss_rate=0.5)
-        rng = np.random.default_rng(2)
-        for _ in range(64):
-            t = flat.transfer(1000, rng=rng)
-            tx = t.tx_s / t.attempts
-            assert t.occupancy_s == t.attempts * tx + (t.attempts - 1) * flat.rtt_s
-
-    def test_geometric_backoff_occupancy(self):
-        """With mult=2 the timeout sum is rtt * (2^(n-1) - 1)."""
-        link = _link(loss_rate=0.9, max_attempts=4, retry_backoff_mult=2.0)
-        rng = np.random.default_rng(3)
-        transfers = (link.transfer(1000, rng=rng) for _ in range(256))
-        t = next(t for t in transfers if t.attempts == 4)
-        tx = t.tx_s / t.attempts
-        expected = 4 * tx + link.rtt_s * (2.0 ** 3 - 1.0)
-        assert t.occupancy_s == pytest.approx(expected)
-        # Backoff makes the lossy path strictly slower than flat timeouts.
-        assert t.occupancy_s > 4 * tx + 3 * link.rtt_s
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            _link(max_attempts=0)
-        with pytest.raises(ValueError, match="retry_backoff_mult"):
-            _link(retry_backoff_mult=0.9)
-
-
-class TestOutages:
-    def test_next_available_defers_into_gap(self):
-        link = _link(outages=((1.0, 2.0), (5.0, 6.5)))
-        assert link.next_available(0.5) == 0.5
-        assert link.next_available(1.0) == 2.0
-        assert link.next_available(1.9) == 2.0
-        assert link.next_available(2.0) == 2.0  # half-open: end is usable
-        assert link.next_available(5.5) == 6.5
-        assert link.next_available(7.0) == 7.0
-
-    def test_no_outages_is_identity(self):
-        link = _link()
-        assert link.next_available(3.25) == 3.25
-
-    def test_outage_validation(self):
-        with pytest.raises(ValueError, match="outage"):
-            _link(outages=((2.0, 1.0),))
-        with pytest.raises(ValueError, match="outage"):
-            _link(outages=((1.0, 3.0), (2.0, 4.0)))  # overlapping
-
-
-class TestSharedOutageValidator:
-    """The link's outage windows run through ``repro.faults.plan``'s
-    shared validator — same messages, same normalization, one code path
-    for every layer that declares windows."""
-
-    def test_messages_carry_the_owner_prefix(self):
-        with pytest.raises(ValueError, match=r"test: outage window .* end > start"):
-            _link(outages=((2.0, 1.0),))
-        with pytest.raises(
-            ValueError, match="test: outage windows must be sorted and non-overlapping"
-        ):
-            _link(outages=((1.0, 3.0), (2.0, 4.0)))
-
-    def test_matches_validate_windows_directly(self):
-        from repro.faults.plan import validate_windows
-
-        windows = ((1.0, 2.0), (3.5, 4.0))
-        link = _link(outages=windows)
-        assert link.outages == validate_windows(windows, what="outage", owner="test")
+    @pytest.mark.parametrize("seed", range(16))
+    def test_retransmits_cost_one_rtt_each(self, seed):
+        """Seeded links and payloads: at most eight attempts, each
+        serialized in full, and occupancy exactly the attempts'
+        serialization plus ``(attempts - 1) * rtt``."""
+        rng = np.random.default_rng(seed)
+        link = _link(
+            loss_rate=float(rng.uniform(0.0, 0.95)),
+            rtt_s=float(rng.uniform(1e-3, 0.1)),
+            jitter_s=float(rng.uniform(0.0, 0.01)),
+        )
+        n_bytes = int(rng.integers(1, 50_000))
+        tx = link.serialization_s(n_bytes)
+        for t in (link.transfer(n_bytes, rng=rng) for _ in range(64)):
+            assert 1 <= t.attempts <= 8
+            assert t.tx_s == t.attempts * tx
+            assert t.occupancy_s == t.attempts * tx + (t.attempts - 1) * link.rtt_s
+            assert t.propagation_s >= link.rtt_s / 2.0
 
 
 class TestBudgetAwareEstimates:
     """``expected_one_way_s`` must price the *bounded* retry budget —
-    the truncated attempt series and the backed-off timeout sum — not
-    the unbounded geometric mean the pre-budget planner used."""
+    the truncated attempt series and timeout sum — not the unbounded
+    geometric mean."""
 
     def test_expected_attempts_is_the_truncated_series(self):
-        p, cap = 0.5, 4
-        link = _link(loss_rate=p, max_attempts=cap)
-        assert link.expected_attempts() == pytest.approx((1 - p**cap) / (1 - p))
+        p = 0.9
+        link = _link(loss_rate=p)
+        assert link.expected_attempts() == pytest.approx((1 - p**8) / (1 - p))
         # Strictly below the unbounded 1/(1-p): the budget truncates.
         assert link.expected_attempts() < 1.0 / (1.0 - p)
         assert _link().expected_attempts() == 1.0
 
-    def test_expected_timeout_prices_the_backoff(self):
-        p, cap, mult = 0.5, 4, 2.0
-        link = _link(loss_rate=p, max_attempts=cap, retry_backoff_mult=mult)
-        # rtt * sum_{k=1}^{cap-1} p^k mult^(k-1), by hand.
-        by_hand = link.rtt_s * sum(p**k * mult ** (k - 1) for k in range(1, cap))
+    def test_expected_timeout_sums_the_budget(self):
+        p = 0.9
+        link = _link(loss_rate=p)
+        # rtt * sum_{k=1}^{7} p^k, by hand.
+        by_hand = link.rtt_s * sum(p**k for k in range(1, 8))
         assert link.expected_timeout_s() == pytest.approx(by_hand)
-
-    def test_timeout_handles_the_ratio_one_singularity(self):
-        link = _link(loss_rate=0.5, max_attempts=5, retry_backoff_mult=2.0)
-        # p * mult == 1: the geometric ratio degenerates to a flat sum.
-        assert link.expected_timeout_s() == pytest.approx(
-            link.rtt_s * 0.5 * (5 - 1)
-        )
-
-    def test_single_attempt_budget_never_waits(self):
-        link = _link(loss_rate=0.9, max_attempts=1)
-        assert link.expected_attempts() == pytest.approx(1.0)
-        assert link.expected_timeout_s() == 0.0
+        assert link.expected_timeout_s() < link.rtt_s * (1.0 / (1.0 - p) - 1.0)
+        assert _link().expected_timeout_s() == 0.0
 
     def test_estimate_tracks_sampled_transfers(self):
         # The planning mean must sit inside the sampled distribution's
         # support — the drift this guards against was the estimate using
         # unbounded retries while transfer() enforced the budget.
-        link = _link(loss_rate=0.4, max_attempts=3, retry_backoff_mult=2.0)
+        link = _link(loss_rate=0.4)
         rng = np.random.default_rng(0)
         totals = [link.transfer(1000, rng=rng).total_s for _ in range(400)]
         assert min(totals) <= link.expected_one_way_s(1000) <= max(totals)
         assert abs(np.mean(totals) - link.expected_one_way_s(1000)) < 0.2 * np.mean(
             totals
         )
+
+
+class TestSampledTransfers:
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95])
+    def test_expected_attempts_match_the_sampled_mean(self, p):
+        """The planner's truncated series is the mean the sampler draws."""
+        link = _link(loss_rate=p)
+        rng = np.random.default_rng(int(p * 100))
+        attempts = np.array([link.transfer(100, rng=rng).attempts for _ in range(4000)])
+        stderr = attempts.std() / np.sqrt(len(attempts))
+        assert abs(attempts.mean() - link.expected_attempts()) < 4 * stderr + 1e-9

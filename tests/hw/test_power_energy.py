@@ -69,8 +69,8 @@ class TestPowerModelDispatch:
 class TestEnergy:
     def test_energy_is_power_times_time(self):
         dev = raspberry_pi4()
-        e = energy_joules(dev, latency_s=2.0, utilization=1.0)
-        assert e == pytest.approx(2.0 * 6.4)
+        e = energy_joules(dev, latency_s=2.0)
+        assert e == pytest.approx(2.0 * raspberry_pi_power(dev.utilization))
 
     def test_default_utilization_used(self):
         dev = raspberry_pi4()
@@ -96,3 +96,10 @@ class TestEnergy:
         gpu = gci_gpu()
         cpu = gci_cpu()
         assert gpu.power(0.9) > 4 * cpu.power(0.9)
+
+
+@pytest.mark.parametrize("u", np.linspace(0.0, 1.0, 11).tolist())
+def test_power_models_evaluate_the_paper_equations_exactly(u):
+    """Eq. 1 and Eq. 2 with the paper's constants, bit for bit."""
+    assert gci_cpu_power(u) == (2 / 18) * (40.0 + (180.0 - 40.0) * u**0.75)
+    assert raspberry_pi_power(u) == 2.7 + (6.4 - 2.7) * u**1.0

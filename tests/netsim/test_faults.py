@@ -93,3 +93,18 @@ class TestLinkStorm:
         rng = np.random.default_rng(0)
         plans = {link_storm(100.0, rng=int(rng.integers(1 << 30))) for _ in range(4)}
         assert len({p.faults for p in plans}) > 1
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_storm_degrades_stay_in_their_ranges(seed):
+    """Each sampled degrade window scales bandwidth by 0.05-0.4 and adds
+    5-30% loss, and windows of one kind never overlap."""
+    plan = link_storm(50.0, rng=seed, degrades=6.0)
+    degrades = [f for f in plan.faults if f.kind == DEGRADE]
+    assert degrades
+    for f in degrades:
+        assert 0.05 <= f.bandwidth_scale < 0.4
+        assert 0.05 <= f.loss_add < 0.3
+    for kind in (OUTAGE, DEGRADE):
+        windows = [(f.start_s, f.end_s) for f in plan.faults if f.kind == kind]
+        assert all(e0 <= s1 for (_, e0), (s1, _) in zip(windows, windows[1:]))

@@ -1,6 +1,7 @@
 """Session FSM: handshake, conf-nak negotiation, lossy control rounds,
 teardown, and carrier drops."""
 
+import numpy as np
 import pytest
 
 from repro.hw.network import lte
@@ -37,7 +38,7 @@ class TestHandshake:
 
     def test_conf_nak_costs_an_extra_round(self):
         link = _link(max_mtu_bytes=1200)  # peer naks the wanted 1500
-        s = LinkSession(link, wanted=SessionConfig(mtu_bytes=1500), rng=0)
+        s = LinkSession(link, rng=0)
         done = s.open(0.0)
         assert done == pytest.approx(2 * link.rtt_s)
         assert s.n_naks == 1
@@ -45,7 +46,7 @@ class TestHandshake:
 
     def test_unsupported_codec_nakked_to_peer_default(self):
         link = _link(codecs=("float16", "uint8"))
-        s = LinkSession(link, wanted=SessionConfig(codec="float32"), rng=0)
+        s = LinkSession(link, rng=0)  # wants float32
         s.open(0.0)
         assert s.config.codec == "float16"
         assert s.n_naks == 1
@@ -62,10 +63,10 @@ class TestHandshake:
     def test_handshake_retx_bounded_by_config_attempts(self):
         link = _link()
         link.loss_rate = 0.999
-        s = LinkSession(link, rng=2, max_config_attempts=3)
+        s = LinkSession(link, rng=2)
         s.open(0.0)
         assert s.state == ESTABLISHED  # past the budget, assume delivered
-        assert s.n_handshake_retx <= 2  # attempts - 1 per round
+        assert s.n_handshake_retx == 4  # five attempts, four retransmits
 
     def test_handshake_replays_deterministically(self):
         def run():
@@ -122,11 +123,24 @@ class TestRenegotiationAndTeardown:
 def test_config_validation():
     with pytest.raises(ValueError, match="mtu_bytes"):
         SessionConfig(mtu_bytes=32)
-    with pytest.raises(ValueError, match="max_config_attempts"):
-        LinkSession(_link(), max_config_attempts=0)
 
 
 @pytest.mark.parametrize("mtu", [float("nan"), float("inf")])
 def test_config_rejects_nan_and_infinite_mtu(mtu):
     with pytest.raises(ValueError, match="mtu_bytes"):
         SessionConfig(mtu_bytes=mtu)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_handshake_pays_one_rtt_plus_doubling_backoffs(seed):
+    """A lossy handshake retransmits at most four times per round, and
+    each retransmit waits a control RTO that doubles from one RTT, so a
+    round that retransmitted ``r`` times took ``2**r`` RTTs."""
+    link = _link()
+    link.loss_rate = float(np.random.default_rng(seed).uniform(0.2, 0.95))
+    s = LinkSession(link, rng=seed)
+    done = s.open(0.0)
+    assert s.state == ESTABLISHED and s.n_naks == 0
+    assert 0 <= s.n_handshake_retx <= 4
+    assert done == pytest.approx(link.rtt_s * 2**s.n_handshake_retx)
+

@@ -191,7 +191,7 @@ def _radio(**kwargs):
 
 class TestLinkTransport:
     def test_send_is_one_segment_sent_once_per_attempt(self):
-        link = _radio(jitter_s=0.004, loss_rate=0.5, retry_backoff_mult=2.0)
+        link = _radio(jitter_s=0.004, loss_rate=0.5)
         for seed in range(8):
             transfer = link.transfer(4_000, time_s=0.0, rng=np.random.default_rng(seed))
             result = LinkTransport(link, rng=seed).send(4_000, 0.0)
@@ -207,27 +207,29 @@ class TestLinkTransport:
             assert result.delivered_s == transfer.occupancy_s + transfer.propagation_s
             assert result.tx_s == transfer.tx_s
 
-    def test_radio_queues_and_waits_out_outages(self):
-        link = _radio(outages=((1.0, 2.0),))
+    def test_radio_queues_payloads_fifo(self):
+        link = _radio()
         tr = LinkTransport(link)
         first = tr.send(10_000, 0.0)
         second = tr.send(10_000, 0.0)
         assert second.start_s == first.ack_s  # FIFO behind the first payload
-        assert tr.send(10_000, 1.5).start_s == 2.0
         start, arrival, retransmits = tr.send_down(10_000, 1.2)
-        assert start == 2.0 and retransmits == 0
+        assert start == 1.2 and retransmits == 0
         assert arrival == pytest.approx(
-            2.0 + link.serialization_s(10_000, direction="down") + link.rtt_s / 2
+            1.2 + link.serialization_s(10_000, direction="down") + link.rtt_s / 2
         )
 
-    def test_estimate_waits_out_a_declared_outage(self):
-        """Inside a window the estimate includes the wait the send will pay."""
-        link = _radio(outages=((1.0, 2.0),))
+    def test_estimate_waits_out_the_backlog(self):
+        """Behind a queued payload the estimate includes the wait the
+        send will pay; lossless and jitter-free, it is exact."""
+        link = _radio()
         tr = LinkTransport(link)
-        estimate = tr.estimate_s(6_000, 1.5)
-        assert estimate == pytest.approx(0.5 + link.expected_one_way_s(6_000, time_s=1.5))
-        # Lossless and jitter-free, the estimate is exact.
-        assert tr.send(6_000, 1.5).delivered_s == pytest.approx(1.5 + estimate)
+        tr.send(10_000, 0.0)
+        estimate = tr.estimate_s(6_000, 0.001)
+        assert estimate == pytest.approx(
+            tr.up_free_s - 0.001 + link.expected_one_way_s(6_000, time_s=0.001)
+        )
+        assert tr.send(6_000, 0.001).delivered_s == pytest.approx(0.001 + estimate)
 
     def test_estimate_is_backlog_plus_the_planning_view(self):
         link = _radio(loss_rate=0.1, jitter_s=0.002)

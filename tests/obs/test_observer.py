@@ -88,16 +88,16 @@ class TestFinalize:
         assert obs.replica_stats[0][2] == 0
 
     def test_alert_rows_land_in_the_span_log(self):
-        obs = Observer(window_s=1.0, burn_threshold=2.0)
+        obs = Observer()
         arrival = np.array([0.1, 0.2])
-        completion = np.array([0.5, 0.6])
+        completion = np.array([0.51, 0.52])  # both late, in one 0.1 s window
         obs.finalize_arrays(arrival, completion, slo_s=0.05)
         from repro.obs.spans import EV_ALERT
 
         assert obs.spans.count(EV_ALERT) == len(obs.alerts) == 1
 
     def test_summary_reports_spans_and_burn(self):
-        obs = Observer(window_s=1.0)
+        obs = Observer()
         obs.finalize_arrays(np.array([0.0]), np.array([0.01]), slo_s=0.05)
         summary = obs.summary()
         assert summary["requests"] == 1.0
@@ -204,28 +204,6 @@ class TestChromeExport:
     def test_export_before_finalize_raises(self, tmp_path):
         with pytest.raises(RuntimeError, match="finalize"):
             Observer().chrome_trace(tmp_path / "x.json")
-
-
-class TestConstruction:
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"window_s": float("nan")}, "window_s"),
-            ({"window_s": float("inf")}, "window_s"),
-            ({"window_s": 0.0}, "window_s"),
-            ({"objective": float("nan")}, "objective"),
-            ({"objective": float("inf")}, "objective"),
-            ({"objective": 1.0}, "objective"),
-            ({"burn_threshold": float("nan")}, "burn_threshold"),
-            ({"burn_threshold": 0.0}, "burn_threshold"),
-        ],
-    )
-    def test_bad_settings_fail_at_construction(self, kwargs, match):
-        """``window_s=nan`` once folded every metric into one window,
-        ``objective=nan`` failed only at the end of the run, and
-        ``burn_threshold=nan`` silenced every alert."""
-        with pytest.raises(ValueError, match=match):
-            Observer(**kwargs)
 
 
 class TestSpanLogValidation:

@@ -1,4 +1,4 @@
-"""Partition planner: enumeration, hand-computed optimality, objectives."""
+"""Partition planner: enumeration, hand-computed optimality, energy."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from repro.offload.partition import (
     partition_table,
     plan_partitions,
 )
-from repro.offload.policies import TensorCodec
 
 def _device(name: str, gmacs: float) -> DeviceProfile:
     """Pure-compute device: no overheads, so latency = MACs / rate.
@@ -157,14 +156,14 @@ class TestHandComputedOptimum:
         assert plan.uplink_s == 0.0 and plan.downlink_s == 0.0
 
 
-class TestObjectivesAndCodecs:
-    def test_energy_objective_can_disagree_with_latency(self):
+class TestEnergyAndWire:
+    def test_energy_is_compute_plus_radio(self):
         edge, cloud = _device("edge", 1e-3), _device("cloud", 1.0)
         # A power-hungry radio (50 W transmitting vs 6.4 W computing) on
         # a fast link.  Latency-wise full offload wins (0.31 ms vs
-        # 0.33 ms for the waist cut); energy-wise shipping 256 B costs
+        # 0.33 ms for the waist cut), though shipping 256 B costs
         # 12.8 mJ while computing to the waist and shipping 16 B costs
-        # 1.6 + 0.8 = 2.4 mJ → the objectives pick different cuts.
+        # 1.6 + 0.8 = 2.4 mJ: the planner minimizes latency.
         radio = NetworkLink(
             name="hot-radio",
             uplink_mbps=8.0,
@@ -173,8 +172,8 @@ class TestObjectivesAndCodecs:
             tx_power_w=50.0,
         )
         plans = plan_partitions(_Toy(), edge, cloud, radio)
-        assert best_partition(plans, "latency").cut.index == 0
-        assert best_partition(plans, "energy").cut.index == 1
+        assert best_partition(plans).cut.index == 0
+        assert min(plans, key=lambda p: p.edge_energy_j).cut.index == 1
         # Energy accounting is exactly compute + radio for every plan.
         for plan in plans:
             assert plan.edge_energy_j == pytest.approx(
@@ -182,30 +181,11 @@ class TestObjectivesAndCodecs:
                 + 50.0 * radio.serialization_s(plan.uplink_bytes)
             )
 
-    def test_unknown_objective_rejected(self):
+    def test_boundaries_ship_as_float32(self):
         edge, cloud = _device("edge", 1e-3), _device("cloud", 1.0)
-        plans = plan_partitions(_Toy(), edge, cloud, _toy_link(1.0))
-        with pytest.raises(ValueError, match="objective"):
-            best_partition(plans, "carbon")
-
-    def test_quantized_wire_shrinks_uplink(self):
-        edge, cloud = _device("edge", 1e-3), _device("cloud", 1.0)
-        codec = TensorCodec("uint8")
-        full = plan_partitions(_Toy(), edge, cloud, _toy_link(0.08))
-        quant = plan_partitions(
-            _Toy(),
-            edge,
-            cloud,
-            _toy_link(0.08),
-            wire_bytes_per_elem=codec.bytes_per_elem,
-            wire_overhead_bytes=codec.overhead_bytes,
-        )
-        for f, q in zip(full, quant):
-            if f.cut.is_all_edge:
-                assert q.uplink_bytes == 0
-            else:
-                assert q.uplink_bytes == f.cut.boundary_elems + 8
-                assert q.uplink_bytes < f.uplink_bytes
+        for plan in plan_partitions(_Toy(), edge, cloud, _toy_link(0.08)):
+            expected = 0 if plan.cut.is_all_edge else 4 * plan.cut.boundary_elems
+            assert plan.uplink_bytes == expected
 
     def test_empty_plan_list_rejected(self):
         with pytest.raises(ValueError, match="no partition plans"):
@@ -226,3 +206,14 @@ class TestRendering:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="no links"):
             partition_table({})
+
+
+@pytest.mark.parametrize("mbps", [0.008, 0.05, 0.2, 0.8, 2.0, 8.0, 20.0, 200.0])
+def test_best_partition_is_the_latency_argmin(mbps):
+    """The chosen cut has the least end-to-end latency, the earliest
+    such cut on a tie."""
+    edge, cloud = _device("edge", 1e-3), _device("cloud", 1.0)
+    plans = plan_partitions(_Toy(), edge, cloud, _toy_link(mbps, rtt_s=0.002))
+    best = best_partition(plans)
+    assert all(best.total_s <= p.total_s for p in plans)
+    assert all(p.cut.index >= best.cut.index for p in plans if p.total_s == best.total_s)

@@ -34,20 +34,10 @@ class TestDeciders:
         assert not policy.runs_gate
         assert policy.payload == "input"
 
-    def test_entropy_gated_uses_model_gate_by_default(self):
+    def test_entropy_gated_uses_the_model_gate(self):
         policy = EntropyGated()
         assert not policy.offload(_ctx(easy=True))
         assert policy.offload(_ctx(easy=False))
-
-    def test_entropy_gated_threshold_override(self):
-        policy = EntropyGated(threshold=0.3)
-        # The override ignores the model's easy flag entirely.
-        assert policy.offload(_ctx(entropy=0.31, easy=True))
-        assert not policy.offload(_ctx(entropy=0.29, easy=False))
-
-    def test_entropy_gated_rejects_negative_threshold(self):
-        with pytest.raises(ValueError, match="threshold"):
-            EntropyGated(threshold=-0.1)
 
     def test_deadline_aware_easy_stays_local(self):
         policy = DeadlineAware(deadline_s=0.1)

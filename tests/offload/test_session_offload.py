@@ -13,7 +13,7 @@ import pytest
 
 from repro.eval.metrics import latency_percentiles
 from repro.hw.devices import gci_cpu, raspberry_pi4
-from repro.hw.network import BandwidthTrace, lte, wifi
+from repro.hw.network import lte, wifi
 from repro.models.branchynet import BranchyLeNet
 from repro.netsim import (
     AIMDConfig,
@@ -21,6 +21,7 @@ from repro.netsim import (
     LinkFaultPlan,
     SessionTransport,
     SharedLink,
+    degradation_window,
     flap_at,
     link_storm,
     outage_window,
@@ -53,9 +54,8 @@ def branchy(stream):
     return model
 
 
-def _transport(faults=None, degradation=None, seed=5, init_cwnd=16):
+def _transport(faults=None, seed=5, init_cwnd=16):
     link = SharedLink.from_network_link(wifi(), faults=faults or LinkFaultPlan())
-    link.degradation = degradation
     return SessionTransport(link, rng=seed, aimd=AIMDConfig(init_cwnd=init_cwnd))
 
 
@@ -167,17 +167,20 @@ class TestTransportMode:
 
 
 class TestBandwidthCollapseFallback:
-    def test_deadline_aware_goes_local_when_the_trace_collapses(
+    def test_deadline_aware_goes_local_when_the_link_collapses(
         self, branchy, stream
     ):
         images, arrival_s, labels = stream
-        # Healthy for the first second, then the trace collapses to
-        # 0.2% of nominal mid-run — every in-progress transfer slows to
-        # a crawl and the live estimate balloons past the deadline.
-        collapse = BandwidthTrace(times_s=(1.0,), scales=(0.002,))
+        # Healthy for the first second, then the link collapses to 0.2%
+        # of nominal for the rest of the run — every in-progress
+        # transfer slows to a crawl and the live estimate balloons past
+        # the deadline.
+        collapse = LinkFaultPlan(
+            faults=(degradation_window(1.0, 1e3, bandwidth_scale=0.002),)
+        )
         deadline = 0.05
         report = _tier(
-            branchy, DeadlineAware(deadline), _transport(degradation=collapse)
+            branchy, DeadlineAware(deadline), _transport(faults=collapse)
         ).serve(images, arrival_s, labels=labels)
         # The aggregate tells the story: the healthy prefix offloads,
         # then hard requests pin local once the estimate collapses.
@@ -246,8 +249,7 @@ class TestTracedLegs:
 
         def run(obs):
             if kind == "network-link":
-                link = dataclasses.replace(wifi(), outages=((0.25, 0.35),))
-                windows = link.outages
+                link, windows = wifi(), ()
             else:
                 plan = LinkFaultPlan(faults=(outage_window(0.25, 0.1),))
                 shared = SharedLink.from_network_link(wifi(), faults=plan)
@@ -383,11 +385,6 @@ def _fleet_device(**kwargs):
     return FleetDevice(**{"rate_hz": 10.0, "n_requests": 20, "up_bytes": 100, **kwargs})
 
 
-def _edge_tier(branchy, **kwargs):
-    cloud = cloud_server_for(EntropyGated(), branchy, gci_cpu())
-    return EdgeTier(branchy, raspberry_pi4(), wifi(), cloud, EntropyGated(), **kwargs)
-
-
 def _fleet_run(deadline_s):
     link = SharedLink.from_network_link(lte())
     return run_fleet_net(link, (_fleet_device(),), AlwaysLocal(), deadline_s=deadline_s)
@@ -405,9 +402,6 @@ _BAD_SETTINGS = {
     "run-deadline-inf": lambda b: _fleet_run(_INF),
     "deadline-aware-nan": lambda b: DeadlineAware(_NAN),
     "deadline-aware-inf": lambda b: DeadlineAware(_INF),
-    "entropy-gated-nan": lambda b: EntropyGated(threshold=_NAN),
-    "edge-cloud-est-nan": lambda b: _edge_tier(b, cloud_est_s=_NAN),
-    "edge-cloud-est-negative": lambda b: _edge_tier(b, cloud_est_s=-1e-3),
 }
 
 

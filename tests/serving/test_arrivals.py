@@ -23,7 +23,6 @@ _NON_FINITE_CALLS = {
     "constant-rate": lambda x: constant_arrivals(x, 3),
     "bursty-base": lambda x: bursty_arrivals(x, x, 3),
     "bursty-burst": lambda x: bursty_arrivals(10.0, x, 3),
-    "bursty-phase": lambda x: bursty_arrivals(10.0, 50.0, 3, mean_phase_s=x),
     "diurnal-rate": lambda x: diurnal_arrivals(x, 3, period_s=1.0),
     "diurnal-period": lambda x: diurnal_arrivals(10.0, 3, period_s=x),
     "flash-base": lambda x: flash_crowd_arrivals(x, x, 3, 1.0, 1.0),
@@ -86,8 +85,6 @@ class TestBurstyArrivals:
             bursty_arrivals(100.0, 50.0, 10)  # burst < base
         with pytest.raises(ValueError):
             bursty_arrivals(0.0, 50.0, 10)
-        with pytest.raises(ValueError):
-            bursty_arrivals(10.0, 50.0, 10, mean_phase_s=0.0)
 
 
 class TestDiurnalArrivals:

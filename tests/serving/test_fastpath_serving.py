@@ -29,7 +29,7 @@ def _conv_cols_buffers(model):
 def test_backend_predict_zero_alloc_across_ragged_batches():
     """Steady-state serving performs no per-batch conv-buffer allocations:
     the same arena buffers (by identity) serve full and ragged batches."""
-    backend = BranchyNetBackend(BranchyLeNet(rng=0), raspberry_pi4(), threshold=0.5)
+    backend = BranchyNetBackend(BranchyLeNet(rng=0, entropy_threshold=0.5), raspberry_pi4())
     backend.warmup(batch_size=64)
     model = backend.branchynet
     buffers = _conv_cols_buffers(model)
@@ -67,7 +67,7 @@ def test_server_fastpath_predictions_match_reference():
 
 
 def test_server_branchynet_ragged_batches_match_reference():
-    backend = BranchyNetBackend(BranchyLeNet(rng=2), raspberry_pi4(), threshold=1.5)
+    backend = BranchyNetBackend(BranchyLeNet(rng=2, entropy_threshold=1.5), raspberry_pi4())
     images = rng.random((45, 1, 28, 28), dtype=np.float32)
     arrival_s = np.sort(rng.random(45)).astype(np.float64)
     node = Cluster([backend], max_batch_size=8, max_wait_s=0.01)

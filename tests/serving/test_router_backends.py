@@ -1,5 +1,7 @@
 """Entropy router + model backends against a real trained pipeline."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,13 @@ class TestBatchTiming:
             BatchTiming(**fields)
 
 
+def _gated(model, threshold):
+    """The model with its exit threshold set to ``threshold``."""
+    gated = copy.copy(model)
+    gated.entropy_threshold = threshold
+    return gated
+
+
 class TestEntropyRouter:
     def test_split_matches_model_gate(self, trained_pipeline):
         test = trained_pipeline.datasets["test"]
@@ -57,14 +66,14 @@ class TestEntropyRouter:
 
     def test_threshold_extremes(self, trained_pipeline):
         images = trained_pipeline.datasets["test"].images[:32]
-        all_hard = EntropyRouter(trained_pipeline.branchynet, threshold=0.0)
+        all_hard = EntropyRouter(_gated(trained_pipeline.branchynet, 0.0))
         assert all_hard.split(images).n_easy == 0
-        all_easy = EntropyRouter(trained_pipeline.branchynet, threshold=1e9)
+        all_easy = EntropyRouter(_gated(trained_pipeline.branchynet, 1e9))
         assert all_easy.split(images).n_hard == 0
 
     def test_negative_threshold_rejected(self, trained_pipeline):
         with pytest.raises(ValueError):
-            EntropyRouter(trained_pipeline.branchynet, threshold=-0.1)
+            EntropyRouter(_gated(trained_pipeline.branchynet, -0.1))
 
 
 class TestBackends:

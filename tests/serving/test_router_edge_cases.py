@@ -44,7 +44,7 @@ class _GateCounter:
 class TestEmptyBatch:
     def test_router_split_empty_without_model_call(self, branchy):
         counter = _GateCounter(branchy)
-        router = EntropyRouter(counter, threshold=0.5)
+        router = EntropyRouter(counter)
         decision = router.split(np.zeros((0, 1, 28, 28), dtype=np.float32))
         assert counter.calls == 0  # short-circuited: no zero-sample plan traced
         assert decision.n_easy == 0 and decision.n_hard == 0
@@ -85,7 +85,7 @@ class TestAllHardBatch:
         from repro.serving.backends import BranchyNetBackend
         from repro.hw.devices import raspberry_pi4
 
-        backend = BranchyNetBackend(branchy, raspberry_pi4(), threshold=1.0)
+        backend = BranchyNetBackend(branchy, raspberry_pi4())
         entropy, branch_preds = branchy.branch_gate(images)
         all_hard = RouteDecision(
             easy=np.zeros(len(images), dtype=bool),
@@ -101,7 +101,7 @@ class TestAllHardBatch:
         from repro.serving.backends import BranchyNetBackend
         from repro.hw.devices import raspberry_pi4
 
-        backend = BranchyNetBackend(branchy, raspberry_pi4(), threshold=1.0)
+        backend = BranchyNetBackend(branchy, raspberry_pi4())
         entropy, branch_preds = branchy.branch_gate(images)
         all_easy = RouteDecision(
             easy=np.ones(len(images), dtype=bool),
@@ -122,7 +122,7 @@ class TestAllHardBatch:
             autoencoder=ConvertingAutoencoder.for_dataset("mnist", rng=1),
             classifier=LightweightClassifier.from_branchynet(branchy),
         )
-        backend = HybridBackend(cbnet, branchy, raspberry_pi4(), threshold=1.0)
+        backend = HybridBackend(cbnet, branchy, raspberry_pi4())
         entropy, branch_preds = branchy.branch_gate(images)
         all_hard = RouteDecision(
             easy=np.zeros(len(images), dtype=bool),
@@ -135,7 +135,7 @@ class TestAllHardBatch:
 
 
 class TestServedAllHardTrace:
-    def test_server_survives_all_hard_stream(self, branchy, images):
+    def test_server_survives_all_hard_stream(self, images):
         # A near-zero threshold routes every request down the hard path;
         # the serving loop must not allocate empty easy sub-batches.
         from repro.cluster import Cluster
@@ -143,7 +143,8 @@ class TestServedAllHardTrace:
         from repro.serving.backends import BranchyNetBackend
         from repro.sim.records import ROUTE_EASY, ROUTE_HARD
 
-        backend = BranchyNetBackend(branchy, raspberry_pi4(), threshold=1e-9)
+        branchy = BranchyLeNet(rng=0, entropy_threshold=1e-9)
+        backend = BranchyNetBackend(branchy, raspberry_pi4())
         node = Cluster([backend], max_batch_size=8, max_wait_s=0.002)
         arrival_s = np.cumsum(np.full(len(images), 0.002))
         report, log = node.serve_log(images, arrival_s)

@@ -51,15 +51,8 @@ RECORDS = {
 #: (class, argument, value) -> what that value means.
 ALLOWED = {
     ("ResilienceConfig", "timeout_s", math.inf): "no timeout: an attempt waits for its answer",
-    ("Observer", "burn_threshold", math.inf): "never alert",
     ("SLOMonitor", "threshold", math.inf): "never alert",
     ("RetryPolicy", "max_backoff_s", math.inf): "no cap on the backoff",
-    ("DegradationConfig", "shed_pressure", math.inf): "never shed (pressure is at most 1)",
-    ("BreakerConfig", "latency_threshold_s", math.inf): "latency never trips, as with None",
-    ("EntropyRouter", "threshold", math.inf): "every sample takes the branch exit",
-    ("BranchyNetBackend", "threshold", math.inf): "every sample takes the branch exit",
-    ("HybridBackend", "threshold", math.inf): "every sample takes the branch exit",
-    ("EntropyGated", "threshold", math.inf): "never offload",
 }
 
 #: What a constructor may raise for a bad number.
@@ -174,7 +167,6 @@ REQUIRED = {
     },
     "EdgeTier": _edge_tier_args,
     "DeadlineAware": lambda: {"deadline_s": 0.2},
-    "EntropyGated": lambda: {},
     "RequestClass": lambda: {"name": "x", "priority": 0, "deadline_s": 0.1, "weight": 1.0},
     "PriorityBatcher": lambda: {"classes": _classes()},
     "EntropyRouter": lambda: {"branchynet": _branchy()},
