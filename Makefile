@@ -34,7 +34,13 @@
 #   make chaos-smoke  robustness smoke: chaos invariants under random fault
 #                     storms, fault/breaker/retry units, chaos experiment
 #   make netchaos-smoke  network-chaos smoke: netsim units (sessions, AIMD,
-#                     shared links), link-storm invariants, netchaos verdict
+#                     shared links), the compiled fault plan against the
+#                     linear walks it replaced (TestCompiledQueries in
+#                     tests/netsim/test_faults.py), lazy remote pricing's
+#                     call counts and the estimates' purity (TestLazyPricing
+#                     and the *_estimates_leave_every_state_unchanged tests
+#                     in tests/netsim/test_net_fleet.py), link-storm
+#                     invariants, netchaos verdict
 #   make obs-smoke    observability smoke: span-tree well-formedness,
 #                     metrics/SLO units, oracle-vs-live telemetry parity
 #   make prof-smoke   profiler smoke: phase-tree determinism + exports on

@@ -32,6 +32,7 @@ by name, mirroring :func:`repro.hw.devices.device_profiles`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +81,7 @@ class BandwidthTrace:
 
     def scale_at(self, time_s: float) -> float:
         """Bandwidth multiplier in effect at ``time_s`` (1.0 before the trace)."""
-        idx = int(np.searchsorted(self.times_s, time_s, side="right")) - 1
+        idx = bisect_right(self.times_s, time_s) - 1
         return 1.0 if idx < 0 else float(self.scales[idx])
 
 

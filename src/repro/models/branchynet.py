@@ -74,10 +74,13 @@ class BranchyLeNet(Module):
         rng: np.random.Generator | int | None = None,
         entropy_threshold: float = 0.05,
     ) -> None:
+        entropy_threshold = float(entropy_threshold)
+        if not entropy_threshold >= 0:  # false for NaN too
+            raise ValueError(f"entropy threshold must be >= 0, got {entropy_threshold}")
         super().__init__()
         rng = as_generator(rng)
         self.num_classes = num_classes
-        self.entropy_threshold = float(entropy_threshold)
+        self.entropy_threshold = entropy_threshold
         self.stem = Sequential(
             Conv2d(1, 4, kernel_size=5, rng=rng),
             ReLU(),

@@ -134,7 +134,9 @@ class LinkFaultPlan:
     """One seeded, replayable network storm for a single link.
 
     Outage and degrade windows are sorted and must not overlap their
-    own kind; flaps are sorted instants.
+    own kind; flaps are sorted instants.  Construction compiles the
+    windows into sorted lists, so each point query is one
+    ``bisect_right``, however many windows the storm holds.
     """
 
     faults: tuple[LinkFault, ...] = ()
@@ -146,18 +148,33 @@ class LinkFaultPlan:
         for kind in (OUTAGE, DEGRADE):
             by_kind[kind].sort(key=lambda f: f.start_s)
             _require_disjoint(by_kind[kind], kind if kind == OUTAGE else "degradation")
-        by_kind[FLAP].sort(key=lambda f: f.start_s)
         ordered = tuple(
             sorted(self.faults, key=lambda f: (f.start_s, _KINDS.index(f.kind)))
         )
-        object.__setattr__(self, "faults", ordered)
-        object.__setattr__(
-            self, "_outages", tuple((f.start_s, f.end_s) for f in by_kind[OUTAGE])
-        )
-        object.__setattr__(self, "_degrades", tuple(by_kind[DEGRADE]))
-        object.__setattr__(
-            self, "_flaps", tuple(f.start_s for f in by_kind[FLAP])
-        )
+        outages, degrades = by_kind[OUTAGE], by_kind[DEGRADE]
+        ends = [f.end_s for f in outages]
+        # An outage's exit follows windows that touch it (the next one
+        # starts where it ends) to the last end of that chain.
+        exits = ends[:]
+        for k in range(len(outages) - 2, -1, -1):
+            if outages[k + 1].start_s <= ends[k]:
+                exits[k] = exits[k + 1]
+        compiled = {
+            "faults": ordered,
+            "_out_starts": [f.start_s for f in outages],
+            "_out_ends": ends,
+            "_out_exits": exits,
+            "_deg_starts": [f.start_s for f in degrades],
+            "_deg_ends": [f.end_s for f in degrades],
+            "_deg_scales": [f.bandwidth_scale for f in degrades],
+            "_deg_losses": [f.loss_add for f in degrades],
+            # Every instant that drops carrier: flaps and outage onsets.
+            "_drops": sorted(
+                [f.start_s for f in by_kind[FLAP]] + [f.start_s for f in outages]
+            ),
+        }
+        for name, value in compiled.items():
+            object.__setattr__(self, name, value)
 
     def __bool__(self) -> bool:
         return bool(self.faults)
@@ -165,33 +182,27 @@ class LinkFaultPlan:
     @property
     def outages(self) -> tuple[tuple[float, float], ...]:
         """The declared outage windows, sorted and disjoint."""
-        return self._outages  # type: ignore[attr-defined]
+        return tuple(zip(self._out_starts, self._out_ends))  # type: ignore[attr-defined]
 
     def available_at(self, time_s: float) -> float:
         """Earliest instant >= ``time_s`` outside every outage window."""
-        for start, end in self._outages:  # type: ignore[attr-defined]
-            if time_s < start:
-                break
-            if time_s < end:
-                time_s = end
+        k = bisect_right(self._out_starts, time_s) - 1  # type: ignore[attr-defined]
+        if k >= 0 and time_s < self._out_ends[k]:  # type: ignore[attr-defined]
+            return self._out_exits[k]  # type: ignore[attr-defined]
         return time_s
 
     def bandwidth_scale_at(self, time_s: float) -> float:
         """Degradation bandwidth multiplier in effect at ``time_s``."""
-        for fault in self._degrades:  # type: ignore[attr-defined]
-            if fault.start_s <= time_s < fault.end_s:
-                return fault.bandwidth_scale
-            if fault.start_s > time_s:
-                break
+        k = bisect_right(self._deg_starts, time_s) - 1  # type: ignore[attr-defined]
+        if k >= 0 and time_s < self._deg_ends[k]:  # type: ignore[attr-defined]
+            return self._deg_scales[k]  # type: ignore[attr-defined]
         return 1.0
 
     def loss_add_at(self, time_s: float) -> float:
         """Extra per-segment loss probability in effect at ``time_s``."""
-        for fault in self._degrades:  # type: ignore[attr-defined]
-            if fault.start_s <= time_s < fault.end_s:
-                return fault.loss_add
-            if fault.start_s > time_s:
-                break
+        k = bisect_right(self._deg_starts, time_s) - 1  # type: ignore[attr-defined]
+        if k >= 0 and time_s < self._deg_ends[k]:  # type: ignore[attr-defined]
+            return self._deg_losses[k]  # type: ignore[attr-defined]
         return 0.0
 
     def carrier_drop_in(self, t0: float, t1: float) -> bool:
@@ -202,11 +213,9 @@ class LinkFaultPlan:
         transfer in the air is presumed lost; the transport renegotiates
         and resumes).
         """
-        flaps = self._flaps  # type: ignore[attr-defined]
-        idx = bisect_right(flaps, t0)
-        if idx < len(flaps) and flaps[idx] <= t1:
-            return True
-        return any(t0 < start <= t1 for start, _ in self._outages)  # type: ignore[attr-defined]
+        drops = self._drops  # type: ignore[attr-defined]
+        k = bisect_right(drops, t0)
+        return k < len(drops) and drops[k] <= t1
 
 
 #: Ranges a storm draws each degrade window's bandwidth scale and

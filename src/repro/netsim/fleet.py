@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -185,6 +186,23 @@ class FleetNetReport:
 _REQ, _ADV = 0, 1  # device loop event kinds
 
 
+def _price_remote(dev: _Device, wait: float, ready: float) -> float:
+    """A request's remote completion estimate from arrival.
+
+    Link legs are estimated from the transport's live state at
+    ``ready``, so degradation and outages reach the policy before an
+    uplink backlog builds.  Neither estimate samples or moves state, so
+    pricing only when a policy asks changes no decision.
+    """
+    transport = dev.transport
+    return (
+        wait
+        + transport.estimate_s(dev.up_bytes, ready)
+        + dev.cloud_est_s
+        + transport.estimate_down_s(dev.down_bytes, ready)
+    )
+
+
 @dataclass(eq=False)
 class _Device:
     """One device inside :class:`_DeviceLoop`: its stream and its ledger.
@@ -225,10 +243,11 @@ class _DeviceLoop:
     A device considers one request at a time.  It pays the gate unless
     its policy has ``runs_gate = False``, decides on
     :class:`~repro.offload.policies.OffloadContext` estimates read from
-    its transport, and finishes locally or hands the payload to the
-    transport, which the loop drives through ``start``/``advance``.  The
-    transfer's ``release_s`` says when the device may consider its next
-    request, so the transport, not the loop, decides the device hold.
+    its transport (the remote path priced only if the policy reads it),
+    and finishes locally or hands the payload to the transport, which
+    the loop drives through ``start``/``advance``.  The transfer's
+    ``release_s`` says when the device may consider its next request,
+    so the transport, not the loop, decides the device hold.
     """
 
     def __init__(self, devices: list[_Device], obs=None) -> None:
@@ -286,19 +305,12 @@ class _DeviceLoop:
                         obs.on_leg(SPAN_EDGE_GATE, req, start, ready)
                 ready_s[req] = ready
                 easy = bool(dev.easy[i])
+                wait = ready - arrival
                 ctx = OffloadContext(
                     entropy=float(dev.entropy[i]),
                     easy=easy,
-                    est_local_s=(ready - arrival) + (0.0 if easy else dev.local_s),
-                    # Link legs are estimated from the transport's live
-                    # state, so degradation and outages reach the policy
-                    # before an uplink backlog builds.
-                    est_remote_s=(
-                        (ready - arrival)
-                        + transport.estimate_s(dev.up_bytes, ready)
-                        + dev.cloud_est_s
-                        + transport.estimate_down_s(dev.down_bytes, ready)
-                    ),
+                    est_local_s=wait + (0.0 if easy else dev.local_s),
+                    est_remote_s=partial(_price_remote, dev, wait, ready),
                 )
                 if dev.policy.offload(ctx):
                     outcome[req] = OFFLOADED

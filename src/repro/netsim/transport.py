@@ -100,8 +100,7 @@ class SessionTransport:
     handshake loss, jitter) draws from the caller-provided stream, so
     storms replay identically in oracle and ``--live`` modes.  ``obs``
     (optional) is a :class:`~repro.obs.observer.Observer`-like object
-    receiving ``EV_SESSION``/``EV_CWND`` instants; ``cwnd_history``
-    accumulates ``(time_s, window)`` samples for the uplink timeline.
+    receiving ``EV_SESSION``/``EV_CWND`` instants.
     """
 
     def __init__(
@@ -124,7 +123,6 @@ class SessionTransport:
         self.max_attempts = max_attempts
         self.obs = obs
         self.device_id = device_id
-        self.cwnd_history: list[tuple[float, int]] = []
         self.n_transfers = 0
         self.n_flap_resumes = 0
         self._active = False
@@ -144,9 +142,6 @@ class SessionTransport:
 
         kind = EV_SESSION if kind_name == "session" else EV_CWND
         self.obs.on_event(kind, time_s, self.device_id, req)
-
-    def _sample_cwnd(self, time_s: float) -> None:
-        self.cwnd_history.append((time_s, self.aimd.window))
 
     # ------------------------------------------------------------------ #
     # stepwise transfer engine
@@ -226,7 +221,6 @@ class SessionTransport:
             self.n_flap_resumes += 1
             self._flap_resumes += 1
             self._event("session", ack_t)
-            self._sample_cwnd(ack_t)
             return ("wait", ack_t)
         self._checked_s = ack_t
         self._seen_s = max(self._seen_s, ack_t)
@@ -242,7 +236,6 @@ class SessionTransport:
             self._timeouts += 1
             aimd.on_timeout()
             self._event("cwnd", end)
-            self._sample_cwnd(end)
             return ("wait", end + aimd.rto_s(link.rtt_s))
         delivered = flight_seg - lost
         if lost > 0:
@@ -252,7 +245,6 @@ class SessionTransport:
             self._event("cwnd", ack_t)
         else:
             aimd.on_ack(delivered)
-        self._sample_cwnd(ack_t)
         self._remaining = max(0, self._remaining - delivered * mtu)
         if self._remaining > 0:
             return ("wait", ack_t)

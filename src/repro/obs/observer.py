@@ -296,17 +296,14 @@ class Observer:
         starts, ends, reps, ns, depths = meta.T
         return starts, ends, reps, ns, depths
 
-    def timelines(self, window_s: float | None = None, cwnd_history=None):
+    def timelines(self, window_s: float | None = None):
         """Resource-utilization timelines derived from this run's data.
 
         Builds :class:`~repro.obs.timeline.ResourceTimelines` — per-
         replica busy fraction and queue depth from the batch metadata,
         cache hit rate from the finalized ``RequestLog``, uplink
         occupancy from any offload legs — with zero in-loop cost; the
-        derivation is vectorized here at read time.  ``cwnd_history``
-        (``(time_s, window)`` samples from a
-        :class:`~repro.netsim.transport.SessionTransport`) adds the
-        ``uplink.cwnd`` gauge next to the occupancy it explains.
+        derivation is vectorized here at read time.
         """
         from repro.obs.timeline import build_timelines
 
@@ -316,7 +313,6 @@ class Observer:
             batch_arrays=self.batch_arrays(),
             log=log,
             spans=self.spans,
-            cwnd_history=cwnd_history,
         )
 
     def suspect_replicas(self, top: int = 1) -> list[int]:

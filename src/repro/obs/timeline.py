@@ -74,26 +74,6 @@ class ResourceTimelines:
         self._series[name] = (ws, mode)
         return ws
 
-    def add_gauge(self, name: str, times_s, values) -> WindowSeries:
-        """Add (or extend) a sampled-level series from external telemetry.
-
-        The public hook for layers whose state lives outside the span
-        log — e.g. a :class:`~repro.netsim.transport.SessionTransport`'s
-        congestion-window history becoming an ``uplink.cwnd`` track.
-        Values are window-averaged, like every gauge.
-        """
-        if name in self._series:
-            ws, mode = self._series[name]
-            if mode != _MODE_GAUGE:
-                raise ValueError(f"timeline {name!r} exists with mode {mode!r}")
-        else:
-            ws = self._add(name, _MODE_GAUGE)
-        ws.add_many(
-            np.asarray(times_s, dtype=np.float64),
-            np.asarray(values, dtype=np.float64),
-        )
-        return ws
-
     def values(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """(window_starts, values) for one timeline, reduction applied.
 
@@ -149,7 +129,6 @@ def build_timelines(
     batch_arrays: tuple[np.ndarray, ...] | None = None,
     log=None,
     spans: SpanLog | None = None,
-    cwnd_history=None,
 ) -> ResourceTimelines:
     """Derive utilization timelines from already-captured telemetry.
 
@@ -172,12 +151,6 @@ def build_timelines(
         A finalized :class:`SpanLog`; produces ``uplink.occupancy``
         (occupancy over the offload uplink transfer legs) when uplink
         spans are present.
-    cwnd_history:
-        ``[(time_s, window), ...]`` samples from a
-        :class:`~repro.netsim.transport.SessionTransport`; produces
-        ``uplink.cwnd`` (gauge: mean congestion window per window) —
-        the track that shows AIMD sawtooths collapsing under a network
-        storm next to the occupancy they explain.
 
     All inputs are optional — pass what the run recorded; absent inputs
     simply contribute no series.
@@ -217,9 +190,5 @@ def build_timelines(
             s = np.asarray(spans.start_s, dtype=np.float64)[up]
             e = np.asarray(spans.end_s, dtype=np.float64)[up]
             tl._add("uplink.occupancy", _MODE_OCCUPANCY).add_many(s, e - s)
-
-    if cwnd_history:
-        hist = np.asarray(cwnd_history, dtype=np.float64)
-        tl.add_gauge("uplink.cwnd", hist[:, 0], hist[:, 1])
 
     return tl

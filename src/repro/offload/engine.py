@@ -263,7 +263,9 @@ class EdgeTier:
     branchynet:
         Trained :class:`~repro.models.branchynet.BranchyLeNet`; its stem
         + branch is the on-device gate, its trunk the offloadable
-        suffix.
+        suffix.  The gate reads the model's ``entropy_threshold`` once,
+        here, and refuses a NaN or negative one, as
+        :class:`~repro.serving.router.EntropyRouter` does.
     edge_device:
         Calibrated edge :class:`~repro.hw.device.DeviceProfile` (one
         FIFO compute queue).
@@ -340,6 +342,10 @@ class EdgeTier:
             )
         if not isinstance(link, (NetworkLink, SessionTransport)):
             raise TypeError("EdgeTier needs a NetworkLink or a SessionTransport")
+        #: The edge gate's exit threshold: the model's, when the tier is built.
+        self.threshold = float(branchynet.entropy_threshold)
+        if not self.threshold >= 0:  # false for NaN too
+            raise ValueError(f"entropy threshold must be >= 0, got {self.threshold}")
         self.branchynet = branchynet
         self.edge_device = edge_device
         self.link = link
@@ -404,7 +410,6 @@ class EdgeTier:
         n = images.shape[0]
 
         transport = self._transport()
-        threshold = float(self.branchynet.entropy_threshold)
         if not self.policy.runs_gate:
             entropies = np.full(n, np.nan, dtype=np.float64)
             branch_preds = np.full(n, -1, dtype=np.int64)
@@ -427,7 +432,7 @@ class EdgeTier:
         up_bytes = self.codec.wire_bytes(boundary_elems)
         down_bytes = int(self.branchynet.num_classes) * _FLOAT32_BYTES
         device = _Device(
-            arrival_s, entropies, entropies < threshold, self.policy, transport,
+            arrival_s, entropies, entropies < self.threshold, self.policy, transport,
             gate_s=self.gate_s, local_s=self.trunk_extra_s, cloud_est_s=self.cloud_est_s,
             up_bytes=up_bytes, down_bytes=down_bytes,
         )

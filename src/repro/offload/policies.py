@@ -56,7 +56,6 @@ __all__ = [
 POLICY_NAMES = ("always-local", "always-remote", "entropy-gated", "deadline-aware")
 
 
-@dataclass(frozen=True)
 class OffloadContext:
     """What the engine knows about one request at decision time.
 
@@ -65,12 +64,30 @@ class OffloadContext:
     link's expected delivery — the same deterministic quantities the
     partition planner prices, so the deadline policy and the planner
     agree about what "slower" means.
+
+    ``est_remote_s`` may be given as a zero-argument function instead
+    of a number.  The remote path is then priced on the first read and
+    the price kept for later reads, so a policy that never reads it
+    never pays for it.  The offload device loop passes such a function,
+    which reads the transport's live state, so a policy reads the price
+    inside :meth:`OffloadPolicy.offload`.
     """
 
-    entropy: float
-    easy: bool
-    est_local_s: float
-    est_remote_s: float
+    __slots__ = ("entropy", "easy", "est_local_s", "_remote")
+
+    def __init__(self, entropy: float, easy: bool, est_local_s: float, est_remote_s) -> None:
+        self.entropy = entropy
+        self.easy = easy
+        self.est_local_s = est_local_s
+        self._remote = est_remote_s
+
+    @property
+    def est_remote_s(self) -> float:
+        """Remote completion estimate, priced on the first read."""
+        remote = self._remote
+        if callable(remote):
+            remote = self._remote = remote()
+        return remote
 
 
 class OffloadPolicy:

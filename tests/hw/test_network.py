@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -150,6 +153,21 @@ class TestDegradation:
         assert trace.scale_at(0.999) == 1.0
         assert trace.scale_at(1.0) == 0.25
         assert trace.scale_at(100.0) == 0.25
+
+    def test_bisect_finds_the_step_searchsorted_finds(self):
+        """``scale_at`` bisects the step-time tuple; its index is numpy's
+        right-sided ``searchsorted`` at repeated step times, their
+        neighbouring floats, +-inf and NaN."""
+        times = (0.0, 1.0, 1.0, 1.0, 2.5, 2.5, 7.0)
+        scales = (0.5, 0.25, 0.75, 0.125, 2.0, 1.5, 0.3)
+        trace = BandwidthTrace(times_s=times, scales=scales)
+        queries = [math.inf, -math.inf, math.nan]
+        for t in times:
+            queries += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+        for t in queries:
+            idx = bisect_right(trace.times_s, t) - 1
+            assert idx == int(np.searchsorted(times, t, side="right")) - 1, t
+            assert trace.scale_at(t) == (1.0 if idx < 0 else scales[idx]), t
 
 
 class TestPresets:

@@ -1,6 +1,7 @@
 """Unit tests for BranchyNet-LeNet."""
 
 import numpy as np
+import pytest
 
 from repro.models import BranchyLeNet, LeNet
 from repro.nn import Tensor
@@ -97,6 +98,13 @@ class TestInference:
         model = BranchyLeNet(rng=0, entropy_threshold=99.0)
         images = np.random.default_rng(4).random((4, 1, 28, 28)).astype(np.float32)
         assert model.infer(images).early_exit_rate == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-3], ids=["nan", "negative"])
+    def test_threshold_must_be_non_negative(self, bad):
+        """A NaN threshold once built a model whose ``infer`` sent no
+        sample out early, whatever its entropy."""
+        with pytest.raises(ValueError, match="entropy threshold must be >= 0"):
+            BranchyLeNet(rng=0, entropy_threshold=bad)
 
 
 class TestTraining:

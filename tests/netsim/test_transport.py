@@ -96,9 +96,15 @@ class TestLossAndTheHardBound:
         link = _link()
         link.loss_rate = 0.999
         tr = SessionTransport(link, rng=3, aimd=AIMDConfig(init_cwnd=8))
-        tr.send(12_000, 0.0)
+        tr.start(12_000, 0.0)
+        status, now, collapsed = "wait", 0.0, []
+        while status == "wait":
+            timeouts = tr.aimd.n_timeouts
+            status, now = tr.advance(now)
+            if tr.aimd.n_timeouts > timeouts:  # this step's flight timed out
+                collapsed.append(tr.aimd.window)
         assert tr.aimd.n_timeouts >= 1
-        assert any(w == 1 for _, w in tr.cwnd_history)
+        assert collapsed and all(w == 1 for w in collapsed)
 
 
 class TestCarrierDropsAndRenegotiation:

@@ -4,6 +4,7 @@ degradation."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -210,6 +211,17 @@ class TestCloudComposition:
             EdgeTier(
                 branchy, raspberry_pi4(), wifi(), object(), EntropyGated()
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-3], ids=["nan", "negative"])
+    def test_gate_threshold_must_be_non_negative(self, branchy, bad):
+        """The pipeline sets the tuned threshold after building the
+        model, so the tier checks it too: a NaN gate flags every sample
+        hard."""
+        cloud = cloud_server_for(EntropyGated(), branchy, gci_cpu())
+        model = copy.copy(branchy)
+        model.entropy_threshold = bad
+        with pytest.raises(ValueError, match="entropy threshold must be >= 0"):
+            EdgeTier(model, raspberry_pi4(), wifi(), cloud, EntropyGated())
 
     def test_reused_observer_raises_and_keeps_the_first_run(self, branchy, stream):
         """A tier handed a finished observer would double every leg
