@@ -28,7 +28,12 @@
 #                     the reference path (no arena growth across ragged
 #                     batches), and the compiled plans themselves
 #                     (tests/nn/test_fastpath.py: both LinearStep
-#                     products bit-exact at every row count)
+#                     products bit-exact at every row count), the table
+#                     pass's 128-row calls against one whole-pool call
+#                     and the plans they leave (tests/sim/test_table_chunks.py),
+#                     and the calibration cache: cold, warm and direct
+#                     fits equal, no scipy in a warm process
+#                     (tests/hw/test_device_cache.py)
 #   make tenants-smoke  multi-tenant smoke: scheduler invariants, priority
 #                     batcher, FIFO-vs-priority experiment on toy fleets
 #   make chaos-smoke  robustness smoke: chaos invariants under random fault
@@ -77,7 +82,8 @@ offload-smoke:
 
 sim-smoke:
 	$(PYTHON) -m pytest tests/sim tests/serving/test_arrivals.py \
-	    tests/serving/test_fastpath_serving.py tests/nn/test_fastpath.py -q
+	    tests/serving/test_fastpath_serving.py tests/nn/test_fastpath.py \
+	    tests/hw/test_device_cache.py -q
 
 tenants-smoke:
 	$(PYTHON) -m pytest tests/scheduling tests/serving/test_priority_batcher.py \

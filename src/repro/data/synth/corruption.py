@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "gaussian_blur",
@@ -31,6 +30,8 @@ Array = np.ndarray
 
 def gaussian_blur(images: Array, rng: np.random.Generator, severity: float) -> Array:
     """Blur: σ grows with severity (0.6 → 1.8 px)."""
+    from scipy import ndimage  # loads only when a dataset is synthesized
+
     sigma = 0.6 + 1.2 * severity
     return ndimage.gaussian_filter(images, sigma=(0.0, sigma, sigma)).astype(np.float32)
 
@@ -69,6 +70,8 @@ def elastic_warp(images: Array, rng: np.random.Generator, severity: float) -> Ar
     over the whole (N, H, W) volume (a batch axis added to the coordinate
     grid keeps samples independent).
     """
+    from scipy import ndimage  # loads only when a dataset is synthesized
+
     n, h, w = images.shape
     alpha = (2.0 + 4.0 * severity) * h / 28.0  # displacement magnitude, px
     sigma = 4.0

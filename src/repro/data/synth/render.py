@@ -12,7 +12,6 @@ Coordinate convention: the canvas is the unit square, ``x`` rightward,
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "pixel_grid",
@@ -232,4 +231,6 @@ def smooth(images: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian blur over the spatial axes of an (N, H, W) batch."""
     if sigma <= 0:
         return images.astype(np.float32)
+    from scipy import ndimage  # loads only when a dataset is synthesized
+
     return ndimage.gaussian_filter(images, sigma=(0.0, sigma, sigma)).astype(np.float32)

@@ -270,7 +270,12 @@ class _DeviceLoop:
         """Decide every request; drive every uplink to its delivery."""
         devices, obs = self.devices, self.obs
         outcome, completion, ready_s = self.outcome, self.completion_s, self.ready_s
-        heap = [(float(dev.arrivals[0]), k, _REQ, k) for k, dev in enumerate(devices)]
+        # Per-request columns as Python lists: the same values, without a
+        # NumPy scalar conversion on every read.
+        arrivals = [dev.arrivals.tolist() for dev in devices]
+        entropies = [dev.entropy.tolist() for dev in devices]
+        easies = [dev.easy.tolist() for dev in devices]
+        heap = [(arrivals[k][0], k, _REQ, k) for k in range(len(devices))]
         heapq.heapify(heap)
         seq = len(heap)
         while heap:
@@ -296,7 +301,7 @@ class _DeviceLoop:
                 i = dev.next_req
                 dev.next_req += 1
                 req = dev.base + i
-                arrival = float(dev.arrivals[i])
+                arrival = arrivals[k][i]
                 ready = start = max(arrival, dev.edge_free)
                 if dev.policy.runs_gate:
                     ready = dev.edge_free = start + dev.gate_s
@@ -304,10 +309,10 @@ class _DeviceLoop:
                     if obs is not None:
                         obs.on_leg(SPAN_EDGE_GATE, req, start, ready)
                 ready_s[req] = ready
-                easy = bool(dev.easy[i])
+                easy = easies[k][i]
                 wait = ready - arrival
                 ctx = OffloadContext(
-                    entropy=float(dev.entropy[i]),
+                    entropy=entropies[k][i],
                     easy=easy,
                     est_local_s=wait + (0.0 if easy else dev.local_s),
                     est_remote_s=partial(_price_remote, dev, wait, ready),
@@ -326,7 +331,7 @@ class _DeviceLoop:
                     completion[req] = dev.edge_free = ready + dev.local_s
                     dev.edge_busy += dev.local_s
             if dev.next_req < len(dev.arrivals):
-                t = max(float(dev.arrivals[dev.next_req]), dev.edge_free)
+                t = max(arrivals[k][dev.next_req], dev.edge_free)
                 heapq.heappush(heap, (t, seq, _REQ, k))
                 seq += 1
 

@@ -14,7 +14,8 @@ Two kinds of rows share the log:
   ``parent`` linking children to the owning request's root span;
 * **instant events** — ``start_s == end_s`` markers for discrete
   happenings (crash, fault onset, timeout, retry, hedge, breaker trip,
-  degrade-mode change, scale decision, SLO alert).
+  shed, scale decision, SLO alert, failed batch, link session and
+  congestion-window cut).
 
 The :class:`Tracer` is built for the ≤10%-overhead gate: event loops
 append only *sparse* rows (one per dispatched batch, one per rare
@@ -54,7 +55,6 @@ __all__ = [
     "EV_RETRY",
     "EV_HEDGE",
     "EV_BREAKER_TRIP",
-    "EV_MODE",
     "EV_SHED",
     "EV_SCALE",
     "EV_ALERT",
@@ -84,14 +84,13 @@ __all__ = [
     EV_RETRY,
     EV_HEDGE,
     EV_BREAKER_TRIP,
-    EV_MODE,
     EV_SHED,
     EV_SCALE,
     EV_ALERT,
     EV_BATCH_FAIL,
     EV_SESSION,  # netsim: link session (re)established or carrier-dropped
     EV_CWND,  # netsim: AIMD window cut (multiplicative decrease / timeout)
-) = range(8, 22)
+) = range(8, 21)
 
 SPAN_NAMES = (
     "request",
@@ -109,7 +108,6 @@ SPAN_NAMES = (
     "retry",
     "hedge",
     "breaker_trip",
-    "mode",
     "shed",
     "scale",
     "alert",

@@ -49,6 +49,19 @@ __all__ = [
 ]
 
 
+#: Most rows one backend call of a table pass carries.  A fastpath plan
+#: keeps the arena of the largest batch it has run for the rest of the
+#: process, and 128-row calls still give the bits of one 512-row call
+#: (docs/sim.md says why 128).
+_CHUNK_ROWS = 128
+
+
+def _chunks(n: int) -> list[slice]:
+    """Row slices of at most ``_CHUNK_ROWS``, the last one the remainder;
+    an empty pool still gets one (empty) call."""
+    return [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, max(n, 1), _CHUNK_ROWS)]
+
+
 @dataclass(frozen=True)
 class InferenceTable:
     """Per-sample precomputed outputs of one backend over one image pool.
@@ -77,33 +90,34 @@ class InferenceTable:
 
     @classmethod
     def build(cls, backend: InferenceBackend, images: np.ndarray) -> "InferenceTable":
-        """One batched pass over ``images`` through ``backend``.
+        """A batched pass over ``images`` through ``backend``.
 
         Generic over any :class:`~repro.serving.backends.InferenceBackend`:
         the easy column replays an all-easy routing decision, the hard
         column an all-hard one — the same trick ``warmup`` uses to trace
         both sides of the gate.  The routing pass itself is memoized per
         (gate model, threshold, image pool), so backends sharing one
-        entropy gate (e.g. BranchyNet and the hybrid) pay it once.
+        entropy gate (e.g. BranchyNet and the hybrid) pay it once.  Every
+        backend call carries at most 128 rows, so the fastpath plans the
+        pass leaves on a model stay that small.
         """
         images = np.asarray(images)
         decision = _route_cached(backend, images)
+        chunks = _chunks(images.shape[0])
         if decision is None:
-            return cls(easy_preds=np.asarray(backend.predict(images)))
-        n = images.shape[0]
-        all_easy = RouteDecision(
-            easy=np.ones(n, dtype=bool),
-            entropy=decision.entropy,
-            predictions=decision.predictions,
-        )
-        all_hard = RouteDecision(
-            easy=np.zeros(n, dtype=bool),
-            entropy=decision.entropy,
-            predictions=decision.predictions,
-        )
+            preds = [np.asarray(backend.predict(images[rows])) for rows in chunks]
+            return cls(easy_preds=np.concatenate(preds))
+        easy_preds, hard_preds = [], []
+        for rows in chunks:
+            x = images[rows]
+            entropy = decision.entropy[rows]
+            branch = None if decision.predictions is None else decision.predictions[rows]
+            for easy, out in ((True, easy_preds), (False, hard_preds)):
+                forced = RouteDecision(np.full(x.shape[0], easy), entropy, branch)
+                out.append(np.asarray(backend.predict(x, forced)))
         return cls(
-            easy_preds=np.asarray(backend.predict(images, all_easy)),
-            hard_preds=np.asarray(backend.predict(images, all_hard)),
+            easy_preds=np.concatenate(easy_preds),
+            hard_preds=np.concatenate(hard_preds),
             entropy=decision.entropy,
             easy=decision.easy,
         )
@@ -206,18 +220,32 @@ def _route_cached(backend: InferenceBackend, images: np.ndarray):
 
     Only the standard :class:`~repro.serving.router.EntropyRouter` shape
     (a ``branchynet`` model + threshold) is cached; custom routers fall
-    through to a direct call.
+    through to a direct pass.  Either way the pool goes to ``route`` in
+    calls of at most 128 rows.
     """
     router = backend.router
     model = getattr(router, "branchynet", None)
     if router is None or model is None:
-        return backend.route(images)
+        return _route(backend, images)
     key = (id(model), float(router.threshold), id(images))
     entry = _GATE_CACHE.get(key)
     if entry is None or entry[0] is not model or entry[1] is not images:
-        entry = (model, images, backend.route(images))
+        entry = (model, images, _route(backend, images))
         _GATE_CACHE[key] = entry
     return entry[2]
+
+
+def _route(backend: InferenceBackend, images: np.ndarray) -> RouteDecision | None:
+    """``backend.route`` over the pool's chunks, joined row for row."""
+    parts = [backend.route(images[rows]) for rows in _chunks(images.shape[0])]
+    if parts[0] is None:
+        return None
+    branch = [part.predictions for part in parts]
+    return RouteDecision(
+        easy=np.concatenate([part.easy for part in parts]),
+        entropy=np.concatenate([part.entropy for part in parts]),
+        predictions=None if branch[0] is None else np.concatenate(branch),
+    )
 
 
 def oracle_backend(backend: InferenceBackend, images: np.ndarray) -> OracleBackend:
